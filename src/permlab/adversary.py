@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import Permutation, PureState, Subset, SubsetFamily
 from .dilation import QueryAlgorithm
-from .oracles import block_permutations, representative_sigma
+from .oracles import block_permutations, phase_signs, representative_sigma
 
 # progress_trace materializes a control register per oracle; cap its size
 MAX_CONTROL_ITEMS = 4096
@@ -250,11 +250,6 @@ def _analytic_stats(rel: OracleRelation, keep_tables: bool) -> AdversaryStats:
     return AdversaryStats(m, m_prime, l_max, tables)
 
 
-def trivial_lmax_bound(stats_x_size: int, stats_y_size: int, fraction: float) -> float:
-    """Coarse product bound |X| * |Y| * fraction on l_max for distributed families."""
-    return stats_x_size * stats_y_size * fraction
-
-
 def adversary_bound(stats: AdversaryStats, epsilon: float) -> float:
     """Query lower bound (1 - 2 sqrt(eps(1-eps))) sqrt(m m' / l_max)."""
     if not 0.0 <= epsilon <= 0.5:
@@ -289,13 +284,10 @@ class ProgressTrace:
         return max(self.drops) if self.drops else 0.0
 
 
-def _apply_item(state: np.ndarray, rel: OracleRelation, item, v: int) -> np.ndarray:
+def _apply_item(state: np.ndarray, rel: OracleRelation, item) -> np.ndarray:
     """Apply one oracle to the A axis of a (..., V, Q)-shaped state."""
     if rel.kind == "phase":
-        signs = np.ones(v)
-        for m in item.members:
-            signs[m - 1] = -1.0
-        return state * signs[:, None]
+        return state * phase_signs(item)[:, None]
     inv = np.argsort(item.zero_based())
     return state[..., inv, :]
 
@@ -348,7 +340,7 @@ def progress_trace(
         state = state @ u.T
         shaped = state.reshape(c, v, alg.dim_b)
         rows = [
-            _apply_item(shaped[i], rel, (rel.x_items + rel.y_items)[i], v)
+            _apply_item(shaped[i], rel, (rel.x_items + rel.y_items)[i])
             for i in range(c)
         ]
         state = np.stack(rows).reshape(c, d_aq)
@@ -402,19 +394,17 @@ def end_to_end_bound_check(
             psi = initial_aq.amplitudes.copy()
             for u in alg.query_unitaries:
                 psi = u @ psi
-                psi = _apply_item(psi.reshape(v, alg.dim_b), rel, item, v).reshape(d_aq)
+                psi = _apply_item(psi.reshape(v, alg.dim_b), rel, item).reshape(d_aq)
             psi = alg.final_unitary @ psi
             p_accept = float(np.real(psi.conj() @ e @ psi))
             successes.append(p_accept if side == "x" else 1.0 - p_accept)
     worst = min(successes)
     epsilon = 1.0 - worst
-    stats = relation_stats(rel)
     if epsilon >= 0.5:
         # worst-case success at or below a coin flip carries no constraint
         bound = 0.0
     else:
-        coeff = 1.0 - 2.0 * math.sqrt(epsilon * (1.0 - epsilon))
-        bound = coeff * math.sqrt(stats.m * stats.m_prime / stats.l_max)
+        bound = adversary_bound(relation_stats(rel), epsilon)
     return BoundCheckReport(
         tuple(successes), worst, epsilon, alg.queries, bound,
         alg.queries >= bound - BOUND_TOL,

@@ -43,6 +43,8 @@ from .oracles import (
 )
 from .structure import TargetClass, bound_crossover, check_distributed, fixing_procedure
 from .verifier import (
+    SOUNDNESS_SLACK,
+    THRESHOLD_LO,
     PreimageInstance,
     enumerate_instances,
     honest_witness,
@@ -50,9 +52,6 @@ from .verifier import (
     random_instance,
     run_verifier,
 )
-
-SOUNDNESS_FLAG_TARGET = 2.0 / 3.0 + 1e-9
-COMPLETENESS_FLAG_TARGET = 2.0 / 3.0
 
 SUBCOMMANDS = ("verify", "dilate", "fix", "crossover", "relation", "wtrace", "suite")
 
@@ -69,7 +68,6 @@ class ExperimentConfig:
     kx: int | None = None
     ky: int | None = None
     alpha: float | None = None
-    delta: float | None = None
     epsilon: float | None = None
     p: float | None = None
     p_coeffs: tuple[float, ...] | None = None
@@ -196,9 +194,9 @@ def run_verify(cfg: ExperimentConfig) -> tuple[bool, list[str], list[list]]:
             n_or_big, inst.k_even, inst.label,
             report.p_test_i, report.p_test_ii, report.p_accept, lam,
         ])
-        if inst.label == "NO" and lam > SOUNDNESS_FLAG_TARGET:
+        if inst.label == "NO" and lam > THRESHOLD_LO + SOUNDNESS_SLACK:
             ok = False
-        if inst.label == "YES" and lam < COMPLETENESS_FLAG_TARGET:
+        if inst.label == "YES" and lam < THRESHOLD_LO:
             ok = False
     return ok, header, rows
 

@@ -9,9 +9,11 @@ Kinds:
 
 The randomized channel is never sampled: the permutations with preimage set
 S form the coset {tau o sigma* : tau block-preserving}, so the channel equals
-a two-block twirl of P_sigma* rho P_sigma*†, and the twirl over the block
-subgroup has a closed form (entrywise class averaging). That identity is what
-block_twirl implements; tests compare it against the exhaustive group average.
+a two-block twirl of P_sigma* rho P_sigma*†. The twirl over the block
+subgroup has a closed form: every entry becomes the mean of its orbit of
+index pairs, and there are six orbits (the diagonal and the off-diagonal of
+each block, and the two cross blocks), each averaged by slicing. Tests
+compare it against the exhaustive group average.
 """
 
 from __future__ import annotations
@@ -99,6 +101,14 @@ def apply_in_place(perm: Permutation, psi: PureState) -> PureState:
     return PureState(psi.dim, out)
 
 
+def _standard_targets(perm: Permutation) -> np.ndarray:
+    """Where |i>|b> lands under the standard oracle, as 0-based joint indices."""
+    v = perm.size
+    sigma0 = perm.zero_based()
+    idx = np.arange(v * v)
+    return (idx // v) * v + ((idx % v) ^ sigma0[idx // v])
+
+
 def apply_standard(perm: Permutation, psi: PureState) -> PureState:
     """|i>|b> -> |i>|b XOR sigma(i)> on two V-dim registers, XOR on 0-based indices."""
     v = perm.size
@@ -106,70 +116,59 @@ def apply_standard(perm: Permutation, psi: PureState) -> PureState:
         raise ValueError(f"standard oracle needs a power-of-2 size, got {v}")
     if psi.dim != v * v:
         raise ValueError(f"state dim {psi.dim} does not match two registers of size {v}")
-    sigma0 = perm.zero_based()
-    idx = np.arange(v * v)
-    i0, b0 = idx // v, idx % v
-    target = i0 * v + (b0 ^ sigma0[i0])
     out = np.empty_like(psi.amplitudes)
-    out[target] = psi.amplitudes
+    out[_standard_targets(perm)] = psi.amplitudes
     return PureState(psi.dim, out)
+
+
+def phase_signs(subset: Subset) -> np.ndarray:
+    """The phase oracle's diagonal: -1 at the members of the subset, +1 elsewhere."""
+    signs = np.ones(subset.universe)
+    signs[[m - 1 for m in subset.members]] = -1.0
+    return signs
 
 
 def apply_phase(subset: Subset, psi: PureState) -> PureState:
     """Flip the sign of every amplitude whose label lies in the subset."""
     if psi.dim != subset.universe:
         raise ValueError(f"state dim {psi.dim} does not match universe {subset.universe}")
-    signs = np.ones(psi.dim)
-    for m in subset.members:
-        signs[m - 1] = -1.0
-    return PureState(psi.dim, psi.amplitudes * signs)
-
-
-def _block_classes(dim: int, block: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Index-pair classes whose entries a block-preserving twirl averages together."""
-    if not 1 <= block <= dim:
-        raise ValueError(f"block size {block} out of range for dim {dim}")
-    blocks = [np.arange(block), np.arange(block, dim)]
-    classes: list[tuple[np.ndarray, np.ndarray]] = []
-    for b in blocks:
-        if b.size == 0:
-            continue
-        classes.append((b, b.copy()))  # within-block diagonal
-        if b.size > 1:
-            rows, cols = [], []
-            for a in b:
-                for c in b:
-                    if a != c:
-                        rows.append(a)
-                        cols.append(c)
-            classes.append((np.array(rows), np.array(cols)))  # within-block off-diagonal
-    b1, b2 = blocks
-    if b1.size and b2.size:
-        r = np.repeat(b1, b2.size)
-        c = np.tile(b2, b1.size)
-        classes.append((r, c))  # cross-block, first to second
-        classes.append((c, r))  # cross-block, second to first
-    return classes
+    return PureState(psi.dim, psi.amplitudes * phase_signs(subset))
 
 
 def block_average(mat: np.ndarray, block: int) -> np.ndarray:
     """Closed form of the average of P_tau mat P_tau† over the block subgroup."""
     mat = np.asarray(mat)
-    out = np.empty_like(mat, dtype=np.complex128)
-    for rows, cols in _block_classes(mat.shape[0], block):
-        out[rows, cols] = mat[rows, cols].mean()
-    return out
+    return block_average_on_first_factor(mat, block, mat.shape[0], 1)
 
 
 def block_average_on_first_factor(
     mat: np.ndarray, block: int, dim_a: int, dim_b: int
 ) -> np.ndarray:
-    """Block twirl acting on the A factor of a matrix on A (x) B."""
+    """Block twirl acting on the A factor of a matrix on A (x) B.
+
+    Every entry becomes the mean of its A-orbit (see the module docstring),
+    taken separately for each pair of B indices.
+    """
+    if not 1 <= block <= dim_a:
+        raise ValueError(f"block size {block} out of range for dim {dim_a}")
     x = np.asarray(mat).reshape(dim_a, dim_b, dim_a, dim_b)
-    out = np.empty_like(x, dtype=np.complex128)
-    for rows, cols in _block_classes(dim_a, block):
-        mean = x[rows, :, cols, :].mean(axis=0)
-        out[rows, :, cols, :] = mean
+    out = np.empty(x.shape, dtype=np.complex128)
+    first, second = (0, block), (block, dim_a)
+    for lo, hi in (first, second):
+        size = hi - lo
+        if size == 0:
+            continue
+        within = x[lo:hi, :, lo:hi, :]
+        diag_sum = np.einsum("ibic->bc", within)
+        if size > 1:
+            off_mean = (within.sum(axis=(0, 2)) - diag_sum) / (size * (size - 1))
+            out[lo:hi, :, lo:hi, :] = off_mean[None, :, None, :]
+        idx = np.arange(lo, hi)
+        out[idx, :, idx, :] = diag_sum / size
+    if block < dim_a:
+        for (r0, r1), (c0, c1) in ((first, second), (second, first)):
+            cross = x[r0:r1, :, c0:c1, :].mean(axis=(0, 2))
+            out[r0:r1, :, c0:c1, :] = cross[None, :, None, :]
     return out.reshape(dim_a * dim_b, dim_a * dim_b)
 
 
@@ -238,9 +237,7 @@ class OracleChannel:
         if self.kind == "randomized_preimage":
             return apply_randomized_preimage(self.subset, rho)
         if self.kind == "phase":
-            s = np.ones(self.dim)
-            for m in self.subset.members:
-                s[m - 1] = -1.0
+            s = phase_signs(self.subset)
             return DensityMatrix(self.dim, rho.entries * np.outer(s, s))
         if self.kind == "in_place":
             p = self.perm.matrix()
@@ -267,9 +264,3 @@ class OracleChannel:
             return cls(kind, universe, subset=subset, block=block)
         raise ValueError(f"unknown oracle kind {kind!r}")
 
-
-def _standard_targets(perm: Permutation) -> np.ndarray:
-    v = perm.size
-    sigma0 = perm.zero_based()
-    idx = np.arange(v * v)
-    return (idx // v) * v + ((idx % v) ^ sigma0[idx // v])

@@ -136,7 +136,11 @@ def fixing_procedure(
         fixed.add(element)
         iterations += 1
         # each shrink keeps at least an N^(-alpha) fraction
-        assert len(current) == nu and nu >= cut - FRACTION_TOL
+        if len(current) != nu or nu < cut - FRACTION_TOL:
+            raise RuntimeError(
+                f"shrinking on element {element} kept {len(current)} of {size} sets, "
+                f"expected {nu} >= {cut:.6g}"
+            )
     counts = current.element_counts()
     off = [nu for i, nu in counts.items() if i not in fixed]
     max_fraction = max(off) / len(current) if off else 0.0

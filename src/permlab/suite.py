@@ -9,6 +9,7 @@ force a verdict.
 from __future__ import annotations
 
 import math
+import traceback
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,6 +40,8 @@ from .structure import (
     witness_pigeonhole,
 )
 from .verifier import (
+    SOUNDNESS_SLACK,
+    THRESHOLD_LO,
     PreimageInstance,
     enumerate_instances,
     honest_witness,
@@ -48,8 +51,6 @@ from .verifier import (
     run_verifier,
     test_i,
 )
-
-SOUNDNESS_TARGET = 2.0 / 3.0 + 1e-9
 
 
 @dataclass(frozen=True)
@@ -91,16 +92,17 @@ def criterion_02_soundness(seed: int) -> CriterionResult:
     lams_n2 = [optimal_witness_prob(i)[0] for i in enumerate_instances(2, "NO")]
     frac = PreimageInstance.fractional(6, Subset(36, (1, 2, 3, 4, 5, 7)))
     lam_frac = optimal_witness_prob(frac)[0]
-    violations = sum(1 for lam in lams_n2 if lam > SOUNDNESS_TARGET)
-    if lam_n1 > SOUNDNESS_TARGET:
+    limit = THRESHOLD_LO + SOUNDNESS_SLACK
+    violations = sum(1 for lam in lams_n2 if lam > limit)
+    if lam_n1 > limit:
         violations += 1
-    if lam_frac > SOUNDNESS_TARGET:
+    if lam_frac > limit:
         violations += 1
     passed = violations == 0
     summary = (
         f"n=1 max {lam_n1:.6g}; n=2 max {max(lams_n2):.6g} over {len(lams_n2)} "
-        f"instances ({sum(1 for l in lams_n2 if l > SOUNDNESS_TARGET)} above 2/3); "
-        f"N=6 {lam_frac:.6g}; target {2/3:.6g}"
+        f"instances ({sum(1 for l in lams_n2 if l > limit)} above 2/3); "
+        f"N=6 {lam_frac:.6g}; target {THRESHOLD_LO:.6g}"
     )
     return CriterionResult(2, "soundness 2/3", passed, summary)
 
@@ -390,5 +392,6 @@ def run_all(seed: int) -> list[CriterionResult]:
         try:
             results.append(fn(seed))
         except Exception as exc:  # keep the suite reporting even on crashes
+            traceback.print_exc()
             results.append(CriterionResult(idx, fn.__name__, False, f"error: {exc}"))
     return results

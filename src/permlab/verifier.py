@@ -11,6 +11,11 @@ The verifier flips a fair coin between two tests:
        the uniform state over [N];
   (ii) measure the witness, reject odd outcomes, then accept exactly when
        the oracle maps the outcome into [N].
+
+Both run in closed form: the twirl fixes the [N]-uniform state and the
+oracle maps S onto [N], so test (i) accepts with |<S|w>|^2, test (ii) with
+the weight of w on the even members of S, and the acceptance operator is
+(|S><S| + P_even)/2. The tests check these against the channel simulation.
 """
 
 from __future__ import annotations
@@ -23,9 +28,13 @@ from functools import reduce
 import numpy as np
 
 from .core import DensityMatrix, PureState, Subset, enumerate_family, subset_state
-from .oracles import apply_randomized_preimage, block_average, representative_sigma
+from .oracles import apply_randomized_preimage
 
 PROBABILITY_TOL = 1e-10
+# The 2/3 mark: YES instances should reach it, NO instances should not pass it.
+THRESHOLD_LO = 2.0 / 3.0
+# An optimal acceptance at most this far above the mark still counts as sound.
+SOUNDNESS_SLACK = 1e-9
 
 
 def majority_count(n_labels: int) -> int:
@@ -125,13 +134,16 @@ def target_state(inst: PreimageInstance) -> PureState:
     return subset_state(Subset(inst.dim, tuple(range(1, inst.block + 1))), inst.dim)
 
 
+def _even_member_indices(inst: PreimageInstance) -> list[int]:
+    return [m - 1 for m in inst.subset.members if m % 2 == 0]
+
+
 def test_i(inst: PreimageInstance, witness: PureState) -> float:
-    """Oracle the witness, then measure the projector onto the [N]-uniform state."""
+    """Oracle the witness, then project onto the [N]-uniform state: |<S|w>|^2."""
     if witness.dim != inst.dim:
         raise ValueError(f"witness dim {witness.dim} != instance dim {inst.dim}")
-    out = apply_randomized_preimage(inst.subset, DensityMatrix.from_pure(witness))
-    psi = target_state(inst).amplitudes
-    return _as_probability(psi.conj() @ out.entries @ psi)
+    s = subset_state(inst.subset, inst.dim).amplitudes
+    return _as_probability(abs(np.vdot(s, witness.amplitudes)) ** 2)
 
 
 def test_i_circuit(inst: PreimageInstance, witness: PureState) -> float:
@@ -151,20 +163,14 @@ def test_i_circuit(inst: PreimageInstance, witness: PureState) -> float:
 
 
 def test_ii(inst: PreimageInstance, witness: PureState) -> float:
-    """Measure the witness; reject odd outcomes; accept when the oracle lands in [N]."""
+    """Measure the witness; reject odd outcomes; accept when the oracle lands in [N].
+
+    Only the even members of S land in [N], so this is their weight in w.
+    """
     if witness.dim != inst.dim:
         raise ValueError(f"witness dim {witness.dim} != instance dim {inst.dim}")
-    weights = np.abs(witness.amplitudes) ** 2
-    total = 0.0
-    for label in range(2, inst.dim + 1, 2):
-        w = float(weights[label - 1])
-        if w == 0.0:
-            continue
-        landed = apply_randomized_preimage(
-            inst.subset, DensityMatrix.from_pure(PureState.basis(inst.dim, label))
-        )
-        total += w * float(np.sum(landed.diagonal()[: inst.block]))
-    return _as_probability(total)
+    weights = np.abs(witness.amplitudes[_even_member_indices(inst)]) ** 2
+    return _as_probability(np.sum(weights))
 
 
 @dataclass(frozen=True)
@@ -193,19 +199,13 @@ def run_verifier(inst: PreimageInstance, witness: PureState) -> VerifierReport:
 def acceptance_operator(inst: PreimageInstance) -> np.ndarray:
     """Hermitian M with <w|M|w> equal to the verifier's acceptance probability.
 
-    M = (Phi_adj(|Psi><Psi|) + D)/2 where Phi_adj is the adjoint of the
-    randomized preimage channel and D marks the even members of S.
+    M = (|S><S| + P_even)/2, where P_even projects onto the even members of S.
     """
-    psi = target_state(inst).amplitudes
-    proj = np.outer(psi, psi.conj())
-    p = representative_sigma(inst.subset, inst.block).matrix()
-    # adjoint channel: the twirl is self-adjoint, conjugation order reverses
-    m_i = p.T @ block_average(proj, inst.block) @ p
-    d = np.zeros((inst.dim, inst.dim), dtype=np.complex128)
-    for label in inst.subset.members:
-        if label % 2 == 0:
-            d[label - 1, label - 1] = 1.0
-    return 0.5 * (m_i + d)
+    s = subset_state(inst.subset, inst.dim).amplitudes
+    m = np.outer(s, s.conj())
+    even = _even_member_indices(inst)
+    m[even, even] += 1.0
+    return 0.5 * m
 
 
 def optimal_witness_prob(inst: PreimageInstance) -> tuple[float, PureState]:
@@ -241,13 +241,13 @@ class ClassifyReport:
 def classify(
     inst: PreimageInstance,
     threshold_hi: float = 5.0 / 6.0,
-    threshold_lo: float = 2.0 / 3.0,
+    threshold_lo: float = THRESHOLD_LO,
 ) -> ClassifyReport:
     """Evaluate the instance against the completeness and soundness thresholds."""
     p_honest = run_verifier(inst, honest_witness(inst)).p_accept
     lam, _ = optimal_witness_prob(inst)
     completeness_ok = lam >= threshold_lo - PROBABILITY_TOL
-    soundness_ok = lam <= threshold_lo + 1e-9
+    soundness_ok = lam <= threshold_lo + SOUNDNESS_SLACK
     if inst.label == "YES":
         message = (
             f"completeness holds at {p_honest:.6g} >= {threshold_lo:.6g}"

@@ -93,3 +93,19 @@ def test_soundness_criterion_failure_is_the_documented_gap(results):
     summary = results[2].summary
     assert "0.75" in summary
     assert f"{0.5 * (1 + math.sqrt(1 / 3)):.6g}"[:6] in summary
+
+
+def test_crashing_criterion_reports_fail_and_prints_traceback(monkeypatch, capsys):
+    def criterion_boom(seed):
+        raise RuntimeError("boom")
+
+    criteria = list(suite.ALL_CRITERIA[:2])
+    criteria[0] = criterion_boom
+    monkeypatch.setattr(suite, "ALL_CRITERIA", tuple(criteria))
+    crashed, after = suite.run_all(SEED)
+    assert (crashed.index, crashed.name, crashed.passed) == (1, "criterion_boom", False)
+    assert crashed.summary == "error: boom"
+    assert after.index == 2  # the suite keeps going after a crash
+    err = capsys.readouterr().err
+    assert "Traceback (most recent call last)" in err
+    assert "in criterion_boom" in err and "RuntimeError: boom" in err

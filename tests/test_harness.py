@@ -23,9 +23,10 @@ class TestConfig:
 
     def test_unknown_key_rejected_by_name(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text('{"subcommand": "wtrace", "foo": 1}')
-        with pytest.raises(ValueError, match="'foo'"):
-            load_config(str(path))
+        for key in ("foo", "delta"):
+            path.write_text(json.dumps({"subcommand": "wtrace", key: 1}))
+            with pytest.raises(ValueError, match=f"'{key}'"):
+                load_config(str(path))
 
     def test_parse_error_reports_line_and_column(self, tmp_path):
         path = tmp_path / "cfg.json"

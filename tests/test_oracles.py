@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permlab.core import (
@@ -21,6 +21,7 @@ from permlab.oracles import (
     apply_randomized_preimage,
     apply_standard,
     block_average,
+    block_average_on_first_factor,
     block_permutations,
     block_twirl,
     random_representative,
@@ -169,6 +170,32 @@ class TestBlockTwirl:
                 np.testing.assert_allclose(
                     block_twirl(rho, block).entries, acc, atol=1e-13
                 )
+
+    @given(
+        st.integers(1, 8).flatmap(lambda v: st.tuples(st.just(v), st.integers(1, v))),
+        st.sampled_from((1, 2, 3)),
+        st.integers(0, 10_000),
+    )
+    @example((1, 1), 1, 0)
+    @example((8, 1), 3, 1)
+    @example((8, 8), 2, 2)
+    @settings(max_examples=60, deadline=None)
+    def test_slicing_twirl_matches_exhaustive_group_average(self, v_block, dim_b, seed):
+        v, block = v_block
+        rng = philox_stream(seed)
+        d = v * dim_b
+        mat = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        x = mat.reshape(v, dim_b, v, dim_b)
+        group = block_permutations(v, block)
+        acc = np.zeros_like(x)
+        for tau in group:
+            inv = np.argsort(tau.zero_based())
+            acc += x[inv][:, :, inv]
+        expected = (acc / len(group)).reshape(d, d)
+        got = block_average_on_first_factor(mat, block, v, dim_b)
+        assert np.max(np.abs(got - expected)) <= 1e-12
+        if dim_b == 1:
+            assert np.max(np.abs(block_average(mat, block) - expected)) <= 1e-12
 
 
 class TestRepresentative:

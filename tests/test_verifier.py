@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from permlab.core import PureState, Subset, philox_stream, subset_state
+from permlab.core import DensityMatrix, PureState, Subset, philox_stream, subset_state
+from permlab.oracles import apply_randomized_preimage, block_average, representative_sigma
 from permlab.verifier import (
     ClassifyReport,
     PreimageInstance,
@@ -35,6 +38,41 @@ def random_witness(dim, seed):
     rng = philox_stream(seed)
     z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return PureState(dim, z / np.linalg.norm(z))
+
+
+def channel_test_i(inst, witness):
+    """Reference for test (i): run the randomized channel, then project."""
+    out = apply_randomized_preimage(inst.subset, DensityMatrix.from_pure(witness))
+    psi = target_state(inst).amplitudes
+    return float(np.real(psi.conj() @ out.entries @ psi))
+
+
+def channel_test_ii(inst, witness):
+    """Reference for test (ii): send each even outcome through the channel."""
+    weights = np.abs(witness.amplitudes) ** 2
+    total = 0.0
+    for label in range(2, inst.dim + 1, 2):
+        landed = apply_randomized_preimage(
+            inst.subset, DensityMatrix.from_pure(PureState.basis(inst.dim, label))
+        )
+        total += float(weights[label - 1]) * float(np.sum(landed.diagonal()[: inst.block]))
+    return total
+
+
+def channel_acceptance_operator(inst):
+    """Reference for M: the adjoint channel on the target projector, plus the even part."""
+    psi = target_state(inst).amplitudes
+    p = representative_sigma(inst.subset, inst.block).matrix()
+    m_i = p.T @ block_average(np.outer(psi, psi.conj()), inst.block) @ p
+    d = np.zeros((inst.dim, inst.dim), dtype=np.complex128)
+    for label in inst.subset.members:
+        if label % 2 == 0:
+            d[label - 1, label - 1] = 1.0
+    return 0.5 * (m_i + d)
+
+
+# (n, N) pairs: power-of-two sizes n = 1..3 and the fractional N = 6
+SIZES = ((1, 2), (2, 4), (3, 8), (None, 6))
 
 
 class TestInstances:
@@ -238,3 +276,21 @@ class TestTargetState:
         psi = target_state(YES_N2)
         np.testing.assert_allclose(psi.amplitudes[:4], [0.5] * 4, atol=1e-15)
         np.testing.assert_allclose(psi.amplitudes[4:], 0, atol=1e-15)
+
+
+class TestClosedFormsMatchChannel:
+    @given(
+        st.sampled_from(SIZES),
+        st.sampled_from(("YES", "NO")),
+        st.integers(0, 10_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_structured_equals_channel_route(self, size, label, seed):
+        n, big_n = size
+        rng = philox_stream(seed)
+        inst = random_instance(big_n, label, rng, n=n)
+        w = random_witness(inst.dim, seed + 1)
+        assert abs(probe_i(inst, w) - channel_test_i(inst, w)) <= 1e-12
+        assert abs(probe_ii(inst, w) - channel_test_ii(inst, w)) <= 1e-12
+        m = acceptance_operator(inst)
+        assert np.max(np.abs(m - channel_acceptance_operator(inst))) <= 1e-12
