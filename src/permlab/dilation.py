@@ -4,8 +4,11 @@ The randomized channel on register A is reproduced by a fixed in-place
 permutation on A followed by a control-permutation entangling A with a fresh
 control register prepared in the uniform superposition over the block group.
 One control register is consumed per query, so the dilated system is
-C^t (x) A (x) B and memory grows with the query count; a dimension cap guards
-the dense simulation.
+C^t (x) A (x) B. That picture stays pure, so it is simulated as a state vector
+of length c^t * d_AB: memory grows with the vector length, not its square, and
+the dimension cap applies to that length. Tracing out the controls is
+rho_AB = M^T conj(M) with M the vector reshaped to (c^t, d_AB), so no density
+matrix larger than d_AB is ever built.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .core import (
     Permutation,
     PureState,
     Subset,
-    partial_trace,
     trace_distance,
 )
 from .oracles import block_average_on_first_factor, representative_sigma
@@ -138,11 +140,13 @@ def run_dilated_picture(
     taus: Sequence[Permutation],
     initial: PureState,
     max_dim: int = MAX_DIM,
-) -> list[DensityMatrix]:
-    """States rho~_0..rho~_t on C^t (x) A (x) B, query k touching control k.
+) -> list[PureState]:
+    """Pure states psi~_0..psi~_t on C^t (x) A (x) B, query k touching control k.
 
-    Each query applies the algorithm unitary on AB, the fixed in-place
-    permutation on A, then the control permutation between C_k and A.
+    Each query applies the algorithm unitary on AB, then the fixed in-place
+    permutation on A and the control permutation between C_k and A, both as
+    one gather: A index j of the branch with control value i reads from
+    inv_sigma[inv_tau_i[j]].
     """
     t = alg.queries
     c = len(taus)
@@ -162,33 +166,25 @@ def run_dilated_picture(
     for _ in range(t):
         psi = np.kron(chi, psi)
     inv_sigma = np.argsort(sigma.zero_based())
-    inv_taus = [np.argsort(tau.zero_based()) for tau in taus]
+    gather = np.stack([inv_sigma[np.argsort(tau.zero_based())] for tau in taus])
 
-    snapshots = [DensityMatrix.from_pure(PureState(full, psi))]
+    states = [PureState(full, psi)]
     for k in range(1, t + 1):
         mat = psi.reshape(c**t, d_ab) @ alg.query_unitaries[k - 1].T
-        shaped = mat.reshape((c,) * t + (alg.dim_a, alg.dim_b))
-        shaped = shaped[..., inv_sigma, :]
-        out = np.empty_like(shaped)
-        control_axis = k - 1
-        for i in range(c):
-            sel = [slice(None)] * (t + 2)
-            sel[control_axis] = i
-            sub = shaped[tuple(sel)]
-            out[tuple(sel)] = sub[..., inv_taus[i], :]
-        psi = out.reshape(full)
-        snapshots.append(DensityMatrix.from_pure(PureState(full, psi)))
-    return snapshots
+        view = mat.reshape(c ** (k - 1), c, c ** (t - k), alg.dim_a, alg.dim_b)
+        psi = np.take_along_axis(view, gather[None, :, None, :, None], axis=3).reshape(full)
+        states.append(PureState(full, psi))
+    return states
 
 
 @dataclass(frozen=True)
 class DilationRun:
-    """Both pictures of one run plus the per-query trace distances."""
+    """The channel states, the reduced dilated states and their trace distances."""
 
     subset: Subset
     sigma: Permutation
     rho_list: tuple[DensityMatrix, ...]
-    rho_tilde_list: tuple[DensityMatrix, ...]
+    reduced_list: tuple[DensityMatrix, ...]
     trace_distances: tuple[float, ...]
     consistent: bool
 
@@ -209,7 +205,7 @@ def check_dilation(
     initial: PureState,
     max_dim: int = MAX_DIM,
 ) -> DilationRun:
-    """Run both pictures and compare tr_C(rho~_k) against rho_k for every k.
+    """Run both pictures and compare tr_C(psi~_k) against rho_k for every k.
 
     A sigma whose preimage set differs from the subset is reported through
     the `consistent` flag (and through large distances) rather than raised,
@@ -218,13 +214,10 @@ def check_dilation(
     block = len(subset)
     consistent = sigma.preimage_set(block) == subset
     rhos = run_channel_picture(alg, subset, initial)
-    tildes = run_dilated_picture(alg, sigma, taus, initial, max_dim=max_dim)
-    t = alg.queries
-    c = len(taus)
-    layout = (c,) * t + (alg.dim_a, alg.dim_b)
-    keep = (t, t + 1)
-    distances = []
-    for rho, tilde in zip(rhos, tildes):
-        reduced = partial_trace(tilde, layout, keep)
-        distances.append(trace_distance(reduced, rho))
-    return DilationRun(subset, sigma, tuple(rhos), tuple(tildes), tuple(distances), consistent)
+    d_ab = alg.dim_a * alg.dim_b
+    reduced = []
+    for psi in run_dilated_picture(alg, sigma, taus, initial, max_dim=max_dim):
+        mat = psi.amplitudes.reshape(-1, d_ab)
+        reduced.append(DensityMatrix(d_ab, mat.T @ mat.conj()))
+    distances = tuple(trace_distance(r, rho) for r, rho in zip(reduced, rhos))
+    return DilationRun(subset, sigma, tuple(rhos), tuple(reduced), distances, consistent)

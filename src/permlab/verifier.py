@@ -197,12 +197,13 @@ def run_verifier(inst: PreimageInstance, witness: PureState) -> VerifierReport:
 
 
 def acceptance_operator(inst: PreimageInstance) -> np.ndarray:
-    """Hermitian M with <w|M|w> equal to the verifier's acceptance probability.
+    """Real symmetric M with <w|M|w> equal to the verifier's acceptance probability.
 
     M = (|S><S| + P_even)/2, where P_even projects onto the even members of S.
+    Both terms are real, so M is built as float64 and its eigensolve is real.
     """
-    s = subset_state(inst.subset, inst.dim).amplitudes
-    m = np.outer(s, s.conj())
+    s = subset_state(inst.subset, inst.dim).amplitudes.real
+    m = np.outer(s, s)
     even = _even_member_indices(inst)
     m[even, even] += 1.0
     return 0.5 * m

@@ -1,5 +1,13 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permlab.core import (
     DensityMatrix,
@@ -32,6 +40,41 @@ S_ODD = Subset(4, (1, 3))
 def random_product_initial(dim, seed):
     rng = philox_stream(seed)
     return PureState(dim, haar_unitary(dim, rng)[:, 0])
+
+
+def dense_dilated_picture(alg, sigma, taus, initial):
+    """Reference route: full density matrices rho~_0..rho~_t on C^t (x) A (x) B.
+
+    Each query applies the algorithm unitary on AB, the fixed permutation on
+    A, then the control permutation between C_k and A one control value at a
+    time; every snapshot is a dense `DensityMatrix` of dimension c^t * d_AB.
+    """
+    t = alg.queries
+    c = len(taus)
+    d_ab = alg.dim_a * alg.dim_b
+    full = (c**t) * d_ab
+    chi = chi_state(c).amplitudes
+    psi = initial.amplitudes
+    for _ in range(t):
+        psi = np.kron(chi, psi)
+    inv_sigma = np.argsort(sigma.zero_based())
+    inv_taus = [np.argsort(tau.zero_based()) for tau in taus]
+
+    snapshots = [DensityMatrix.from_pure(PureState(full, psi))]
+    for k in range(1, t + 1):
+        mat = psi.reshape(c**t, d_ab) @ alg.query_unitaries[k - 1].T
+        shaped = mat.reshape((c,) * t + (alg.dim_a, alg.dim_b))
+        shaped = shaped[..., inv_sigma, :]
+        out = np.empty_like(shaped)
+        for i in range(c):
+            sel = [slice(None)] * (t + 2)
+            sel[k - 1] = i
+            sub = shaped[tuple(sel)]
+            out[tuple(sel)] = sub[..., inv_taus[i], :]
+        psi = out.reshape(full)
+        snapshots.append(DensityMatrix.from_pure(PureState(full, psi)))
+    return snapshots
+
 
 
 class TestQueryAlgorithm:
@@ -116,7 +159,7 @@ class TestDilatedPicture:
         initial = random_product_initial(8, 4)
         sigma = representative_sigma(S_EVEN, 2)
         tildes = run_dilated_picture(alg, sigma, TAUS, initial)
-        reduced = partial_trace(tildes[0], (4, 4, 4, 2), (2, 3))
+        reduced = partial_trace(tildes[0].density(), (4, 4, 4, 2), (2, 3))
         np.testing.assert_allclose(
             reduced.entries, np.outer(initial.amplitudes, initial.amplitudes.conj()),
             atol=1e-14,
@@ -175,7 +218,7 @@ class TestDilatedPicture:
         tildes = run_dilated_picture(alg, sigma, TAUS, initial)
         final = alg.final_unitary
         rho_final = final @ rhos[-1].entries @ final.conj().T
-        reduced = partial_trace(tildes[-1], (4, 4, 4, 2), (2, 3)).entries
+        reduced = partial_trace(tildes[-1].density(), (4, 4, 4, 2), (2, 3)).entries
         tilde_final = final @ reduced @ final.conj().T
         rng = philox_stream(22)
         for _ in range(20):
@@ -193,9 +236,64 @@ class TestDilatedPicture:
         assert run.max_trace_distance > 1e-3
 
 
+class TestPureMatchesDenseReference:
+    @given(
+        t=st.integers(0, 3),
+        dim_b=st.integers(1, 3),
+        subset_index=st.integers(0, 5),
+        sigma_offset=st.sampled_from([0, 0, 1, 2, 3, 4, 5]),
+        tau_mask=st.one_of(st.just(15), st.integers(1, 15)),
+        seed=st.integers(0, 10**6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_states_and_reductions_match_dense_route(
+        self, t, dim_b, subset_index, sigma_offset, tau_mask, seed
+    ):
+        # V = 4, block 2: the block group has 4 elements; tau_mask picks a
+        # non-empty subset of them (15 is the full group). sigma's preimage
+        # set is the subset itself at offset 0 and another pair otherwise.
+        pairs = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+        subset = Subset(4, pairs[subset_index])
+        rng = philox_stream(seed)
+        sigma = random_representative(Subset(4, pairs[(subset_index + sigma_offset) % 6]), 2, rng)
+        taus = [tau for bit, tau in enumerate(TAUS) if tau_mask >> bit & 1]
+        alg = random_query_algorithm(4, dim_b, t, rng)
+        initial = random_product_initial(4 * dim_b, seed + 1)
+
+        states = run_dilated_picture(alg, sigma, taus, initial)
+        dense = dense_dilated_picture(alg, sigma, taus, initial)
+        assert len(states) == len(dense) == t + 1
+        for psi, rho in zip(states, dense):
+            outer = np.outer(psi.amplitudes, psi.amplitudes.conj())
+            assert np.max(np.abs(outer - rho.entries)) <= 1e-12
+
+        run = check_dilation(alg, subset, sigma, taus, initial)
+        assert run.consistent == (sigma_offset == 0)
+        layout = (len(taus),) * t + (4, dim_b)
+        for got, rho in zip(run.reduced_list, dense):
+            want = partial_trace(rho, layout, (t, t + 1))
+            assert got.dim == 4 * dim_b
+            assert np.max(np.abs(got.entries - want.entries)) <= 1e-12
+
+
 class TestDistanceHelpers:
     def test_trace_distance_symmetry(self):
         rng = philox_stream(30)
         a = DensityMatrix.random(6, rng)
         b = DensityMatrix.random(6, rng)
         assert abs(trace_distance(a, b) - trace_distance(b, a)) < 1e-14
+
+
+def test_dilation_demo_script_runs():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "dilation_demo.py")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "consistent = True" in proc.stdout
+    distances = [float(d) for d in re.findall(r"trace distance (\S+)", proc.stdout)]
+    assert distances and all(d < 1e-12 for d in distances)
+    control = re.search(r"consistent = False, max distance (\S+)", proc.stdout)
+    assert control is not None and float(control.group(1)) > 0.1

@@ -1,9 +1,13 @@
-"""Pinned `verify` CSVs: a refactor of the verifier must not shift them.
+"""Pinned CLI CSVs: a refactor must not shift them.
 
-Each golden file is the CSV of one configuration as the CLI wrote it. The
-rerun goes through `harness.execute` and `render_csv`, like the CLI. Ints,
-strings and booleans must match exactly; floats to a relative 1e-12, so a
-closed-form rewrite may move the last digits but nothing more.
+Each golden file is the CSV of one configuration as the CLI wrote it, next to
+the exit status the CLI returned for it. The rerun goes through
+`harness.execute` and `render_csv`, like the CLI. Ints, strings and booleans
+must match exactly; floats to a relative 1e-12, so a closed-form rewrite may
+move the last digits but nothing more. The one exception is the `dilate`
+trace distance: an exact dilation makes it pure round-off (about 1e-15), which
+no relative tolerance can pin, so the golden value and the new value must
+both be at most 1e-12 instead.
 """
 
 import csv
@@ -16,26 +20,56 @@ import pytest
 from permlab.harness import ExperimentConfig, execute, render_csv
 
 GOLDEN = Path(__file__).parent / "golden"
+ROUND_OFF = 1e-12
 
-CASES = {
-    "verify_n2_exhaustive_no.csv": dict(n=2, exhaustive_no=True),
-    "verify_n3_seed1.csv": dict(n=3, trials=4, seed=1),
-    "verify_N6_seed1.csv": dict(N=6, trials=2, seed=1),
+VERIFY_CASES = {
+    "verify_n2_exhaustive_no.csv": (dict(n=2, exhaustive_no=True), 1),
+    "verify_n3_seed1.csv": (dict(n=3, trials=4, seed=1), 1),
+    "verify_N6_seed1.csv": (dict(N=6, trials=2, seed=1), 1),
+}
+
+# The README CLI examples, plus one deeper dilation (four queries, c^t*d_AB = 2048).
+EXAMPLE_CASES = {
+    "dilate_n1_q3_seed7.csv": (dict(subcommand="dilate", n=1, queries=3, trials=20, seed=7), 0),
+    "dilate_n1_q4_seed1.csv": (dict(subcommand="dilate", n=1, queries=4, trials=2, seed=1), 0),
+    "fix_V16_k4.csv": (
+        dict(subcommand="fix", V=16, k=4, alpha=0.25, p=2.0, trials=50), 0,
+    ),
+    "crossover_parity.csv": (
+        dict(subcommand="crossover", alpha=0.25, p_coeffs=(0.0, 1.0), variant="parity"), 0,
+    ),
+    "relation_V6.csv": (dict(subcommand="relation", V=6, kx=2, ky=3), 0),
+    "wtrace_q5_seed3.csv": (dict(subcommand="wtrace", queries=5, seed=3), 0),
 }
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_verify_matches_golden(name):
-    _, header, rows = execute(ExperimentConfig(subcommand="verify", **CASES[name]))
+def _check_golden(name, cfg, want_code):
+    code, header, rows = execute(cfg)
+    assert code == want_code
     got = list(csv.reader(io.StringIO(render_csv(header, rows))))
     with open(GOLDEN / name, newline="", encoding="utf-8") as fh:
         want = list(csv.reader(fh))
     assert got[0] == want[0]
     assert len(got) == len(want)
+    round_off = cfg.subcommand == "dilate"
     for values, got_row, want_row in zip(rows, got[1:], want[1:]):
         assert len(got_row) == len(want_row)
-        for value, g, w in zip(values, got_row, want_row):
-            if isinstance(value, float):
+        for column, value, g, w in zip(header, values, got_row, want_row):
+            if round_off and column == "trace_distance":
+                assert float(g) <= ROUND_OFF and float(w) <= ROUND_OFF, (g, w)
+            elif isinstance(value, float):
                 assert math.isclose(float(g), float(w), rel_tol=1e-12, abs_tol=0.0), (g, w)
             else:
                 assert g == w
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_CASES))
+def test_verify_matches_golden(name):
+    kwargs, code = VERIFY_CASES[name]
+    _check_golden(name, ExperimentConfig(subcommand="verify", **kwargs), code)
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLE_CASES))
+def test_example_matches_golden(name):
+    kwargs, code = EXAMPLE_CASES[name]
+    _check_golden(name, ExperimentConfig(**kwargs), code)
