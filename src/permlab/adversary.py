@@ -6,6 +6,12 @@ oracles through a one-to-one matching of the two cosets, built so that two
 matched permutations agree everywhere except on the symmetric difference of
 their preimage sets, where they are transpose-linked.
 
+Every oracle of a relation has one row, chosen so that the two oracles of a
+pair disagree at a label exactly where their rows differ. The statistics m,
+m' and l_max are one array formula over those rows and the pair index
+arrays, for every kind of relation; W and the end-to-end check apply all the
+oracles of a relation at once, as one sign multiply or one gather per query.
+
 The progress measure W sums the absolute control-register coherences across
 related pairs; each oracle query can lower it by at most sqrt(l_max), which
 is what turns relation statistics into query lower bounds.
@@ -13,8 +19,10 @@ is what turns relation statistics into query lower bounds.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,17 +32,23 @@ from .oracles import block_permutations, phase_signs, representative_sigma
 
 # progress_trace materializes a control register per oracle; cap its size
 MAX_CONTROL_ITEMS = 4096
+# build_preimage_relation materializes the cosets only up to this group size
+MAX_COSET_ITEMS = 1000
 BOUND_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class OracleRelation:
-    """Pairs of YES/NO oracles plus the structure needed for statistics.
+    """Pairs of YES/NO oracles, with one row per oracle for the statistics.
 
     kind 'phase' stores Subsets as items; kind 'in_place' stores Permutations.
-    Analytic relations keep only subset-level items (one per preimage set);
-    their statistics are computed from element frequencies instead of
-    materialized pairs.
+    The two oracles of a pair disagree at label j exactly where their rows
+    differ in column j - 1: a phase oracle's row is its sign vector, an
+    in-place oracle's row its zero-based image. Analytic relations keep one
+    representative permutation per preimage set, and their rows are the sign
+    vectors of those sets, since matched permutations disagree exactly on the
+    symmetric difference of their preimage sets; they differ from other
+    relations only in their rows.
     """
 
     kind: str
@@ -51,9 +65,27 @@ class OracleRelation:
             raise ValueError(f"unknown relation kind {self.kind!r}")
         if not self.pairs:
             raise ValueError("relation has no pairs")
-        for xi, yi in self.pairs:
-            if not (0 <= xi < len(self.x_items) and 0 <= yi < len(self.y_items)):
-                raise ValueError(f"pair ({xi}, {yi}) references a missing item")
+        px, py = self.pair_index
+        bad = (px < 0) | (px >= len(self.x_items)) | (py < 0) | (py >= len(self.y_items))
+        if bad.any():
+            xi, yi = self.pairs[int(np.argmax(bad))]
+            raise ValueError(f"pair ({xi}, {yi}) references a missing item")
+
+    @cached_property
+    def pair_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs as two index arrays: into x_items and into y_items."""
+        flat = np.fromiter(itertools.chain.from_iterable(self.pairs), np.intp, 2 * len(self.pairs))
+        return flat[0::2], flat[1::2]
+
+    @cached_property
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (items, V) row arrays of the x side and the y side."""
+        if self.analytic:
+            sides, row = (self.x_sets, self.y_sets), phase_signs
+        else:
+            sides = (self.x_items, self.y_items)
+            row = phase_signs if self.kind == "phase" else Permutation.zero_based
+        return tuple(np.stack([row(item) for item in side]) for side in sides)
 
     def disagrees(self, xi: int, yi: int, label: int) -> bool:
         """Do the two oracles of a pair act differently on this input label?"""
@@ -112,14 +144,14 @@ def build_preimage_relation(
     sy: SubsetFamily,
     block: int,
     materialize_cosets: bool | None = None,
-    coset_cap: int = 1000,
 ) -> OracleRelation:
     """Relation between in-place oracles whose preimage sets lie in sx vs sy.
 
     When the block group is small enough the full cosets are materialized and
     matched element by element (pair (tau o sigma_x*, tau o sigma_y*) for
-    every block permutation tau). Otherwise one representative pair per
-    subset pair is kept and statistics come from the subset structure.
+    every block permutation tau). Otherwise the relation is analytic: one
+    representative per subset, every subset pair related, and the rows of
+    the statistics taken from the preimage sets.
     """
     if sx.universe != sy.universe:
         raise ValueError("families must share a universe")
@@ -131,11 +163,11 @@ def build_preimage_relation(
     v = sx.universe
     group_size = math.factorial(block) * math.factorial(v - block)
     if materialize_cosets is None:
-        materialize_cosets = group_size <= coset_cap
+        materialize_cosets = group_size <= MAX_COSET_ITEMS
     if materialize_cosets:
-        if group_size > coset_cap:
+        if group_size > MAX_COSET_ITEMS:
             raise ValueError(
-                f"block group has {group_size} elements, above the cap {coset_cap}; "
+                f"block group has {group_size} elements, above the cap {MAX_COSET_ITEMS}; "
                 "build the relation analytically instead"
             )
         taus = block_permutations(v, block)
@@ -185,69 +217,26 @@ class AdversaryStats:
             raise ValueError("l_max must be nonnegative")
 
 
-def relation_stats(rel: OracleRelation, keep_tables: bool = False) -> AdversaryStats:
-    """Exact m, m', and l_max of a relation.
+def relation_stats(rel: OracleRelation) -> AdversaryStats:
+    """Exact m, m', and l_max of a relation, with its per-label l tables.
 
-    For analytic preimage relations the counts come from subset element
-    frequencies: a matched pair disagrees at a label exactly when the label
-    lies in the symmetric difference of the two preimage sets, so
-    l_{x,j} counts related NO sets on the wrong side of j and vice versa.
+    differ marks, per pair and label, where the two oracles disagree;
+    per_input_l["l_x"][x, j - 1] counts the partners of x that disagree with
+    it at label j (l_y likewise), and l_max is the largest l_x * l_y over the
+    disagreeing points of the pairs.
     """
-    if rel.analytic:
-        return _analytic_stats(rel, keep_tables)
-    x_adj: list[list[int]] = [[] for _ in rel.x_items]
-    y_adj: list[list[int]] = [[] for _ in rel.y_items]
-    for xi, yi in rel.pairs:
-        x_adj[xi].append(yi)
-        y_adj[yi].append(xi)
-    m = min(len(a) for a in x_adj)
-    m_prime = min(len(a) for a in y_adj)
-    labels = range(1, rel.universe + 1)
-    l_x = {
-        (xi, lab): sum(1 for yi in x_adj[xi] if rel.disagrees(xi, yi, lab))
-        for xi in range(len(rel.x_items))
-        for lab in labels
-    }
-    l_y = {
-        (yi, lab): sum(1 for xi in y_adj[yi] if rel.disagrees(xi, yi, lab))
-        for yi in range(len(rel.y_items))
-        for lab in labels
-    }
-    l_max = 0
-    for xi, yi in rel.pairs:
-        for lab in labels:
-            if rel.disagrees(xi, yi, lab):
-                l_max = max(l_max, l_x[(xi, lab)] * l_y[(yi, lab)])
-    tables = {"l_x": l_x, "l_y": l_y} if keep_tables else None
-    return AdversaryStats(m, m_prime, l_max, tables)
-
-
-def _analytic_stats(rel: OracleRelation, keep_tables: bool) -> AdversaryStats:
-    x_sets, y_sets = rel.x_sets, rel.y_sets
-    x_deg: dict[int, int] = {}
-    y_deg: dict[int, int] = {}
-    for xi, yi in rel.pairs:
-        x_deg[xi] = x_deg.get(xi, 0) + 1
-        y_deg[yi] = y_deg.get(yi, 0) + 1
-    m = min(x_deg.values())
-    m_prime = min(y_deg.values())
-    nu_x = SubsetFamily(rel.universe, x_sets).element_counts()
-    nu_y = SubsetFamily(rel.universe, y_sets).element_counts()
-    n_x, n_y = len(x_sets), len(y_sets)
-    l_max = 0
-    l_x_tab: dict = {}
-    l_y_tab: dict = {}
-    for xi, yi in rel.pairs:
-        s_x, s_y = x_sets[xi], y_sets[yi]
-        for lab in s_x.symmetric_difference(s_y).members:
-            l_x = n_y - nu_y.get(lab, 0) if lab in s_x else nu_y.get(lab, 0)
-            l_y = n_x - nu_x.get(lab, 0) if lab in s_y else nu_x.get(lab, 0)
-            l_max = max(l_max, l_x * l_y)
-            if keep_tables:
-                l_x_tab[(xi, lab)] = l_x
-                l_y_tab[(yi, lab)] = l_y
-    tables = {"l_x": l_x_tab, "l_y": l_y_tab} if keep_tables else None
-    return AdversaryStats(m, m_prime, l_max, tables)
+    (rx, ry), (px, py) = rel.rows, rel.pair_index
+    v = rel.universe
+    differ = rx[px] != ry[py]
+    # bincount each oracle's disagreeing (pair, label) cells into its row of the table
+    l_x, l_y = (
+        np.bincount((idx[:, None] * v + np.arange(v))[differ], minlength=len(r) * v).reshape(-1, v)
+        for idx, r in ((px, rx), (py, ry))
+    )
+    l_max = int(np.max(differ * l_x[px] * l_y[py]))
+    m = int(np.bincount(px, minlength=len(rx)).min())
+    m_prime = int(np.bincount(py, minlength=len(ry)).min())
+    return AdversaryStats(m, m_prime, l_max, {"l_x": l_x, "l_y": l_y})
 
 
 def adversary_bound(stats: AdversaryStats, epsilon: float) -> float:
@@ -284,12 +273,42 @@ class ProgressTrace:
         return max(self.drops) if self.drops else 0.0
 
 
-def _apply_item(state: np.ndarray, rel: OracleRelation, item) -> np.ndarray:
-    """Apply one oracle to the A axis of a (..., V, Q)-shaped state."""
-    if rel.kind == "phase":
-        return state * phase_signs(item)[:, None]
-    inv = np.argsort(item.zero_based())
-    return state[..., inv, :]
+def _query_states(
+    rel: OracleRelation,
+    alg: QueryAlgorithm,
+    initial_aq: PureState | None,
+    weights: np.ndarray,
+) -> list[np.ndarray]:
+    """The (c, V*Q) stack of every oracle's run, before and after each query.
+
+    Row i starts as weights[i] * initial_aq and meets oracle i at each query:
+    all the oracles act at once, as one sign multiply or one gather.
+    """
+    if rel.analytic:
+        raise ValueError(
+            "this relation is analytic: its cosets were never materialized, so it has "
+            "no oracle items to run; use relation_stats on it instead"
+        )
+    v = rel.universe
+    if alg.dim_a != v:
+        raise ValueError(f"algorithm register A has dim {alg.dim_a}, oracles act on {v}")
+    d_aq = alg.dim_a * alg.dim_b
+    if initial_aq is None:
+        initial_aq = PureState.basis(d_aq, 1)
+    if initial_aq.dim != d_aq:
+        raise ValueError(f"initial AQ state has dim {initial_aq.dim}, expected {d_aq}")
+    rows = np.concatenate(rel.rows)
+    # an in-place oracle moves the amplitude of label a to its image
+    sources = np.argsort(rows, axis=1)[:, :, None] if rel.kind == "in_place" else None
+    states = [weights[:, None] * initial_aq.amplitudes[None, :]]
+    for u in alg.query_unitaries:
+        shaped = (states[-1] @ u.T).reshape(len(rows), v, alg.dim_b)
+        if rel.kind == "phase":
+            shaped = shaped * rows[:, :, None]
+        else:
+            shaped = np.take_along_axis(shaped, sources, axis=1)
+        states.append(shaped.reshape(len(rows), d_aq))
+    return states
 
 
 def progress_trace(
@@ -301,52 +320,21 @@ def progress_trace(
 
     The control register spans the individual oracles of the relation, so
     analytic relations (whose cosets were never materialized) are rejected;
-    use the analytic statistics path for those.
+    use relation_stats on those.
     """
-    if rel.analytic:
-        raise ValueError(
-            "progress_trace needs materialized oracle items; this relation is "
-            "analytic, use relation_stats on it instead"
-        )
     n_x, n_y = len(rel.x_items), len(rel.y_items)
-    c = n_x + n_y
-    if c > MAX_CONTROL_ITEMS:
-        raise ValueError(f"control register over {c} oracles exceeds the cap")
-    v = rel.universe
-    if alg.dim_a != v:
-        raise ValueError(f"algorithm register A has dim {alg.dim_a}, oracles act on {v}")
-    d_aq = alg.dim_a * alg.dim_b
-    if initial_aq is None:
-        initial_aq = PureState.basis(d_aq, 1)
-    if initial_aq.dim != d_aq:
-        raise ValueError(f"initial AQ state has dim {initial_aq.dim}, expected {d_aq}")
-
-    weights = np.empty(c, dtype=np.complex128)
-    weights[:n_x] = 1.0 / math.sqrt(2 * n_x)
-    weights[n_x:] = 1.0 / math.sqrt(2 * n_y)
-    state = weights[:, None] * initial_aq.amplitudes[None, :]  # (c, V*Q)
-
-    stats = relation_stats(rel)
-    sqrt_lmax = math.sqrt(stats.l_max)
-
-    def w_of(mat: np.ndarray) -> float:
-        rho_c = mat @ mat.conj().T
-        return float(
-            sum(abs(rho_c[xi, n_x + yi]) for xi, yi in rel.pairs)
-        )
-
-    w_values = [w_of(state)]
-    for u in alg.query_unitaries:
-        state = state @ u.T
-        shaped = state.reshape(c, v, alg.dim_b)
-        rows = [
-            _apply_item(shaped[i], rel, (rel.x_items + rel.y_items)[i])
-            for i in range(c)
-        ]
-        state = np.stack(rows).reshape(c, d_aq)
-        w_values.append(w_of(state))
+    if n_x + n_y > MAX_CONTROL_ITEMS:
+        raise ValueError(f"control register over {n_x + n_y} oracles exceeds the cap")
+    weights = np.repeat([1.0 / math.sqrt(2 * n_x), 1.0 / math.sqrt(2 * n_y)], [n_x, n_y])
+    states = _query_states(rel, alg, initial_aq, weights)
+    sqrt_lmax = math.sqrt(relation_stats(rel).l_max)
+    px, py = rel.pair_index
+    # W sums |<x|y>| over the related pairs of control states
+    w_values = tuple(
+        float(np.abs((s[:n_x] @ s[n_x:].conj().T)[px, py]).sum()) for s in states
+    )
     drops = tuple(a - b for a, b in zip(w_values, w_values[1:]))
-    return ProgressTrace(rel, tuple(w_values), drops, sqrt_lmax)
+    return ProgressTrace(rel, w_values, drops, sqrt_lmax)
 
 
 @dataclass(frozen=True)
@@ -371,14 +359,7 @@ def end_to_end_bound_check(
     success (accepting on YES items, rejecting on NO items), and checks that
     the query count is at least the bound implied by that success rate.
     """
-    if rel.analytic:
-        raise ValueError("end_to_end_bound_check needs materialized oracle items")
-    v = rel.universe
-    if alg.dim_a != v:
-        raise ValueError(f"algorithm register A has dim {alg.dim_a}, oracles act on {v}")
     d_aq = alg.dim_a * alg.dim_b
-    if initial_aq is None:
-        initial_aq = PureState.basis(d_aq, 1)
     e = np.asarray(accept_element, dtype=np.complex128)
     if e.shape != (d_aq, d_aq):
         raise ValueError(f"accept element has shape {e.shape}, expected ({d_aq}, {d_aq})")
@@ -388,16 +369,11 @@ def end_to_end_bound_check(
     if eigs[0] < -1e-9 or eigs[-1] > 1 + 1e-9:
         raise ValueError("accept element must satisfy 0 <= E <= identity")
 
-    successes = []
-    for side, items in (("x", rel.x_items), ("y", rel.y_items)):
-        for item in items:
-            psi = initial_aq.amplitudes.copy()
-            for u in alg.query_unitaries:
-                psi = u @ psi
-                psi = _apply_item(psi.reshape(v, alg.dim_b), rel, item).reshape(d_aq)
-            psi = alg.final_unitary @ psi
-            p_accept = float(np.real(psi.conj() @ e @ psi))
-            successes.append(p_accept if side == "x" else 1.0 - p_accept)
+    n_x = len(rel.x_items)
+    ones = np.ones(n_x + len(rel.y_items))
+    state = _query_states(rel, alg, initial_aq, ones)[-1] @ alg.final_unitary.T
+    p_accept = np.einsum("id,id->i", state.conj(), state @ e.T).real
+    successes = np.concatenate([p_accept[:n_x], 1.0 - p_accept[n_x:]]).tolist()
     worst = min(successes)
     epsilon = 1.0 - worst
     if epsilon >= 0.5:

@@ -43,11 +43,10 @@ from .oracles import (
 )
 from .structure import TargetClass, bound_crossover, check_distributed, fixing_procedure
 from .verifier import (
-    SOUNDNESS_SLACK,
-    THRESHOLD_LO,
     PreimageInstance,
     enumerate_instances,
     honest_witness,
+    meets_threshold,
     optimal_witness_prob,
     random_instance,
     run_verifier,
@@ -194,10 +193,7 @@ def run_verify(cfg: ExperimentConfig) -> tuple[bool, list[str], list[list]]:
             n_or_big, inst.k_even, inst.label,
             report.p_test_i, report.p_test_ii, report.p_accept, lam,
         ])
-        if inst.label == "NO" and lam > THRESHOLD_LO + SOUNDNESS_SLACK:
-            ok = False
-        if inst.label == "YES" and lam < THRESHOLD_LO:
-            ok = False
+        ok = ok and meets_threshold(inst.label, lam)
     return ok, header, rows
 
 
@@ -319,14 +315,19 @@ def run_wtrace(cfg: ExperimentConfig) -> tuple[bool, list[str], list[list]]:
     return ok, ["t", "w_t", "drop", "sqrt_lmax"], rows
 
 
+def suite_table(results: Sequence[suite_mod.CriterionResult]) -> tuple[list[str], list[list]]:
+    """The CSV header and rows of `permlab suite`, one row per criterion."""
+    rows = [[r.index, r.name, r.passed, r.summary] for r in results]
+    return ["criterion", "name", "passed", "summary"], rows
+
+
 def run_suite(cfg: ExperimentConfig) -> tuple[bool, list[str], list[list]]:
     results = suite_mod.run_all(cfg.seed)
     for result in results:
         print(result.line(), file=sys.stderr)
     passed = sum(1 for r in results if r.passed)
     print(f"{passed}/{len(results)} criteria passed", file=sys.stderr)
-    rows = [[r.index, r.name, r.passed, r.summary] for r in results]
-    return all(r.passed for r in results), ["criterion", "name", "passed", "summary"], rows
+    return all(r.passed for r in results), *suite_table(results)
 
 
 _RUNNERS = {

@@ -37,6 +37,13 @@ THRESHOLD_LO = 2.0 / 3.0
 SOUNDNESS_SLACK = 1e-9
 
 
+def meets_threshold(label: str, lam: float, threshold_lo: float = THRESHOLD_LO) -> bool:
+    """The one rule on lambda_max: a YES instance reaches the mark, a NO one does not pass it."""
+    if label == "YES":
+        return lam >= threshold_lo - PROBABILITY_TOL
+    return lam <= threshold_lo + SOUNDNESS_SLACK
+
+
 def majority_count(n_labels: int) -> int:
     """Size of the dominant parity class in a promise instance: ceil(2N/3)."""
     return -((-2 * n_labels) // 3)
@@ -247,8 +254,8 @@ def classify(
     """Evaluate the instance against the completeness and soundness thresholds."""
     p_honest = run_verifier(inst, honest_witness(inst)).p_accept
     lam, _ = optimal_witness_prob(inst)
-    completeness_ok = lam >= threshold_lo - PROBABILITY_TOL
-    soundness_ok = lam <= threshold_lo + SOUNDNESS_SLACK
+    completeness_ok = meets_threshold("YES", lam, threshold_lo)
+    soundness_ok = meets_threshold("NO", lam, threshold_lo)
     if inst.label == "YES":
         message = (
             f"completeness holds at {p_honest:.6g} >= {threshold_lo:.6g}"

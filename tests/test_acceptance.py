@@ -10,21 +10,38 @@ worst-case witness acceptance for mostly-odd instances is
 the 2/3 target whenever the instance has even members. The companion test
 suite (tests/test_verifier.py) pins those true optima, so the red criterion
 reflects the target, not an implementation defect.
+
+The fixture's CSV is pinned by tests/golden/suite_seed42.csv, written by
+`permlab suite --seed 42 --out ...`: criterion, name and passed match exactly,
+and so does each summary's text between its numbers; the numbers match to a
+relative 1e-12, or are both round-off (at most 1e-12 in absolute value).
 """
 
+import csv
+import io
 import math
+import re
+from pathlib import Path
 
 import pytest
 
 from permlab import harness, suite
 
 SEED = 42
+GOLDEN = Path(__file__).parent / "golden" / "suite_seed42.csv"
+ROUND_OFF = 1e-12
+NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
 
 
 @pytest.fixture(scope="module")
 def results():
     out = {r.index: r for r in suite.run_all(SEED)}
     return out
+
+
+@pytest.fixture(scope="module")
+def suite_csv(results):
+    return harness.render_csv(*harness.suite_table(list(results.values())))
 
 
 def _check(results, index):
@@ -74,18 +91,37 @@ def test_criterion_10_progress_measure(results):
     _check(results, 10)
 
 
-def test_criterion_11_determinism_suite_twice(tmp_path, results):
+def test_criterion_11_determinism_suite_twice(tmp_path, results, suite_csv):
     # the in-suite determinism check, plus the stated contract: running the
-    # whole suite twice with one seed produces byte-identical output
+    # whole suite twice with one seed (the fixture's run and this one)
+    # produces byte-identical output
     _check(results, 11)
-    outs = []
-    for name in ("one.csv", "two.csv"):
-        out = tmp_path / name
-        cfg = harness.ExperimentConfig(subcommand="suite", seed=SEED, out=str(out))
-        harness.run(cfg)
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
-    assert b"determinism" in outs[0]
+    out = tmp_path / "suite.csv"
+    code = harness.run(harness.ExperimentConfig(subcommand="suite", seed=SEED, out=str(out)))
+    assert code == 1  # criterion 2 fails, as the golden records
+    assert out.read_bytes() == suite_csv.encode("utf-8")
+    assert b"determinism" in out.read_bytes()
+
+
+def _numbers_match(got: str, want: str) -> bool:
+    g, w = float(got), float(want)
+    if abs(g) <= ROUND_OFF and abs(w) <= ROUND_OFF:
+        return True
+    return math.isclose(g, w, rel_tol=1e-12, abs_tol=0.0)
+
+
+def test_suite_matches_golden(suite_csv):
+    got = list(csv.reader(io.StringIO(suite_csv)))
+    with open(GOLDEN, newline="", encoding="utf-8") as fh:
+        want = list(csv.reader(fh))
+    assert got[0] == want[0]
+    assert len(got) == len(want)
+    for got_row, want_row in zip(got[1:], want[1:]):
+        assert got_row[:3] == want_row[:3]
+        got_text, want_text = got_row[3], want_row[3]
+        assert NUMBER.split(got_text) == NUMBER.split(want_text), (got_text, want_text)
+        pairs = zip(NUMBER.findall(got_text), NUMBER.findall(want_text))
+        assert all(_numbers_match(g, w) for g, w in pairs), (got_text, want_text)
 
 
 def test_soundness_criterion_failure_is_the_documented_gap(results):

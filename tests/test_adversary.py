@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permlab.adversary import (
     AdversaryStats,
@@ -25,6 +27,7 @@ from permlab.core import (
     philox_stream,
 )
 from permlab.dilation import QueryAlgorithm, haar_unitary, identity_algorithm, random_query_algorithm
+from permlab.oracles import phase_signs
 
 
 def family_of(universe, *member_tuples):
@@ -56,6 +59,115 @@ def brute_stats(rel):
                 )
                 l_max = max(l_max, l_x * l_y)
     return m, m_prime, l_max
+
+
+def brute_tables(rel):
+    """l_x and l_y recounted from `disagrees`, label j in column j - 1."""
+    related = set(rel.pairs)
+    labels = range(1, rel.universe + 1)
+    n_x, n_y = len(rel.x_items), len(rel.y_items)
+    l_x = [
+        [sum(1 for y in range(n_y) if (x, y) in related and rel.disagrees(x, y, lab)) for lab in labels]
+        for x in range(n_x)
+    ]
+    l_y = [
+        [sum(1 for x in range(n_x) if (x, y) in related and rel.disagrees(x, y, lab)) for lab in labels]
+        for y in range(n_y)
+    ]
+    return np.array(l_x), np.array(l_y)
+
+
+def apply_item(state, rel, item):
+    """Apply one oracle to the A axis of a (..., V, Q)-shaped state."""
+    if rel.kind == "phase":
+        return state * phase_signs(item)[:, None]
+    inv = np.argsort(item.zero_based())
+    return state[..., inv, :]
+
+
+def reference_w_values(rel, alg, initial_aq):
+    """W after each query, one oracle at a time, from the whole control Gram matrix."""
+    n_x, n_y = len(rel.x_items), len(rel.y_items)
+    items = rel.x_items + rel.y_items
+    weights = np.array([1 / math.sqrt(2 * n_x)] * n_x + [1 / math.sqrt(2 * n_y)] * n_y)
+    state = weights[:, None] * initial_aq.amplitudes[None, :]
+
+    def w_of(mat):
+        rho_c = mat @ mat.conj().T
+        return sum(abs(rho_c[xi, n_x + yi]) for xi, yi in rel.pairs)
+
+    values = [w_of(state)]
+    for u in alg.query_unitaries:
+        shaped = (state @ u.T).reshape(len(items), rel.universe, alg.dim_b)
+        state = np.stack(
+            [apply_item(shaped[i], rel, item) for i, item in enumerate(items)]
+        ).reshape(len(items), -1)
+        values.append(w_of(state))
+    return values
+
+
+def reference_successes(rel, alg, accept, initial_aq):
+    """Per-item success, running the algorithm against one oracle at a time."""
+    successes = []
+    for side, items in (("x", rel.x_items), ("y", rel.y_items)):
+        for item in items:
+            psi = initial_aq.amplitudes.copy()
+            for u in alg.query_unitaries:
+                psi = u @ psi
+                psi = apply_item(psi.reshape(rel.universe, alg.dim_b), rel, item).reshape(-1)
+            psi = alg.final_unitary @ psi
+            p_accept = float(np.real(psi.conj() @ accept @ psi))
+            successes.append(p_accept if side == "x" else 1.0 - p_accept)
+    return successes
+
+
+def subset_of_mask(v, mask):
+    return Subset(v, tuple(j + 1 for j in range(v) if mask >> j & 1))
+
+
+@st.composite
+def direct_relations(draw):
+    """Phase or in-place relations over V <= 6 with arbitrary pairs, every item paired."""
+    v = draw(st.integers(2, 6))
+    kind = draw(st.sampled_from(["phase", "in_place"]))
+    if kind == "phase":
+        item = st.integers(0, 2**v - 1).map(lambda mask: subset_of_mask(v, mask))
+    else:
+        item = st.permutations(range(1, v + 1)).map(lambda img: Permutation(v, tuple(img)))
+    x_items = tuple(draw(st.lists(item, min_size=1, max_size=4)))
+    y_items = tuple(draw(st.lists(item, min_size=1, max_size=4)))
+    n_x, n_y = len(x_items), len(y_items)
+    grid = draw(st.lists(st.booleans(), min_size=n_x * n_y, max_size=n_x * n_y))
+    pairs = {(x, y) for x in range(n_x) for y in range(n_y) if grid[x * n_y + y]}
+    pairs |= {(x, draw(st.integers(0, n_y - 1))) for x in range(n_x)}
+    pairs |= {(draw(st.integers(0, n_x - 1)), y) for y in range(n_y)}
+    order = draw(st.permutations(sorted(pairs)))
+    return OracleRelation(kind, v, x_items, y_items, tuple(order))
+
+
+@st.composite
+def preimage_families(draw):
+    """Two disjoint families of block-2 or block-3 subsets of [6]."""
+    block = draw(st.sampled_from([2, 3]))
+    subsets = [Subset(6, c) for c in itertools.combinations(range(1, 7), block)]
+    chosen = draw(st.lists(st.sampled_from(subsets), min_size=2, max_size=5, unique=True))
+    split = draw(st.integers(1, len(chosen) - 1))
+    return SubsetFamily(6, tuple(chosen[:split])), SubsetFamily(6, tuple(chosen[split:])), block
+
+
+@st.composite
+def traced_relations(draw):
+    """Subset relations over V <= 5, or materialized preimage relations over [6]."""
+    if draw(st.booleans()):
+        v = draw(st.integers(2, 5))
+        masks = draw(st.lists(st.integers(0, 2**v - 1), min_size=2, max_size=6, unique=True))
+        split = draw(st.integers(1, len(masks) - 1))
+        return build_subset_relation(
+            SubsetFamily(v, tuple(subset_of_mask(v, m) for m in masks[:split])),
+            SubsetFamily(v, tuple(subset_of_mask(v, m) for m in masks[split:])),
+        )
+    sx, sy, block = draw(preimage_families())
+    return build_preimage_relation(sx, sy, block, materialize_cosets=True)
 
 
 N1_X = family_of(4, (2, 4))
@@ -95,7 +207,7 @@ class TestSubsetRelation:
         sx = enumerate_family(6, 2, lambda m: 1 in m)
         sy = enumerate_family(6, 3, lambda m: 1 in m)
         rel = build_subset_relation(sx, sy)
-        stats = relation_stats(rel, keep_tables=True)
+        stats = relation_stats(rel)
         fraction = max(
             nu / len(sx) for lab, nu in sx.element_counts().items() if lab != 1
         )
@@ -103,10 +215,53 @@ class TestSubsetRelation:
         for xi, yi in rel.pairs:
             for lab in rel.x_items[xi].difference(rel.y_items[yi]).members:
                 prod = (
-                    stats.per_input_l["l_x"][(xi, lab)]
-                    * stats.per_input_l["l_y"][(yi, lab)]
+                    stats.per_input_l["l_x"][xi, lab - 1]
+                    * stats.per_input_l["l_y"][yi, lab - 1]
                 )
                 assert prod <= cap + 1e-9
+
+
+class TestStatsMatchReference:
+    @given(direct_relations())
+    @settings(max_examples=60, deadline=None)
+    def test_direct_relations_match_brute_force(self, rel):
+        stats = relation_stats(rel)
+        assert (stats.m, stats.m_prime, stats.l_max) == brute_stats(rel)
+        l_x, l_y = brute_tables(rel)
+        assert np.array_equal(stats.per_input_l["l_x"], l_x)
+        assert np.array_equal(stats.per_input_l["l_y"], l_y)
+
+    @given(preimage_families())
+    @settings(max_examples=25, deadline=None)
+    def test_materialized_and_analytic_twins_agree(self, families):
+        sx, sy, block = families
+        materialized = build_preimage_relation(sx, sy, block, materialize_cosets=True)
+        analytic = build_preimage_relation(sx, sy, block, materialize_cosets=False)
+        a, b = relation_stats(materialized), relation_stats(analytic)
+        assert (a.m, a.m_prime, a.l_max) == (b.m, b.m_prime, b.l_max)
+        # every coset element carries the l table of its preimage set
+        x_of = [sx.sets.index(p.preimage_set(block)) for p in materialized.x_items]
+        y_of = [sy.sets.index(p.preimage_set(block)) for p in materialized.y_items]
+        assert np.array_equal(a.per_input_l["l_x"], b.per_input_l["l_x"][x_of])
+        assert np.array_equal(a.per_input_l["l_y"], b.per_input_l["l_y"][y_of])
+
+
+class TestBatchedMatchesPerItem:
+    @given(traced_relations(), st.integers(1, 3), st.integers(0, 3), st.integers(0, 10**6))
+    @settings(max_examples=30, deadline=None)
+    def test_w_values_and_successes(self, rel, dim_b, queries, seed):
+        rng = philox_stream(seed)
+        alg = random_query_algorithm(rel.universe, dim_b, queries, rng)
+        d = rel.universe * dim_b
+        initial = PureState(d, haar_unitary(d, rng)[:, 0])
+        trace = progress_trace(rel, alg, initial_aq=initial)
+        want = reference_w_values(rel, alg, initial)
+        assert np.allclose(trace.w_values, want, rtol=0.0, atol=1e-12)
+        vec = haar_unitary(d, rng)[:, 0]
+        accept = np.outer(vec, vec.conj())
+        report = end_to_end_bound_check(rel, alg, accept, initial_aq=initial)
+        want = reference_successes(rel, alg, accept, initial)
+        assert np.allclose(report.per_item_success, want, rtol=0.0, atol=1e-12)
 
 
 class TestMatchedRepresentatives:

@@ -28,7 +28,9 @@ VERIFY_CASES = {
     "verify_N6_seed1.csv": (dict(N=6, trials=2, seed=1), 1),
 }
 
-# The README CLI examples, plus one deeper dilation (four queries, c^t*d_AB = 2048).
+# The README CLI examples, one deeper dilation (four queries, c^t*d_AB = 2048), and
+# the relation statistics on each path: in-place cosets (n = 1), analytic (n = 2)
+# and a larger subset relation.
 EXAMPLE_CASES = {
     "dilate_n1_q3_seed7.csv": (dict(subcommand="dilate", n=1, queries=3, trials=20, seed=7), 0),
     "dilate_n1_q4_seed1.csv": (dict(subcommand="dilate", n=1, queries=4, trials=2, seed=1), 0),
@@ -39,6 +41,9 @@ EXAMPLE_CASES = {
         dict(subcommand="crossover", alpha=0.25, p_coeffs=(0.0, 1.0), variant="parity"), 0,
     ),
     "relation_V6.csv": (dict(subcommand="relation", V=6, kx=2, ky=3), 0),
+    "relation_V16_kx3_ky4.csv": (dict(subcommand="relation", V=16, kx=3, ky=4), 0),
+    "relation_preimage_n1.csv": (dict(subcommand="relation", kind="preimage", n=1), 0),
+    "relation_preimage_n2.csv": (dict(subcommand="relation", kind="preimage", n=2), 0),
     "wtrace_q5_seed3.csv": (dict(subcommand="wtrace", queries=5, seed=3), 0),
 }
 
