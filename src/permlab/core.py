@@ -174,38 +174,84 @@ class Subset:
         return cls(universe, tuple(sorted(int(tok) for tok in text.split())))
 
 
-@dataclass(frozen=True)
 class SubsetFamily:
-    """A collection of distinct subsets sharing one universe."""
+    """Distinct subsets of one universe, held as a (count, V) 0/1 incidence array.
 
-    universe: int
-    sets: tuple[Subset, ...]
+    Row r of `incidence` marks the members of set r, label i in column i-1.
+    `sets` gives the same sets as `Subset`s in row order, built once on first
+    use. Counting, restriction and the Fixing Procedure work on the rows.
+    """
 
-    def __post_init__(self) -> None:
-        seen = set()
-        for s in self.sets:
-            if s.universe != self.universe:
+    def __init__(self, universe: int, sets: Sequence[Subset]) -> None:
+        sets = tuple(sets)
+        rows = np.zeros((len(sets), universe), dtype=bool)
+        for r, s in enumerate(sets):
+            if s.universe != universe:
                 raise ValueError("all member subsets must share the family universe")
-            if s.members in seen:
-                raise ValueError(f"duplicate subset {s.members}")
-            seen.add(s.members)
+            rows[r, [m - 1 for m in s.members]] = True
+        self._set_rows(universe, rows)
+        self._sets: tuple[Subset, ...] | None = sets
+
+    @classmethod
+    def from_incidence(cls, universe: int, rows: np.ndarray) -> "SubsetFamily":
+        """The family whose set r has the labels i with rows[r, i-1] set."""
+        family = cls.__new__(cls)
+        family._set_rows(universe, np.array(rows, dtype=bool))
+        family._sets = None
+        return family
+
+    def _set_rows(self, universe: int, rows: np.ndarray) -> None:
+        if universe < 1:
+            raise ValueError("universe must be positive")
+        if rows.ndim != 2 or rows.shape[1] != universe:
+            raise ValueError(
+                f"incidence has shape {rows.shape}, expected (count, {universe})"
+            )
+        # Duplicates sit next to each other once the rows, packed into uint64
+        # words, are sorted; the stable sort keeps the earlier copy first.
+        packed = np.packbits(rows, axis=1)
+        words = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64)
+        order = np.lexsort(words.T[::-1])
+        ranked = words[order]
+        repeats = order[1:][(ranked[1:] == ranked[:-1]).all(axis=1)]
+        if repeats.size:
+            members = tuple(int(i) + 1 for i in np.flatnonzero(rows[repeats.min()]))
+            raise ValueError(f"duplicate subset {members}")
+        rows.setflags(write=False)
+        self.universe = universe
+        self.incidence = rows
+
+    @property
+    def sets(self) -> tuple[Subset, ...]:
+        """The member sets as `Subset`s, in row order."""
+        if self._sets is None:
+            sizes = self.incidence.sum(axis=1).tolist()
+            labels = (np.nonzero(self.incidence)[1] + 1).tolist()
+            ends = itertools.accumulate(sizes)
+            self._sets = tuple(
+                Subset(self.universe, tuple(labels[end - size:end]))
+                for size, end in zip(sizes, ends)
+            )
+        return self._sets
 
     def __len__(self) -> int:
-        return len(self.sets)
+        return len(self.incidence)
 
     def __iter__(self) -> Iterator[Subset]:
         return iter(self.sets)
 
     def element_counts(self) -> dict[int, int]:
         """nu(i): for each label, the number of member sets containing it."""
-        counts: dict[int, int] = {}
-        for s in self.sets:
-            for m in s.members:
-                counts[m] = counts.get(m, 0) + 1
-        return counts
+        counts = self.incidence.sum(axis=0)
+        return {int(i) + 1: int(counts[i]) for i in np.flatnonzero(counts)}
 
     def restrict_to(self, label: int) -> "SubsetFamily":
-        return SubsetFamily(self.universe, tuple(s for s in self.sets if label in s))
+        """The member sets that contain `label`."""
+        if not 1 <= label <= self.universe:
+            raise ValueError(f"label {label} outside 1..{self.universe}")
+        return SubsetFamily.from_incidence(
+            self.universe, self.incidence[self.incidence[:, label - 1]]
+        )
 
 
 @dataclass(frozen=True)
@@ -326,18 +372,27 @@ def enumerate_family(
 def sample_family(
     universe: int, k: int, count: int, rng: np.random.Generator
 ) -> SubsetFamily:
-    """Uniformly sample `count` distinct k-subsets of [universe]."""
+    """Uniformly sample `count` distinct k-subsets of [universe].
+
+    One `rng.choice` per draw, in order; a draw equal to an earlier one is
+    skipped. The distinct draws become the family's incidence rows in draw
+    order, with no `Subset` built per set.
+    """
     total = math.comb(universe, k)
     if count > total:
         raise ValueError(f"cannot draw {count} distinct subsets, only {total} exist")
-    seen: set[tuple[int, ...]] = set()
-    sets: list[Subset] = []
-    while len(sets) < count:
-        members = tuple(sorted(int(x) + 1 for x in rng.choice(universe, size=k, replace=False)))
-        if members not in seen:
-            seen.add(members)
-            sets.append(Subset(universe, members))
-    return SubsetFamily(universe, tuple(sets))
+    drawn = np.empty((count, k), dtype=np.intp)
+    seen: set[bytes] = set()
+    while len(seen) < count:
+        draw = rng.choice(universe, size=k, replace=False)
+        draw.sort()
+        key = draw.tobytes()
+        if key not in seen:
+            drawn[len(seen)] = draw
+            seen.add(key)
+    rows = np.zeros((count, universe), dtype=bool)
+    rows[np.arange(count)[:, None], drawn] = True
+    return SubsetFamily.from_incidence(universe, rows)
 
 
 def partial_trace(

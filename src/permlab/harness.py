@@ -324,7 +324,7 @@ def suite_table(results: Sequence[suite_mod.CriterionResult]) -> tuple[list[str]
 def run_suite(cfg: ExperimentConfig) -> tuple[bool, list[str], list[list]]:
     results = suite_mod.run_all(cfg.seed)
     for result in results:
-        print(result.line(), file=sys.stderr)
+        print(f"{result.line()} [{result.seconds:.3f} s]", file=sys.stderr)
     passed = sum(1 for r in results if r.passed)
     print(f"{passed}/{len(results)} criteria passed", file=sys.stderr)
     return all(r.passed for r in results), *suite_table(results)

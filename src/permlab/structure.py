@@ -5,7 +5,10 @@ N^(-alpha) fraction (but not all) of the working family, shrinking the family
 to the sets containing it, until no such element remains. Elements occurring
 in every member are absorbed into the fixed core without shrinking, since a
 distributed certificate cannot leave a full-frequency element outside the
-core. Counting comparisons are carried out in log2 space with high-precision
+core. Both the procedure and the distributedness check run on the family's
+0/1 incidence rows: label frequencies are column sums, a shrink is a row
+mask, and "the core lies in every member" is one `all` over the core columns.
+Counting comparisons are carried out in log2 space with high-precision
 log-gamma binomials; float64 loses the sign of the difference near n = 60.
 """
 
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import mpmath
+import numpy as np
 
 from .core import Subset, SubsetFamily
 
@@ -112,28 +116,26 @@ def fixing_procedure(
         raise ValueError(f"reference size must exceed 1, got {n_ref}")
     threshold_factor = n_ref ** (-alpha)
     current = family
-    fixed: set[int] = set()
+    fixed = np.zeros(family.universe, dtype=bool)
     log: list[tuple[int, int, int]] = []
     iterations = 0
     while True:
         size = len(current)
-        counts = current.element_counts()
-        full = sorted(i for i, nu in counts.items() if nu == size and i not in fixed)
-        if full:
-            fixed.add(full[0])
+        counts = current.incidence.sum(axis=0)
+        full = np.flatnonzero((counts == size) & ~fixed)
+        if full.size:
+            fixed[full[0]] = True
             iterations += 1
             continue
         cut = size * threshold_factor
-        eligible = sorted(
-            i for i, nu in counts.items() if i not in fixed and size > nu >= cut
-        )
-        if not eligible:
+        eligible = np.flatnonzero(~fixed & (counts < size) & (counts >= cut))
+        if not eligible.size:
             break
-        element = eligible[0]
-        nu = counts[element]
+        element = int(eligible[0]) + 1
+        nu = int(counts[element - 1])
         log.append((element, nu, size))
         current = current.restrict_to(element)
-        fixed.add(element)
+        fixed[element - 1] = True
         iterations += 1
         # each shrink keeps at least an N^(-alpha) fraction
         if len(current) != nu or nu < cut - FRACTION_TOL:
@@ -141,14 +143,18 @@ def fixing_procedure(
                 f"shrinking on element {element} kept {len(current)} of {size} sets, "
                 f"expected {nu} >= {cut:.6g}"
             )
-    counts = current.element_counts()
-    off = [nu for i, nu in counts.items() if i not in fixed]
-    max_fraction = max(off) / len(current) if off else 0.0
-    s_fixed = Subset(family.universe, tuple(sorted(fixed)))
+    s_fixed = Subset(family.universe, tuple(int(i) + 1 for i in np.flatnonzero(fixed)))
     feasible = target.feasible_extension(s_fixed) if target is not None else None
     return DistributedCertificate(
-        current, s_fixed, alpha, max_fraction, feasible, iterations, tuple(log)
+        current, s_fixed, alpha, _max_off_core_fraction(current, fixed), feasible,
+        iterations, tuple(log),
     )
+
+
+def _max_off_core_fraction(family: SubsetFamily, core: np.ndarray) -> float:
+    """Largest share of member sets holding one label outside the boolean core mask."""
+    top = int(family.incidence[:, ~core].sum(axis=0).max(initial=0))
+    return top / len(family) if top else 0.0
 
 
 def check_distributed(
@@ -159,11 +165,13 @@ def check_distributed(
     n_ref: float,
 ) -> tuple[bool, dict]:
     """Verify the three distributedness points; returns (ok, diagnostics)."""
-    core_in_all = all(s_fixed.issubset(s) for s in family)
+    if s_fixed.universe != family.universe:
+        raise ValueError(f"universe mismatch: {s_fixed.universe} vs {family.universe}")
+    core = np.zeros(family.universe, dtype=bool)
+    core[[m - 1 for m in s_fixed.members]] = True
+    core_in_all = bool(family.incidence[:, core].all())
     feasible = target.feasible_extension(s_fixed)
-    counts = family.element_counts()
-    off = {i: nu for i, nu in counts.items() if i not in s_fixed}
-    max_fraction = max(off.values()) / len(family) if off else 0.0
+    max_fraction = _max_off_core_fraction(family, core)
     bound = n_ref ** (-beta)
     fraction_ok = max_fraction <= bound + FRACTION_TOL
     ok = core_in_all and feasible and fraction_ok

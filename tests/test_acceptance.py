@@ -145,3 +145,14 @@ def test_crashing_criterion_reports_fail_and_prints_traceback(monkeypatch, capsy
     err = capsys.readouterr().err
     assert "Traceback (most recent call last)" in err
     assert "in criterion_boom" in err and "RuntimeError: boom" in err
+
+
+def test_run_suite_prints_each_criterion_time(monkeypatch, capsys):
+    def criterion_quick(seed):
+        return suite.CriterionResult(1, "quick", True, "fine")
+
+    monkeypatch.setattr(suite, "ALL_CRITERIA", (criterion_quick,))
+    ok, header, rows = harness.run_suite(harness.ExperimentConfig(subcommand="suite", seed=SEED))
+    assert ok and rows == [[1, "quick", True, "fine"]]  # the time stays out of the CSV
+    line = capsys.readouterr().err.splitlines()[0]
+    assert re.fullmatch(r"criterion  1 \(quick\): PASS - fine \[\d+\.\d{3} s\]", line), line

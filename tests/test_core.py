@@ -147,6 +147,30 @@ class TestSubsetFamily:
         assert fam.element_counts() == {1: 2, 2: 1, 3: 1}
         assert len(fam.restrict_to(2)) == 1
 
+    def test_incidence_rows_and_sets_agree(self):
+        sets = (Subset(5, (2, 4)), Subset(5, ()), Subset(5, (1, 2, 5)))
+        fam = SubsetFamily(5, sets)
+        rows = [[0, 1, 0, 1, 0], [0, 0, 0, 0, 0], [1, 1, 0, 0, 1]]
+        assert fam.incidence.tolist() == np.array(rows, dtype=bool).tolist()
+        assert not fam.incidence.flags.writeable
+        from_rows = SubsetFamily.from_incidence(5, np.array(rows))
+        assert from_rows.sets == sets
+        assert from_rows.restrict_to(2).sets == (sets[0], sets[2])
+        with pytest.raises(ValueError, match="outside"):
+            fam.restrict_to(0)
+
+    def test_from_incidence_validates_like_the_constructor(self):
+        rows = np.zeros((3, 70), dtype=bool)
+        rows[[0, 2], 64] = True
+        rows[1, 3] = True
+        with pytest.raises(ValueError, match=r"duplicate subset \(65,\)"):
+            SubsetFamily.from_incidence(70, rows)
+        with pytest.raises(ValueError, match="shape"):
+            SubsetFamily.from_incidence(4, np.zeros((2, 5), dtype=bool))
+        with pytest.raises(ValueError, match=r"duplicate subset \(1, 3\)"):
+            SubsetFamily(4, (Subset(4, (1, 3)), Subset(4, (2,)), Subset(4, (1, 3))))
+        assert len(SubsetFamily.from_incidence(4, np.zeros((0, 4), dtype=bool))) == 0
+
 
 class TestStates:
     def test_subset_state_two_element(self):

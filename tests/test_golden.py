@@ -28,14 +28,19 @@ VERIFY_CASES = {
     "verify_N6_seed1.csv": (dict(N=6, trials=2, seed=1), 1),
 }
 
-# The README CLI examples, one deeper dilation (four queries, c^t*d_AB = 2048), and
-# the relation statistics on each path: in-place cosets (n = 1), analytic (n = 2)
-# and a larger subset relation.
+# The README CLI examples, one deeper dilation (four queries, c^t*d_AB = 2048),
+# two small `fix` families that the Fixing Procedure does shrink, and the relation
+# statistics on each path: in-place cosets (n = 1), analytic (n = 2) and a larger
+# subset relation.
 EXAMPLE_CASES = {
     "dilate_n1_q3_seed7.csv": (dict(subcommand="dilate", n=1, queries=3, trials=20, seed=7), 0),
     "dilate_n1_q4_seed1.csv": (dict(subcommand="dilate", n=1, queries=4, trials=2, seed=1), 0),
     "fix_V16_k4.csv": (
         dict(subcommand="fix", V=16, k=4, alpha=0.25, p=2.0, trials=50), 0,
+    ),
+    "fix_V12_k4_p6_seed1.csv": (dict(subcommand="fix", V=12, k=4, p=6.0, trials=20, seed=1), 0),
+    "fix_V10_k4_p6_nref10_seed1.csv": (
+        dict(subcommand="fix", V=10, k=4, p=6.0, nref=10.0, trials=20, seed=1), 0,
     ),
     "crossover_parity.csv": (
         dict(subcommand="crossover", alpha=0.25, p_coeffs=(0.0, 1.0), variant="parity"), 0,

@@ -1,11 +1,13 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from permlab import suite
 from permlab.core import (
     DensityMatrix,
     Permutation,
@@ -196,6 +198,47 @@ class TestBlockTwirl:
         assert np.max(np.abs(got - expected)) <= 1e-12
         if dim_b == 1:
             assert np.max(np.abs(block_average(mat, block) - expected)) <= 1e-12
+
+
+def permutation_loop_block_average(stack, block):
+    """Reference for criterion 5: one fancy-indexed gather per group element."""
+    v = stack.shape[-1]
+    acc = np.zeros_like(stack)
+    group = block_permutations(v, block)
+    for tau in group:
+        inv = np.argsort(tau.zero_based())
+        acc += stack[:, inv, :][:, :, inv]
+    return acc / len(group)
+
+
+class TestCountMatrixAverage:
+    """Criterion 5's exhaustive reference against the per-`Permutation` loop."""
+
+    @given(
+        st.integers(1, 6).flatmap(lambda v: st.tuples(st.just(v), st.integers(1, v))),
+        st.integers(1, 4),
+        st.sampled_from((1, 5, 64, suite.TWIRL_CHUNK_ROWS)),
+        st.integers(0, 10_000),
+    )
+    @example((6, 1), 3, suite.TWIRL_CHUNK_ROWS, 0)
+    @example((6, 6), 2, 7, 1)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_permutation_loop(self, v_block, depth, chunk, seed):
+        v, block = v_block
+        rng = philox_stream(seed)
+        stack = rng.normal(size=(depth, v, v)) + 1j * rng.normal(size=(depth, v, v))
+        with mock.patch.object(suite, "TWIRL_CHUNK_ROWS", chunk):
+            got, enumerated = suite.exhaustive_block_average(stack, block)
+        assert enumerated == math.factorial(block) * math.factorial(v - block)
+        assert got.shape == stack.shape
+        assert np.max(np.abs(got - permutation_loop_block_average(stack, block))) <= 1e-12
+
+    def test_short_enumeration_raises(self, monkeypatch):
+        rows = suite._block_group_rows
+        monkeypatch.setattr(suite, "_block_group_rows", lambda v, b: (r[1:] for r in rows(v, b)))
+        stack = DensityMatrix.random(4, philox_stream(3)).entries[None]
+        with pytest.raises(RuntimeError, match="enumerated 3 block-group elements"):
+            suite.exhaustive_block_average(stack, 2)
 
 
 class TestRepresentative:

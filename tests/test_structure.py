@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from permlab.core import Subset, SubsetFamily, enumerate_family, philox_stream, sample_family
 from permlab.structure import (
+    FRACTION_TOL,
     CrossoverReport,
     TargetClass,
     bound_crossover,
@@ -150,6 +151,146 @@ class TestCheckDistributed:
         )
         assert not ok
         assert not diag["core_in_all_members"]
+
+
+# The Subset-tuple implementations that the incidence-row family replaced,
+# kept as the reference for the array versions.
+
+
+def reference_sample_family(universe, k, count, rng):
+    seen = set()
+    sets = []
+    while len(sets) < count:
+        members = tuple(sorted(int(x) + 1 for x in rng.choice(universe, size=k, replace=False)))
+        if members not in seen:
+            seen.add(members)
+            sets.append(Subset(universe, members))
+    return tuple(sets)
+
+
+def reference_element_counts(sets):
+    counts = {}
+    for s in sets:
+        for m in s.members:
+            counts[m] = counts.get(m, 0) + 1
+    return counts
+
+
+def reference_restrict_to(sets, label):
+    return tuple(s for s in sets if label in s)
+
+
+def reference_fixing_procedure(universe, sets, alpha, n_ref, target):
+    """(family_prime sets, s_fixed, max fraction, feasible, iterations, shrink_log)."""
+    threshold_factor = n_ref ** (-alpha)
+    current = sets
+    fixed = set()
+    log = []
+    iterations = 0
+    while True:
+        size = len(current)
+        counts = reference_element_counts(current)
+        full = sorted(i for i, nu in counts.items() if nu == size and i not in fixed)
+        if full:
+            fixed.add(full[0])
+            iterations += 1
+            continue
+        cut = size * threshold_factor
+        eligible = sorted(i for i, nu in counts.items() if i not in fixed and size > nu >= cut)
+        if not eligible:
+            break
+        element = eligible[0]
+        log.append((element, counts[element], size))
+        current = reference_restrict_to(current, element)
+        fixed.add(element)
+        iterations += 1
+    counts = reference_element_counts(current)
+    off = [nu for i, nu in counts.items() if i not in fixed]
+    max_fraction = max(off) / len(current) if off else 0.0
+    s_fixed = Subset(universe, tuple(sorted(fixed)))
+    feasible = target.feasible_extension(s_fixed)
+    return current, s_fixed, max_fraction, feasible, iterations, tuple(log)
+
+
+def reference_check_distributed(sets, s_fixed, beta, target, n_ref):
+    core_in_all = all(s_fixed.issubset(s) for s in sets)
+    feasible = target.feasible_extension(s_fixed)
+    counts = reference_element_counts(sets)
+    off = {i: nu for i, nu in counts.items() if i not in s_fixed}
+    max_fraction = max(off.values()) / len(sets) if off else 0.0
+    bound = n_ref ** (-beta)
+    fraction_ok = max_fraction <= bound + FRACTION_TOL
+    ok = core_in_all and feasible and fraction_ok
+    return ok, {
+        "core_in_all_members": core_in_all,
+        "target_feasible": feasible,
+        "max_offfixed_fraction": max_fraction,
+        "fraction_bound": bound,
+        "fraction_ok": fraction_ok,
+    }
+
+
+@st.composite
+def families(draw):
+    """A random family over V <= 10: small ones shrink, larger ones mostly do not."""
+    v = draw(st.integers(1, 10))
+    masks = draw(st.lists(st.integers(0, 2**v - 1), min_size=1, max_size=24, unique=True))
+    sets = tuple(Subset(v, tuple(i + 1 for i in range(v) if m >> i & 1)) for m in masks)
+    return v, sets
+
+
+class TestIncidenceMatchesReference:
+    @given(
+        families(),
+        st.sampled_from((0.1, 0.25, 0.3, 0.49)),
+        st.sampled_from((2, 4, 8, 16, 100)),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_fixing_and_check_match_reference(self, fam, alpha, n_ref, data):
+        v, sets = fam
+        family = SubsetFamily(v, sets)
+        target = TargetClass.fixed_size(v, data.draw(st.integers(0, v)))
+        assert family.element_counts() == reference_element_counts(sets)
+        label = data.draw(st.integers(1, v))
+        assert family.restrict_to(label).sets == reference_restrict_to(sets, label)
+
+        cert = fixing_procedure(family, alpha, n_ref, target=target)
+        prime, s_fixed, fraction, feasible, iterations, log = reference_fixing_procedure(
+            v, sets, alpha, n_ref, target
+        )
+        assert cert.family_prime.sets == prime
+        assert cert.s_fixed == s_fixed
+        assert cert.max_offfixed_fraction == fraction
+        assert type(cert.max_offfixed_fraction) is float
+        assert cert.target_feasible == feasible
+        assert cert.iterations == iterations
+        assert cert.shrink_log == log
+        assert cert.beta == alpha
+
+        core = Subset(v, tuple(sorted(data.draw(st.sets(st.integers(1, v), max_size=3)))))
+        for family_, sets_, core_ in ((cert.family_prime, prime, s_fixed), (family, sets, core)):
+            ok, diag = check_distributed(family_, core_, alpha, target, n_ref)
+            want_ok, want_diag = reference_check_distributed(sets_, core_, alpha, target, n_ref)
+            assert ok == want_ok
+            assert diag == want_diag
+            assert all(type(diag[key]) is type(want_diag[key]) for key in want_diag)
+
+    def test_three_shrinks_match_reference(self):
+        sets = tuple(Subset(5, m) for m in ((1, 2), (1, 2, 3), (1, 4), (2, 5), (3,)))
+        target = TargetClass.fixed_size(5, 2)
+        cert = fixing_procedure(SubsetFamily(5, sets), 0.25, 16, target)
+        assert cert.shrink_log == ((1, 3, 5), (2, 2, 3), (3, 1, 2))
+        assert cert.shrink_log == reference_fixing_procedure(5, sets, 0.25, 16, target)[5]
+
+    @pytest.mark.parametrize(
+        "universe,k,count,seed",
+        [(16, 4, 455, 642), (16, 4, 114, 4642), (10, 3, 29, 5), (6, 2, 15, 1), (12, 4, 62, 9)],
+    )
+    def test_sample_family_draws_unchanged(self, universe, k, count, seed):
+        got = sample_family(universe, k, count, philox_stream(seed))
+        want = reference_sample_family(universe, k, count, philox_stream(seed))
+        assert [s.members for s in got] == [s.members for s in want]
 
 
 class TestWitnessPigeonhole:
