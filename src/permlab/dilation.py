@@ -32,17 +32,33 @@ from .oracles import block_average_on_first_factor, representative_sigma
 UNITARY_TOL = 1e-10
 
 
+def haar_unitaries(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """`count` Haar-distributed unitaries, as a (count, dim, dim) array.
+
+    One normal draw gives each complex Ginibre matrix its real part, then its
+    imaginary part, matrix by matrix, so the stream is consumed exactly as
+    `count` separate `haar_unitary` calls would. One stacked QR with the phase
+    of R's diagonal folded into Q makes the distribution Haar.
+    """
+    normal = rng.normal(size=(count, 2, dim, dim))
+    q, r = np.linalg.qr(normal[:, 0] + 1j * normal[:, 1])
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]
+
+
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Ginibre matrix."""
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    """One Haar-distributed unitary."""
+    return haar_unitaries(dim, 1, rng)[0]
 
 
 @dataclass(frozen=True)
 class QueryAlgorithm:
-    """t query-interleaved unitaries plus a final one, all on A (x) B."""
+    """t query-interleaved unitaries plus a final one, all on A (x) B.
+
+    The unitaries are checked for shape one by one, then for unitarity as one
+    stack (U^H U - I for all of them at once), and kept as read-only views of
+    that stack.
+    """
 
     dim_a: int
     dim_b: int
@@ -52,17 +68,18 @@ class QueryAlgorithm:
         if len(self.unitaries) < 1:
             raise ValueError("need at least the final unitary")
         d = self.dim_a * self.dim_b
-        frozen = []
         for i, u in enumerate(self.unitaries):
-            u = np.array(u, dtype=np.complex128)
-            if u.shape != (d, d):
-                raise ValueError(f"unitary {i} has shape {u.shape}, expected ({d}, {d})")
-            err = float(np.max(np.abs(u.conj().T @ u - np.eye(d))))
-            if err > UNITARY_TOL:
-                raise ValueError(f"matrix {i} is not unitary (deviation {err})")
-            u.setflags(write=False)
-            frozen.append(u)
-        object.__setattr__(self, "unitaries", tuple(frozen))
+            if np.shape(u) != (d, d):
+                raise ValueError(f"unitary {i} has shape {np.shape(u)}, expected ({d}, {d})")
+        stack = np.array(self.unitaries, dtype=np.complex128)
+        gram = np.conj(stack.transpose(0, 2, 1)) @ stack
+        errs = np.max(np.abs(gram - np.eye(d)), axis=(1, 2))
+        bad = np.flatnonzero(errs > UNITARY_TOL)
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"matrix {i} is not unitary (deviation {float(errs[i])})")
+        stack.setflags(write=False)
+        object.__setattr__(self, "unitaries", tuple(stack))
 
     @property
     def queries(self) -> int:
@@ -80,9 +97,8 @@ class QueryAlgorithm:
 def random_query_algorithm(
     dim_a: int, dim_b: int, queries: int, rng: np.random.Generator
 ) -> QueryAlgorithm:
-    d = dim_a * dim_b
     return QueryAlgorithm(
-        dim_a, dim_b, tuple(haar_unitary(d, rng) for _ in range(queries + 1))
+        dim_a, dim_b, tuple(haar_unitaries(dim_a * dim_b, queries + 1, rng))
     )
 
 

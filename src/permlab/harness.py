@@ -41,7 +41,13 @@ from .oracles import (
     random_representative,
     sample_block_permutations,
 )
-from .structure import TargetClass, bound_crossover, check_distributed, fixing_procedure
+from .structure import (
+    TargetClass,
+    bound_crossover,
+    check_distributed,
+    fixing_procedure,
+    witness_pigeonhole,
+)
 from .verifier import (
     PreimageInstance,
     enumerate_instances,
@@ -243,7 +249,7 @@ def run_fix(cfg: ExperimentConfig) -> tuple[bool, list[str], list[list]]:
     nref = cfg.nref if cfg.nref is not None else float(k)
     target_k = cfg.target_k if cfg.target_k is not None else max(1, math.floor(0.99 * k))
     target = TargetClass.fixed_size(v, target_k)
-    size = max(1, math.ceil(math.comb(v, k) / 2.0**p_bits))
+    size = max(1, witness_pigeonhole(math.comb(v, k), p_bits))
     rows = []
     ok = True
     for trial in range(cfg.trials):

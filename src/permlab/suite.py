@@ -28,9 +28,9 @@ from .core import (
     DensityMatrix,
     PureState,
     Subset,
+    SubsetFamily,
     enumerate_family,
     philox_stream,
-    sample_family,
 )
 from .dilation import check_dilation, haar_unitary, random_query_algorithm
 from .oracles import block_permutations, block_twirl, random_representative
@@ -191,12 +191,10 @@ def criterion_05_twirl(seed: int) -> CriterionResult:
         for block in range(1, v + 1):
             rng = philox_stream(seed, stream_idx)
             stream_idx += 1
-            stack = np.stack(
-                [DensityMatrix.random(v, rng).entries for _ in range(20)]
-            )
-            averages, _ = exhaustive_block_average(stack, block)
-            for rho_mat, avg in zip(stack, averages):
-                closed = block_twirl(DensityMatrix(v, rho_mat), block)
+            rhos = [DensityMatrix.random(v, rng) for _ in range(20)]
+            averages, _ = exhaustive_block_average(np.stack([r.entries for r in rhos]), block)
+            for rho, avg in zip(rhos, averages):
+                closed = block_twirl(rho, block)
                 worst = max(worst, float(np.max(np.abs(closed.entries - avg))))
     return CriterionResult(
         5, "twirl correctness", worst <= 1e-12,
@@ -204,9 +202,27 @@ def criterion_05_twirl(seed: int) -> CriterionResult:
     )
 
 
+def _k_subset_rows(universe: int, k: int) -> np.ndarray:
+    """Every k-subset of [universe] as a bool incidence row, in lexicographic order."""
+    total = math.comb(universe, k)
+    members = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(universe), k)),
+        dtype=np.intp, count=total * k,
+    ).reshape(total, k)
+    rows = np.zeros((total, universe), dtype=bool)
+    rows[np.arange(total)[:, None], members] = True
+    return rows
+
+
 def criterion_06_fixing(seed: int) -> CriterionResult:
-    """Fixing Procedure terminates quickly and certifies on random families."""
-    total = math.comb(16, 4)
+    """Fixing Procedure terminates quickly and certifies on random families.
+
+    Each family is one index sample without replacement over the enumerated
+    rows of C(16,4): distinct sets, uniformly at random and in random order,
+    the distribution `sample_family` draws from one set at a time.
+    """
+    table = _k_subset_rows(16, 4)
+    total = len(table)
     target = TargetClass.fixed_size(16, 3)
     failures = []
     max_iter = 0
@@ -214,7 +230,9 @@ def criterion_06_fixing(seed: int) -> CriterionResult:
         size = witness_pigeonhole(total, p_bits)
         for s in range(100):
             rng = philox_stream(seed, 600 + 1000 * p_bits + s)
-            family = sample_family(16, 4, size, rng)
+            family = SubsetFamily.from_incidence(
+                16, table[rng.choice(total, size=size, replace=False)]
+            )
             cert = fixing_procedure(family, 0.25, 4, target=target)
             max_iter = max(max_iter, cert.iterations)
             ok, _ = check_distributed(cert.family_prime, cert.s_fixed, 0.25, target, 4)

@@ -23,9 +23,11 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from permlab import harness, suite
+from permlab.core import enumerate_family
 
 SEED = 42
 GOLDEN = Path(__file__).parent / "golden" / "suite_seed42.csv"
@@ -129,6 +131,20 @@ def test_soundness_criterion_failure_is_the_documented_gap(results):
     summary = results[2].summary
     assert "0.75" in summary
     assert f"{0.5 * (1 + math.sqrt(1 / 3)):.6g}"[:6] in summary
+
+
+@pytest.mark.parametrize("universe, k", [(16, 4), (6, 0), (6, 6), (7, 3)])
+def test_criterion_06_table_is_the_enumerated_family(universe, k):
+    table = suite._k_subset_rows(universe, k)
+    assert table.dtype == bool
+    assert np.array_equal(table, enumerate_family(universe, k).incidence)
+
+
+def test_criterion_06_certifies_every_family(monkeypatch):
+    monkeypatch.setattr(suite, "check_distributed", lambda *args: (False, {}))
+    result = suite.criterion_06_fixing(SEED)
+    assert not result.passed
+    assert result.summary.endswith("; 200 failures")
 
 
 def test_crashing_criterion_reports_fail_and_prints_traceback(monkeypatch, capsys):

@@ -24,6 +24,7 @@ from permlab.dilation import (
     build_control_permutation,
     check_dilation,
     chi_state,
+    haar_unitaries,
     haar_unitary,
     identity_algorithm,
     random_query_algorithm,
@@ -35,6 +36,14 @@ from permlab.oracles import block_permutations, block_twirl, random_representati
 TAUS = block_permutations(4, 2)
 S_EVEN = Subset(4, (2, 4))
 S_ODD = Subset(4, (1, 3))
+
+
+def reference_haar_unitary(dim, rng):
+    """Reference route: one Ginibre matrix, one QR and the phase fix per call."""
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
 
 
 def random_product_initial(dim, seed):
@@ -92,6 +101,45 @@ class TestQueryAlgorithm:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             QueryAlgorithm(4, 2, (np.eye(4),))
+
+    def test_first_non_unitary_index_is_named(self):
+        eye = np.eye(8)
+        with pytest.raises(ValueError, match=r"^matrix 2 is not unitary \(deviation 3\.0\)$"):
+            QueryAlgorithm(4, 2, (eye, eye, 2 * eye, 3 * eye))
+
+    def test_shape_mismatch_names_the_unitary(self):
+        with pytest.raises(ValueError, match=r"^unitary 1 has shape \(4, 4\), expected \(8, 8\)$"):
+            QueryAlgorithm(4, 2, (np.eye(8), np.eye(4), 2 * np.eye(8)))
+
+    def test_stored_unitaries_are_read_only_copies(self):
+        given_unitaries = [np.eye(8, dtype=np.complex128) for _ in range(3)]
+        alg = QueryAlgorithm(4, 2, tuple(given_unitaries))
+        given_unitaries[0][0, 0] = 5.0
+        for u in alg.unitaries:
+            assert not u.flags.writeable
+            with pytest.raises(ValueError):
+                u[0, 0] = 2.0
+        assert alg.unitaries[0][0, 0] == 1.0
+
+
+class TestHaarUnitaries:
+    @given(dim=st.integers(1, 16), count=st.integers(1, 6), seed=st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_matrix_reference(self, dim, count, seed):
+        rng, ref_rng = philox_stream(seed), philox_stream(seed)
+        got = haar_unitaries(dim, count, rng)
+        want = np.stack([reference_haar_unitary(dim, ref_rng) for _ in range(count)])
+        assert got.shape == (count, dim, dim)
+        assert np.array_equal(got, want)
+        assert rng.random() == ref_rng.random()  # same stream position afterwards
+
+    def test_single_unitary_and_algorithm_use_the_same_draws(self):
+        rng, ref_rng = philox_stream(11), philox_stream(11)
+        assert np.array_equal(haar_unitary(8, rng), reference_haar_unitary(8, ref_rng))
+        alg = random_query_algorithm(4, 2, 3, rng)
+        want = [reference_haar_unitary(8, ref_rng) for _ in range(4)]
+        assert all(np.array_equal(u, w) for u, w in zip(alg.unitaries, want, strict=True))
+        assert rng.random() == ref_rng.random()
 
 
 class TestChiAndControl:

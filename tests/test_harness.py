@@ -174,6 +174,13 @@ class TestCli:
         assert code == 2
         assert "nope" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["fix", "--V", "4", "--k", "5"], ["fix", "--p", "-1"]])
+    def test_main_rejects_impossible_fix_sizes(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_main_stdout_csv(self, capsys):
         code = main(["crossover", "--alpha", "0.25", "--variant", "uniform"])
         assert code == 0
