@@ -9,7 +9,7 @@ import argparse
 import csv
 import sys
 
-from permlab.structure import bound_crossover
+from permlab.structure import bound_crossovers
 
 
 def main() -> None:
@@ -24,11 +24,10 @@ def main() -> None:
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["variant", "alpha", "n", "log_upper", "log_lower", "crossed"])
     for variant in ("uniform", "parity"):
-        for alpha in alphas:
-            report = bound_crossover(alpha, coeffs, variant, n_max=args.n_max)
+        for report in bound_crossovers(alphas, coeffs, variant, n_max=args.n_max):
             for n, upper, lower, crossed in report.rows:
-                writer.writerow([variant, alpha, n, f"{upper:.6f}", f"{lower:.6f}", crossed])
-            print(f"# {variant} alpha={alpha}: {report.message}", file=sys.stderr)
+                writer.writerow([variant, report.alpha, n, f"{upper:.6f}", f"{lower:.6f}", crossed])
+            print(f"# {variant} alpha={report.alpha}: {report.message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -40,7 +40,6 @@ from .verifier import (
 from .dilation import (
     DilationRun,
     QueryAlgorithm,
-    build_control_permutation,
     check_dilation,
     chi_state,
     run_channel_picture,

@@ -266,11 +266,7 @@ class PureState:
         amps = np.array(self.amplitudes, dtype=np.complex128)
         if amps.shape != (self.dim,):
             raise ValueError(f"amplitudes have shape {amps.shape}, expected ({self.dim},)")
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq}")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "amplitudes", validated_states(amps))
 
     def density(self) -> "DensityMatrix":
         return DensityMatrix.from_pure(self)
@@ -280,11 +276,6 @@ class PureState:
         amps = np.zeros(dim, dtype=np.complex128)
         amps[label - 1] = 1.0
         return cls(dim, amps)
-
-    @classmethod
-    def from_amplitudes(cls, amps: Sequence[complex]) -> "PureState":
-        arr = np.asarray(amps, dtype=np.complex128)
-        return cls(arr.shape[0], arr)
 
 
 @dataclass(frozen=True)
@@ -299,21 +290,10 @@ class DensityMatrix:
         mat = np.array(self.entries, dtype=np.complex128)
         if mat.shape != (self.dim, self.dim):
             raise ValueError(f"entries have shape {mat.shape}, expected square of dim {self.dim}")
-        herm_err = float(np.max(np.abs(mat - mat.conj().T))) if self.dim else 0.0
-        if herm_err > HERMITIAN_TOL:
-            raise ValueError(f"matrix is not Hermitian: max asymmetry {herm_err}")
-        trace = complex(np.trace(mat))
-        if abs(trace - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace is {trace}, expected 1")
-        mat.setflags(write=False)
-        object.__setattr__(self, "entries", mat)
-        if self.dim <= _EAGER_PSD_DIM:
-            self.validate_psd()
+        object.__setattr__(self, "entries", validated_densities(mat))
 
     def validate_psd(self) -> None:
-        lo = float(np.linalg.eigvalsh(self.entries)[0])
-        if lo < -EIGENVALUE_TOL:
-            raise ValueError(f"matrix has negative eigenvalue {lo}")
+        _check_psd(self.entries)
 
     def diagonal(self) -> np.ndarray:
         return np.real(np.diag(self.entries)).copy()
@@ -332,6 +312,45 @@ class DensityMatrix:
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         mat = g @ g.conj().T
         return cls(dim, mat / np.trace(mat))
+
+
+def _raise_first(bad: np.ndarray, values: np.ndarray, message: str, stacked: bool) -> None:
+    """Raise `message` with the first flagged member's value; a stack's error names it."""
+    hits = np.flatnonzero(bad)
+    if hits.size:
+        k = int(hits[0])
+        text = message.format(values.flat[k].item())
+        raise ValueError(f"member {k}: {text}" if stacked else text)
+
+
+def validated_states(amps: np.ndarray) -> np.ndarray:
+    """Check one state vector, or a stack of them, for norm 1; return it read-only."""
+    _check_dim(amps.shape[-1])
+    norm_sq = np.sum(np.abs(amps) ** 2, axis=-1)
+    bad = np.abs(norm_sq - 1.0) > NORM_TOL
+    _raise_first(bad, norm_sq, "state is not normalized: |psi|^2 = {}", amps.ndim > 1)
+    amps.setflags(write=False)
+    return amps
+
+
+def validated_densities(mats: np.ndarray) -> np.ndarray:
+    """Check one matrix, or a stack, for Hermitian, unit trace and (up to
+    `_EAGER_PSD_DIM`) positive semidefinite; return it read-only."""
+    _check_dim(mats.shape[-1])
+    stacked = mats.ndim > 2
+    herm = np.max(np.abs(mats - np.swapaxes(mats, -1, -2).conj()), axis=(-2, -1))
+    _raise_first(herm > HERMITIAN_TOL, herm, "matrix is not Hermitian: max asymmetry {}", stacked)
+    trace = np.trace(mats, axis1=-2, axis2=-1)
+    _raise_first(np.abs(trace - 1.0) > TRACE_TOL, trace, "trace is {}, expected 1", stacked)
+    if mats.shape[-1] <= _EAGER_PSD_DIM:
+        _check_psd(mats)
+    mats.setflags(write=False)
+    return mats
+
+
+def _check_psd(mats: np.ndarray) -> None:
+    lo = np.linalg.eigvalsh(mats)[..., 0]
+    _raise_first(lo < -EIGENVALUE_TOL, lo, "matrix has negative eigenvalue {}", mats.ndim > 2)
 
 
 def subset_state(subset: Subset, dim: int) -> PureState:
@@ -422,13 +441,16 @@ def partial_trace(
     return DensityMatrix(d_keep, reduced.reshape(d_keep, d_keep))
 
 
-def trace_distance(a: DensityMatrix | np.ndarray, b: DensityMatrix | np.ndarray) -> float:
-    """Half the trace norm of the difference of two Hermitian matrices."""
+def trace_distance(a: DensityMatrix | np.ndarray,
+                   b: DensityMatrix | np.ndarray) -> float | np.ndarray:
+    """Half the trace norm of the difference of two Hermitian matrices; for two
+    equal-shaped stacks, an array of one distance per member from one eigensolve."""
     ma = a.entries if isinstance(a, DensityMatrix) else np.asarray(a)
     mb = b.entries if isinstance(b, DensityMatrix) else np.asarray(b)
     if ma.shape != mb.shape:
         raise ValueError(f"shape mismatch: {ma.shape} vs {mb.shape}")
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(ma - mb))))
+    dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(ma - mb)), axis=-1)
+    return float(dist) if ma.ndim == 2 else dist
 
 
 def philox_stream(seed: int, index: int = 0) -> np.random.Generator:

@@ -4,15 +4,16 @@ The randomized channel on register A is reproduced by a fixed in-place
 permutation on A followed by a control-permutation entangling A with a fresh
 control register prepared in the uniform superposition over the block group.
 One control register is consumed per query, so the dilated system is
-C^t (x) A (x) B. That picture stays pure, so it is simulated as a state vector
-of length c^t * d_AB: memory grows with the vector length, not its square, and
-the dimension cap applies to that length. Tracing out the controls is
-rho_AB = M^T conj(M) with M the vector reshaped to (c^t, d_AB), so no density
-matrix larger than d_AB is ever built.
+C^t (x) A (x) B. That picture stays pure: its t+1 states are one (t+1, c^t*d_AB)
+stack, capped in length, and each query is one matmul and one index gather.
+Tracing out the controls is rho_AB = M^T conj(M) with M a state reshaped to
+(c^t, d_AB), batched over the stack, so no matrix larger than d_AB is built.
+Both pictures return validated stacks; one eigensolve gives every distance.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -21,15 +22,18 @@ import numpy as np
 
 from .core import (
     MAX_DIM,
-    DensityMatrix,
     Permutation,
     PureState,
     Subset,
     trace_distance,
+    validated_densities,
+    validated_states,
 )
 from .oracles import block_average_on_first_factor, representative_sigma
 
 UNITARY_TOL = 1e-10
+# Largest trace distance an exact dilation may show: round-off only.
+DILATION_TOL = 1e-9
 
 
 def haar_unitaries(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -102,11 +106,6 @@ def random_query_algorithm(
     )
 
 
-def identity_algorithm(dim_a: int, dim_b: int, queries: int) -> QueryAlgorithm:
-    eye = np.eye(dim_a * dim_b, dtype=np.complex128)
-    return QueryAlgorithm(dim_a, dim_b, tuple(eye for _ in range(queries + 1)))
-
-
 def chi_state(count: int) -> PureState:
     """Uniform superposition over the control basis."""
     if count < 1:
@@ -114,24 +113,14 @@ def chi_state(count: int) -> PureState:
     return PureState(count, np.full(count, 1.0 / math.sqrt(count), dtype=np.complex128))
 
 
-def build_control_permutation(taus: Sequence[Permutation]) -> np.ndarray:
-    """|i>|j> -> |i>|tau_i(j)> as a dense unitary on control (x) A."""
-    if not taus:
-        raise ValueError("need at least one permutation")
-    v = taus[0].size
-    if any(t.size != v for t in taus):
-        raise ValueError("all permutations must share one size")
-    c = len(taus)
-    out = np.zeros((c * v, c * v))
-    for i, tau in enumerate(taus):
-        out[i * v : (i + 1) * v, i * v : (i + 1) * v] = tau.matrix()
-    return out
-
-
 def run_channel_picture(
     alg: QueryAlgorithm, subset: Subset, initial: PureState
-) -> list[DensityMatrix]:
-    """States rho_0..rho_t with the randomized preimage channel applied on A."""
+) -> np.ndarray:
+    """States rho_0..rho_t with the randomized preimage channel applied on A.
+
+    Returned as one validated, read-only (t+1, d_AB, d_AB) stack. The fixed
+    permutation sigma acts as an index gather on both axes of rho.
+    """
     if subset.universe != alg.dim_a:
         raise ValueError(
             f"oracle universe {subset.universe} does not match register A ({alg.dim_a})"
@@ -139,15 +128,14 @@ def run_channel_picture(
     if initial.dim != alg.dim_a * alg.dim_b:
         raise ValueError(f"initial state dim {initial.dim} != dim A*B")
     block = len(subset)
-    p_joint = np.kron(representative_sigma(subset, block).matrix(), np.eye(alg.dim_b))
-    states = [DensityMatrix.from_pure(initial)]
-    rho = states[0].entries
-    for u in alg.query_unitaries:
-        rho = u @ rho @ u.conj().T
-        rho = p_joint @ rho @ p_joint.T
-        rho = block_average_on_first_factor(rho, block, alg.dim_a, alg.dim_b)
-        states.append(DensityMatrix(initial.dim, rho))
-    return states
+    inv_sigma = np.argsort(representative_sigma(subset, block).zero_based())
+    source = (inv_sigma[:, None] * alg.dim_b + np.arange(alg.dim_b)).ravel()
+    rhos = np.empty((alg.queries + 1, initial.dim, initial.dim), dtype=np.complex128)
+    rhos[0] = np.outer(initial.amplitudes, initial.amplitudes.conj())
+    for k, u in enumerate(alg.query_unitaries, start=1):
+        rho = (u @ rhos[k - 1] @ u.conj().T)[source[:, None], source]
+        rhos[k] = block_average_on_first_factor(rho, block, alg.dim_a, alg.dim_b)
+    return validated_densities(rhos)
 
 
 def run_dilated_picture(
@@ -156,13 +144,14 @@ def run_dilated_picture(
     taus: Sequence[Permutation],
     initial: PureState,
     max_dim: int = MAX_DIM,
-) -> list[PureState]:
+) -> np.ndarray:
     """Pure states psi~_0..psi~_t on C^t (x) A (x) B, query k touching control k.
 
-    Each query applies the algorithm unitary on AB, then the fixed in-place
-    permutation on A and the control permutation between C_k and A, both as
-    one gather: A index j of the branch with control value i reads from
-    inv_sigma[inv_tau_i[j]].
+    Returned as one validated, read-only (t+1, c^t * d_AB) stack; control 1 is
+    the most significant digit. Each query is one matmul of the (c^t, d_AB)
+    state matrix by the algorithm unitary, then one flat gather for the fixed
+    in-place permutation on A and the control permutation between C_k and A:
+    A index j of a row whose control k holds i reads from inv_sigma[inv_tau_i[j]].
     """
     t = alg.queries
     c = len(taus)
@@ -177,30 +166,29 @@ def run_dilated_picture(
             f"dilated dimension {c}^{t} * {d_ab} = {full} exceeds the cap {max_dim}; "
             "each query consumes a fresh control register"
         )
-    chi = chi_state(c).amplitudes
-    psi = initial.amplitudes
-    for _ in range(t):
-        psi = np.kron(chi, psi)
     inv_sigma = np.argsort(sigma.zero_based())
-    gather = np.stack([inv_sigma[np.argsort(tau.zero_based())] for tau in taus])
-
-    states = [PureState(full, psi)]
-    for k in range(1, t + 1):
-        mat = psi.reshape(c**t, d_ab) @ alg.query_unitaries[k - 1].T
-        view = mat.reshape(c ** (k - 1), c, c ** (t - k), alg.dim_a, alg.dim_b)
-        psi = np.take_along_axis(view, gather[None, :, None, :, None], axis=3).reshape(full)
-        states.append(PureState(full, psi))
-    return states
+    inv_a = np.stack([inv_sigma[np.argsort(tau.zero_based())] for tau in taus])
+    source = (inv_a[:, :, None] * alg.dim_b + np.arange(alg.dim_b)).reshape(c, d_ab)
+    rows = np.arange(c**t)
+    states = np.empty((t + 1, c**t, d_ab), dtype=np.complex128)
+    # chi applied t times in kron's order, so psi~_0 is the t-fold kron bit for bit.
+    chi = chi_state(c).amplitudes[0]
+    states[0] = functools.reduce(lambda amps, _: chi * amps, range(t), initial.amplitudes)
+    for k, u in enumerate(alg.query_unitaries, start=1):
+        flat = rows[:, None] * d_ab + source[rows // c ** (t - k) % c]
+        states[k] = (states[k - 1] @ u.T).ravel()[flat]
+    return validated_states(states.reshape(t + 1, full))
 
 
 @dataclass(frozen=True)
 class DilationRun:
-    """The channel states, the reduced dilated states and their trace distances."""
+    """Channel and reduced dilated states as read-only (t+1, d_AB, d_AB) stacks, and
+    the trace distance between them after each query."""
 
     subset: Subset
     sigma: Permutation
-    rho_list: tuple[DensityMatrix, ...]
-    reduced_list: tuple[DensityMatrix, ...]
+    rhos: np.ndarray
+    reduced: np.ndarray
     trace_distances: tuple[float, ...]
     consistent: bool
 
@@ -223,17 +211,15 @@ def check_dilation(
 ) -> DilationRun:
     """Run both pictures and compare tr_C(psi~_k) against rho_k for every k.
 
-    A sigma whose preimage set differs from the subset is reported through
-    the `consistent` flag (and through large distances) rather than raised,
-    so deliberate mismatches can serve as negative controls.
+    The reductions are one batched M^T conj(M), and the distances one stacked
+    eigensolve. A sigma whose preimage set differs from the subset is reported
+    through the `consistent` flag (and through large distances) rather than
+    raised, so deliberate mismatches can serve as negative controls.
     """
-    block = len(subset)
-    consistent = sigma.preimage_set(block) == subset
+    consistent = sigma.preimage_set(len(subset)) == subset
     rhos = run_channel_picture(alg, subset, initial)
-    d_ab = alg.dim_a * alg.dim_b
-    reduced = []
-    for psi in run_dilated_picture(alg, sigma, taus, initial, max_dim=max_dim):
-        mat = psi.amplitudes.reshape(-1, d_ab)
-        reduced.append(DensityMatrix(d_ab, mat.T @ mat.conj()))
-    distances = tuple(trace_distance(r, rho) for r, rho in zip(reduced, rhos))
-    return DilationRun(subset, sigma, tuple(rhos), tuple(reduced), distances, consistent)
+    states = run_dilated_picture(alg, sigma, taus, initial, max_dim=max_dim)
+    mats = states.reshape(alg.queries + 1, -1, initial.dim)
+    reduced = validated_densities(mats.transpose(0, 2, 1) @ mats.conj())
+    distances = tuple(trace_distance(reduced, rhos).tolist())
+    return DilationRun(subset, sigma, rhos, reduced, distances, consistent)

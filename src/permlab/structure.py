@@ -216,69 +216,67 @@ class CrossoverReport:
 
 
 def bound_crossover(
-    alpha: float,
+    alpha: float, p_coeffs: Sequence[float], variant: str,
+    fix_fraction: float | None = None, n_max: int = 64,
+) -> CrossoverReport:
+    """The least n where the counting lower bound wins: `bound_crossovers` at one alpha."""
+    return bound_crossovers((alpha,), p_coeffs, variant, fix_fraction, n_max)[0]
+
+
+def bound_crossovers(
+    alphas: Sequence[float],
     p_coeffs: Sequence[float],
     variant: str,
     fix_fraction: float | None = None,
     n_max: int = 64,
-) -> CrossoverReport:
-    """Find the least n where the counting lower bound beats the upper bound.
+) -> tuple[CrossoverReport, ...]:
+    """For each alpha, the least n where the counting lower bound beats the upper.
 
     The uniform variant compares C(N^2, fN) * N^alpha against
     C(N^2, N) * 2^(-p(n)) * N^(-alpha fN); the parity variant compares
     C(N^2/2, fN/2)^2 * N^alpha against the exact even-class count
     C(N^2/2, 2N/3) * C(N^2/2, N/3) * 2^(-p(n)) * N^(-alpha fN). Defaults
-    fix half the elements (uniform) or two thirds (parity).
+    fix half the elements (uniform) or two thirds (parity). The log-binomial
+    terms do not depend on alpha, so they are computed once per n for all alphas.
     """
-    if variant == "uniform":
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"uniform variant needs alpha in (0, 1), got {alpha}")
-        f = 0.5 if fix_fraction is None else fix_fraction
-    elif variant == "parity":
-        if not 0.0 < alpha < 0.5:
-            raise ValueError(f"parity variant needs alpha in (0, 1/2), got {alpha}")
-        f = 2.0 / 3.0 if fix_fraction is None else fix_fraction
-    else:
+    # variant: (alpha upper limit, as text, default fix fraction)
+    limits = {"uniform": (1.0, "1", 0.5), "parity": (0.5, "1/2", 2.0 / 3.0)}
+    if variant not in limits:
         raise ValueError(f"unknown variant {variant!r}")
+    alpha_hi, alpha_text, default_f = limits[variant]
+    f = default_f if fix_fraction is None else fix_fraction
+    for alpha in alphas:
+        if not 0.0 < alpha < alpha_hi:
+            raise ValueError(f"{variant} variant needs alpha in (0, {alpha_text}), got {alpha}")
     if not 0.0 < f <= 1.0:
         raise ValueError(f"fix fraction must lie in (0, 1], got {f}")
 
-    rows: list[tuple[int, float, float, bool]] = []
-    n_star: int | None = None
+    coeffs = tuple(float(c) for c in p_coeffs)
+    reports = []
     with mpmath.workdps(CROSSOVER_PRECISION_DPS):
-        alpha_mp = mpmath.mpf(alpha)
         f_mp = mpmath.mpf(f)
+        terms = []  # (n, N, p(n), upper log-binomials, lower log-binomials) per n
         for n in range(1, n_max + 1):
             big_n = mpmath.mpf(2) ** n
-            lg_n = mpmath.mpf(n)
-            p_of_n = mpmath.mpf(eval_poly(p_coeffs, n))
             if variant == "uniform":
-                upper = _log2_binomial(big_n**2, f_mp * big_n) + alpha_mp * lg_n
-                lower = (
-                    _log2_binomial(big_n**2, big_n)
-                    - p_of_n
-                    - alpha_mp * f_mp * big_n * lg_n
-                )
+                up_bin = _log2_binomial(big_n**2, f_mp * big_n)
+                low_bin = _log2_binomial(big_n**2, big_n)
             else:
                 half = big_n**2 / 2
-                upper = 2 * _log2_binomial(half, f_mp * big_n / 2) + alpha_mp * lg_n
-                lower = (
-                    _log2_binomial(half, 2 * big_n / 3)
-                    + _log2_binomial(half, big_n / 3)
-                    - p_of_n
-                    - alpha_mp * f_mp * big_n * lg_n
-                )
-            crossed = lower > upper
-            if crossed and n_star is None:
-                n_star = n
-            rows.append((n, float(upper), float(lower), bool(crossed)))
-    message = (
-        f"crossover at n = {n_star}" if n_star is not None
-        else f"no crossover found <= {n_max}"
-    )
-    return CrossoverReport(
-        variant, alpha, tuple(float(c) for c in p_coeffs), f, n_star, tuple(rows), message
-    )
+                up_bin = 2 * _log2_binomial(half, f_mp * big_n / 2)
+                low_bin = _log2_binomial(half, 2 * big_n / 3) + _log2_binomial(half, big_n / 3)
+            terms.append((n, big_n, mpmath.mpf(eval_poly(p_coeffs, n)), up_bin, low_bin))
+        for alpha in alphas:
+            alpha_mp = mpmath.mpf(alpha)
+            rows = []
+            for n, big_n, p_of_n, up_bin, low_bin in terms:
+                upper = up_bin + alpha_mp * mpmath.mpf(n)
+                lower = low_bin - p_of_n - alpha_mp * f_mp * big_n * mpmath.mpf(n)
+                rows.append((n, float(upper), float(lower), bool(lower > upper)))
+            n_star = next((n for n, _, _, crossed in rows if crossed), None)
+            message = f"crossover at n = {n_star}" if n_star else f"no crossover found <= {n_max}"
+            reports.append(CrossoverReport(variant, alpha, coeffs, f, n_star, tuple(rows), message))
+    return tuple(reports)
 
 
 def _log2_binomial(x: "mpmath.mpf", y: "mpmath.mpf") -> "mpmath.mpf":

@@ -32,11 +32,11 @@ from .core import (
     enumerate_family,
     philox_stream,
 )
-from .dilation import check_dilation, haar_unitary, random_query_algorithm
+from .dilation import DILATION_TOL, check_dilation, haar_unitary, random_query_algorithm
 from .oracles import block_permutations, block_twirl, random_representative
 from .structure import (
     TargetClass,
-    bound_crossover,
+    bound_crossovers,
     check_distributed,
     fixing_procedure,
     witness_pigeonhole,
@@ -133,7 +133,7 @@ def criterion_04_dilation(seed: int) -> CriterionResult:
         run = check_dilation(alg, inst.subset, sigma, taus, initial)
         worst = max(worst, run.max_trace_distance)
     return CriterionResult(
-        4, "dilation equality", worst <= 1e-9, f"max trace distance {worst:.3g} over 100 runs"
+        4, "dilation equality", worst <= DILATION_TOL, f"max trace distance {worst:.3g} over 100 runs"
     )
 
 
@@ -250,12 +250,12 @@ def criterion_07_crossover(seed: int) -> CriterionResult:
     problems = []
     stars = {}
     for variant in ("uniform", "parity"):
-        rep = bound_crossover(0.25, (0.0, 1.0), variant)
+        rep, *sweep = bound_crossovers((0.25, 0.1, 0.2, 0.3, 0.4), (0.0, 1.0), variant)
         if rep.n_star is None:
             problems.append(f"{variant}: no crossover")
         if rep.sign_flips != 1:
             problems.append(f"{variant}: {rep.sign_flips} sign flips")
-        ns = [bound_crossover(a, (0.0, 1.0), variant).n_star for a in (0.1, 0.2, 0.3, 0.4)]
+        ns = [r.n_star for r in sweep]
         stars[variant] = ns
         if any(x is None for x in ns) or any(a > b for a, b in zip(ns, ns[1:])):
             problems.append(f"{variant}: n* not monotone over alpha: {ns}")

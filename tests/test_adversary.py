@@ -26,8 +26,13 @@ from permlab.core import (
     enumerate_family,
     philox_stream,
 )
-from permlab.dilation import QueryAlgorithm, haar_unitary, identity_algorithm, random_query_algorithm
+from permlab.dilation import QueryAlgorithm, haar_unitary, random_query_algorithm
 from permlab.oracles import phase_signs
+
+
+def identity_algorithm(dim_a, dim_b, queries):
+    """The identity before every query and at the end."""
+    return QueryAlgorithm(dim_a, dim_b, (np.eye(dim_a * dim_b),) * (queries + 1))
 
 
 def family_of(universe, *member_tuples):

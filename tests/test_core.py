@@ -17,6 +17,8 @@ from permlab.core import (
     sample_family,
     subset_state,
     trace_distance,
+    validated_densities,
+    validated_states,
 )
 
 
@@ -216,6 +218,57 @@ class TestStates:
             DensityMatrix(2, np.eye(2))
         with pytest.raises(ValueError, match="eigenvalue"):
             DensityMatrix(2, np.array([[1.5, 0.0], [0.0, -0.5]]))
+
+
+# One bad member of each kind, and the message a single object raises for it.
+BAD_DENSITIES = {
+    "hermitian": ([[1.0, 1.0], [0.0, 0.0]], r"matrix is not Hermitian: max asymmetry 1\.0"),
+    "trace": (np.eye(2), r"trace is \(2\+0j\), expected 1"),
+    "negative": ([[1.5, 0.0], [0.0, -0.5]], r"matrix has negative eigenvalue -0\.5"),
+}
+
+
+class TestStackValidation:
+    @pytest.mark.parametrize("kind", sorted(BAD_DENSITIES))
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_bad_density_member_is_named(self, kind, k):
+        bad, message = BAD_DENSITIES[kind]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DensityMatrix(2, np.array(bad))
+        stack = np.stack([np.diag([0.5, 0.5])] * 5).astype(np.complex128)
+        stack[k] = bad
+        with pytest.raises(ValueError, match=f"^member {k}: {message}$"):
+            validated_densities(stack)
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_unnormalized_state_member_is_named(self, k):
+        message = r"state is not normalized: \|psi\|\^2 = 2\.0"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PureState(2, np.array([1.0, 1.0]))
+        stack = np.tile(np.array([0.6, 0.8j]), (4, 1))
+        stack[k] = [1.0, 1.0]
+        with pytest.raises(ValueError, match=f"^member {k}: {message}$"):
+            validated_states(stack)
+
+    def test_first_bad_member_is_the_one_named(self):
+        stack = np.stack([np.diag([0.5, 0.5])] * 4).astype(np.complex128)
+        stack[1] = stack[3] = np.eye(2)
+        with pytest.raises(ValueError, match=r"^member 1: trace is"):
+            validated_densities(stack)
+
+    def test_valid_stacks_come_back_read_only(self):
+        states = np.eye(3, dtype=np.complex128)
+        assert validated_states(states) is states
+        mats = np.stack([np.diag([1.0, 0.0]), np.diag([0.25, 0.75])]).astype(np.complex128)
+        assert validated_densities(mats) is mats
+        for arr in (states, mats):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 0.0
+
+    def test_stack_length_is_capped(self):
+        with pytest.raises(ValueError, match="exceeds the dense-matrix cap"):
+            validated_states(np.zeros((2, 4097), dtype=np.complex128))
 
 
 class TestEnumerateAndSample:

@@ -21,17 +21,21 @@ from permlab.core import (
 )
 from permlab.dilation import (
     QueryAlgorithm,
-    build_control_permutation,
     check_dilation,
     chi_state,
     haar_unitaries,
     haar_unitary,
-    identity_algorithm,
     random_query_algorithm,
     run_channel_picture,
     run_dilated_picture,
 )
-from permlab.oracles import block_permutations, block_twirl, random_representative, representative_sigma
+from permlab.oracles import (
+    block_average_on_first_factor,
+    block_permutations,
+    block_twirl,
+    random_representative,
+    representative_sigma,
+)
 
 TAUS = block_permutations(4, 2)
 S_EVEN = Subset(4, (2, 4))
@@ -49,6 +53,76 @@ def reference_haar_unitary(dim, rng):
 def random_product_initial(dim, seed):
     rng = philox_stream(seed)
     return PureState(dim, haar_unitary(dim, rng)[:, 0])
+
+
+def identity_algorithm(dim_a, dim_b, queries):
+    """The identity before every query and at the end."""
+    return QueryAlgorithm(dim_a, dim_b, (np.eye(dim_a * dim_b),) * (queries + 1))
+
+
+def build_control_permutation(taus):
+    """|i>|j> -> |i>|tau_i(j)> as a dense unitary on control (x) A."""
+    if not taus:
+        raise ValueError("need at least one permutation")
+    v = taus[0].size
+    if any(t.size != v for t in taus):
+        raise ValueError("all permutations must share one size")
+    c = len(taus)
+    out = np.zeros((c * v, c * v))
+    for i, tau in enumerate(taus):
+        out[i * v : (i + 1) * v, i * v : (i + 1) * v] = tau.matrix()
+    return out
+
+
+def reference_channel_picture(alg, subset, initial):
+    """Reference route: one `DensityMatrix` per query, sigma as a kron'd permutation matrix."""
+    block = len(subset)
+    p_joint = np.kron(representative_sigma(subset, block).matrix(), np.eye(alg.dim_b))
+    states = [DensityMatrix.from_pure(initial)]
+    rho = states[0].entries
+    for u in alg.query_unitaries:
+        rho = u @ rho @ u.conj().T
+        rho = p_joint @ rho @ p_joint.T
+        rho = block_average_on_first_factor(rho, block, alg.dim_a, alg.dim_b)
+        states.append(DensityMatrix(initial.dim, rho))
+    return states
+
+
+def reference_dilated_picture(alg, sigma, taus, initial):
+    """Reference route: one `PureState` per query, the initial state as a t-fold kron
+    and each query gathered on a five-axis view of the state."""
+    t = alg.queries
+    c = len(taus)
+    d_ab = alg.dim_a * alg.dim_b
+    full = (c**t) * d_ab
+    chi = chi_state(c).amplitudes
+    psi = initial.amplitudes
+    for _ in range(t):
+        psi = np.kron(chi, psi)
+    inv_sigma = np.argsort(sigma.zero_based())
+    gather = np.stack([inv_sigma[np.argsort(tau.zero_based())] for tau in taus])
+    states = [PureState(full, psi)]
+    for k in range(1, t + 1):
+        mat = psi.reshape(c**t, d_ab) @ alg.query_unitaries[k - 1].T
+        view = mat.reshape(c ** (k - 1), c, c ** (t - k), alg.dim_a, alg.dim_b)
+        psi = np.take_along_axis(view, gather[None, :, None, :, None], axis=3).reshape(full)
+        states.append(PureState(full, psi))
+    return states
+
+
+def reference_check_dilation(alg, subset, sigma, taus, initial):
+    """Reference route: reduce each state on its own and compare by `trace_distance`.
+
+    Returns the channel states, the reduced states, the distances and the
+    consistency flag."""
+    consistent = sigma.preimage_set(len(subset)) == subset
+    rhos = reference_channel_picture(alg, subset, initial)
+    reduced = []
+    for psi in reference_dilated_picture(alg, sigma, taus, initial):
+        mat = psi.amplitudes.reshape(-1, initial.dim)
+        reduced.append(DensityMatrix(initial.dim, mat.T @ mat.conj()))
+    distances = [trace_distance(r, rho) for r, rho in zip(reduced, rhos)]
+    return rhos, reduced, distances, consistent
 
 
 def dense_dilated_picture(alg, sigma, taus, initial):
@@ -181,14 +255,14 @@ class TestChannelPicture:
         states = run_channel_picture(alg, S_EVEN, initial)
         assert len(states) == 1
         np.testing.assert_allclose(
-            states[0].entries, np.outer(initial.amplitudes, initial.amplitudes.conj())
+            states[0], np.outer(initial.amplitudes, initial.amplitudes.conj())
         )
 
     def test_single_identity_query_sends_subset_state_to_target(self):
         alg = identity_algorithm(4, 2, 1)
         initial = PureState(8, np.kron(subset_state(S_EVEN, 4).amplitudes, np.eye(2)[0]))
         states = run_channel_picture(alg, S_EVEN, initial)
-        marginal = partial_trace(states[1], (4, 2), (0,))
+        marginal = partial_trace(DensityMatrix(8, states[1]), (4, 2), (0,))
         psi = subset_state(Subset(4, (1, 2)), 4)
         np.testing.assert_allclose(
             marginal.entries, np.outer(psi.amplitudes, psi.amplitudes.conj()), atol=1e-13
@@ -198,7 +272,7 @@ class TestChannelPicture:
         alg = random_query_algorithm(4, 2, 2, philox_stream(2))
         states = run_channel_picture(alg, S_EVEN, random_product_initial(8, 3))
         for rho in states:
-            assert abs(np.trace(rho.entries) - 1) < 1e-12
+            assert abs(np.trace(rho) - 1) < 1e-12
 
 
 class TestDilatedPicture:
@@ -207,7 +281,7 @@ class TestDilatedPicture:
         initial = random_product_initial(8, 4)
         sigma = representative_sigma(S_EVEN, 2)
         tildes = run_dilated_picture(alg, sigma, TAUS, initial)
-        reduced = partial_trace(tildes[0].density(), (4, 4, 4, 2), (2, 3))
+        reduced = partial_trace(PureState(128, tildes[0]).density(), (4, 4, 4, 2), (2, 3))
         np.testing.assert_allclose(
             reduced.entries, np.outer(initial.amplitudes, initial.amplitudes.conj()),
             atol=1e-14,
@@ -265,8 +339,8 @@ class TestDilatedPicture:
         rhos = run_channel_picture(alg, S_EVEN, initial)
         tildes = run_dilated_picture(alg, sigma, TAUS, initial)
         final = alg.final_unitary
-        rho_final = final @ rhos[-1].entries @ final.conj().T
-        reduced = partial_trace(tildes[-1].density(), (4, 4, 4, 2), (2, 3)).entries
+        rho_final = final @ rhos[-1] @ final.conj().T
+        reduced = partial_trace(PureState(128, tildes[-1]).density(), (4, 4, 4, 2), (2, 3)).entries
         tilde_final = final @ reduced @ final.conj().T
         rng = philox_stream(22)
         for _ in range(20):
@@ -312,16 +386,78 @@ class TestPureMatchesDenseReference:
         dense = dense_dilated_picture(alg, sigma, taus, initial)
         assert len(states) == len(dense) == t + 1
         for psi, rho in zip(states, dense):
-            outer = np.outer(psi.amplitudes, psi.amplitudes.conj())
+            outer = np.outer(psi, psi.conj())
             assert np.max(np.abs(outer - rho.entries)) <= 1e-12
 
         run = check_dilation(alg, subset, sigma, taus, initial)
         assert run.consistent == (sigma_offset == 0)
         layout = (len(taus),) * t + (4, dim_b)
-        for got, rho in zip(run.reduced_list, dense):
+        for got, rho in zip(run.reduced, dense):
             want = partial_trace(rho, layout, (t, t + 1))
-            assert got.dim == 4 * dim_b
-            assert np.max(np.abs(got.entries - want.entries)) <= 1e-12
+            assert got.shape == (4 * dim_b, 4 * dim_b)
+            assert np.max(np.abs(got - want.entries)) <= 1e-12
+
+
+class TestStacksMatchPerStateReference:
+    @given(
+        t=st.integers(0, 4),
+        dim_b=st.integers(1, 3),
+        subset_index=st.integers(0, 5),
+        sigma_offset=st.sampled_from([0, 0, 1, 2, 3, 4, 5]),
+        tau_indices=st.lists(st.integers(0, 3), min_size=1, max_size=4),
+        seed=st.integers(0, 10**6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_stacks_and_distances_match_reference(
+        self, t, dim_b, subset_index, sigma_offset, tau_indices, seed
+    ):
+        # V = 4, block 2. tau_indices picks up to four block-group elements,
+        # repeats allowed, so a control value may carry the same tau twice.
+        # sigma's preimage set is the subset at offset 0 and another pair otherwise.
+        pairs = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+        subset = Subset(4, pairs[subset_index])
+        rng = philox_stream(seed)
+        sigma = random_representative(Subset(4, pairs[(subset_index + sigma_offset) % 6]), 2, rng)
+        taus = [TAUS[i] for i in tau_indices]
+        alg = random_query_algorithm(4, dim_b, t, rng)
+        initial = random_product_initial(4 * dim_b, seed + 1)
+        d_ab = 4 * dim_b
+
+        rhos = run_channel_picture(alg, subset, initial)
+        want_rhos = np.stack([rho.entries for rho in reference_channel_picture(alg, subset, initial)])
+        assert rhos.shape == (t + 1, d_ab, d_ab)
+        assert np.max(np.abs(rhos - want_rhos)) <= 1e-12
+
+        states = run_dilated_picture(alg, sigma, taus, initial)
+        want_states = reference_dilated_picture(alg, sigma, taus, initial)
+        assert states.shape == (t + 1, len(taus) ** t * d_ab)
+        assert np.max(np.abs(states - np.stack([psi.amplitudes for psi in want_states]))) <= 1e-12
+
+        run = check_dilation(alg, subset, sigma, taus, initial)
+        ref_rhos, ref_reduced, ref_distances, ref_consistent = reference_check_dilation(
+            alg, subset, sigma, taus, initial
+        )
+        assert run.consistent == ref_consistent == (sigma_offset == 0)
+        assert np.max(np.abs(run.rhos - np.stack([r.entries for r in ref_rhos]))) <= 1e-12
+        assert np.max(np.abs(run.reduced - np.stack([r.entries for r in ref_reduced]))) <= 1e-12
+        assert len(run.trace_distances) == t + 1
+        assert max(abs(a - b) for a, b in zip(run.trace_distances, ref_distances)) <= 1e-12
+
+    def test_returned_stacks_are_read_only(self):
+        alg = random_query_algorithm(4, 2, 2, philox_stream(40))
+        initial = random_product_initial(8, 41)
+        sigma = representative_sigma(S_EVEN, 2)
+        run = check_dilation(alg, S_EVEN, sigma, TAUS, initial)
+        stacks = (
+            run_channel_picture(alg, S_EVEN, initial),
+            run_dilated_picture(alg, sigma, TAUS, initial),
+            run.rhos,
+            run.reduced,
+        )
+        for stack in stacks:
+            assert not stack.flags.writeable
+            with pytest.raises(ValueError):
+                stack[(0,) * stack.ndim] = 0.0
 
 
 class TestDistanceHelpers:

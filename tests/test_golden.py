@@ -4,10 +4,12 @@ Each golden file is the CSV of one configuration as the CLI wrote it, next to
 the exit status the CLI returned for it. The rerun goes through
 `harness.execute` and `render_csv`, like the CLI. Ints, strings and booleans
 must match exactly; floats to a relative 1e-12, so a closed-form rewrite may
-move the last digits but nothing more. The one exception is the `dilate`
-trace distance: an exact dilation makes it pure round-off (about 1e-15), which
-no relative tolerance can pin, so the golden value and the new value must
-both be at most 1e-12 instead.
+move the last digits but nothing more. The one exception is a `dilate` trace
+distance that is pure round-off (about 1e-15), which no relative tolerance can
+pin: every distance of an exact (n = 1) dilation, and the k = 0 distances of a
+sampled-tau run, whose golden values are at most 1e-12. For those, the golden
+value and the new value must both be at most 1e-12 instead. The other
+sampled-tau distances (0.3 to 0.7) are compared at rtol 1e-12.
 """
 
 import csv
@@ -29,12 +31,16 @@ VERIFY_CASES = {
 }
 
 # The README CLI examples, one deeper dilation (four queries, c^t*d_AB = 2048),
+# one dilation over a sampled tau group (n = 2, eight taus, not exact),
 # two small `fix` families that the Fixing Procedure does shrink, and the relation
 # statistics on each path: in-place cosets (n = 1), analytic (n = 2) and a larger
 # subset relation.
 EXAMPLE_CASES = {
     "dilate_n1_q3_seed7.csv": (dict(subcommand="dilate", n=1, queries=3, trials=20, seed=7), 0),
     "dilate_n1_q4_seed1.csv": (dict(subcommand="dilate", n=1, queries=4, trials=2, seed=1), 0),
+    "dilate_n2_q2_tau8_seed5.csv": (
+        dict(subcommand="dilate", n=2, queries=2, tau_samples=8, trials=4, seed=5), 0,
+    ),
     "fix_V16_k4.csv": (
         dict(subcommand="fix", V=16, k=4, alpha=0.25, p=2.0, trials=50), 0,
     ),
@@ -61,11 +67,12 @@ def _check_golden(name, cfg, want_code):
         want = list(csv.reader(fh))
     assert got[0] == want[0]
     assert len(got) == len(want)
-    round_off = cfg.subcommand == "dilate"
+    dilate = cfg.subcommand == "dilate"
+    exact = dilate and cfg.n in (None, 1)
     for values, got_row, want_row in zip(rows, got[1:], want[1:]):
         assert len(got_row) == len(want_row)
         for column, value, g, w in zip(header, values, got_row, want_row):
-            if round_off and column == "trace_distance":
+            if dilate and column == "trace_distance" and (exact or float(w) <= ROUND_OFF):
                 assert float(g) <= ROUND_OFF and float(w) <= ROUND_OFF, (g, w)
             elif isinstance(value, float):
                 assert math.isclose(float(g), float(w), rel_tol=1e-12, abs_tol=0.0), (g, w)

@@ -181,6 +181,18 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    def test_exact_dilate_reports_its_slack_on_stderr_only(self, capsys):
+        argv = ["dilate", "--n", "1", "--queries", "2", "--trials", "3", "--seed", "4"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        code, header, rows = execute(
+            ExperimentConfig(subcommand="dilate", n=1, queries=2, trials=3, seed=4)
+        )
+        assert captured.out == render_csv(header, rows)
+        worst = max(row[2] for row in rows)
+        assert captured.err == f"exact dilation: worst trace distance {worst:.3g} against 1e-09\n"
+        assert worst <= 1e-12
+
     def test_main_stdout_csv(self, capsys):
         code = main(["crossover", "--alpha", "0.25", "--variant", "uniform"])
         assert code == 0

@@ -1,19 +1,23 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permlab.core import Subset, SubsetFamily, enumerate_family, philox_stream, sample_family
 from permlab.structure import (
+    CROSSOVER_PRECISION_DPS,
     FRACTION_TOL,
     CrossoverReport,
     TargetClass,
     bound_crossover,
+    bound_crossovers,
     check_distributed,
     eval_poly,
     fixing_procedure,
     witness_pigeonhole,
+    _log2_binomial,
 )
 
 
@@ -308,6 +312,34 @@ class TestWitnessPigeonhole:
             witness_pigeonhole(-1, 2)
 
 
+def reference_crossover_rows(alpha, p_coeffs, variant, f, n_max):
+    """Reference route: every log-binomial recomputed for this one alpha."""
+    rows = []
+    with mpmath.workdps(CROSSOVER_PRECISION_DPS):
+        alpha_mp = mpmath.mpf(alpha)
+        f_mp = mpmath.mpf(f)
+        for n in range(1, n_max + 1):
+            big_n = mpmath.mpf(2) ** n
+            lg_n = mpmath.mpf(n)
+            p_of_n = mpmath.mpf(eval_poly(p_coeffs, n))
+            if variant == "uniform":
+                upper = _log2_binomial(big_n**2, f_mp * big_n) + alpha_mp * lg_n
+                lower = (
+                    _log2_binomial(big_n**2, big_n) - p_of_n - alpha_mp * f_mp * big_n * lg_n
+                )
+            else:
+                half = big_n**2 / 2
+                upper = 2 * _log2_binomial(half, f_mp * big_n / 2) + alpha_mp * lg_n
+                lower = (
+                    _log2_binomial(half, 2 * big_n / 3)
+                    + _log2_binomial(half, big_n / 3)
+                    - p_of_n
+                    - alpha_mp * f_mp * big_n * lg_n
+                )
+            rows.append((n, float(upper), float(lower), bool(lower > upper)))
+    return tuple(rows)
+
+
 class TestBoundCrossover:
     def test_uniform_crossover_shape(self):
         rep = bound_crossover(0.25, (0.0, 1.0), "uniform")
@@ -353,6 +385,22 @@ class TestBoundCrossover:
             bound_crossover(1.2, (0.0,), "uniform")
         # uniform tolerates alpha up to 1
         assert bound_crossover(0.8, (0.0,), "uniform").rows
+
+    @pytest.mark.parametrize("variant", ["uniform", "parity"])
+    def test_batched_reports_equal_per_alpha_calls(self, variant):
+        alphas = (0.25, 0.1, 0.2, 0.3, 0.4)
+        for coeffs, n_max in (((0.0, 1.0), 64), ((1.0, 0.5, 0.25), 12)):
+            reports = bound_crossovers(alphas, coeffs, variant, n_max=n_max)
+            assert reports == tuple(
+                bound_crossover(a, coeffs, variant, n_max=n_max) for a in alphas
+            )
+            for alpha, rep in zip(alphas, reports, strict=True):
+                assert rep.rows == reference_crossover_rows(alpha, coeffs, variant, rep.fix_fraction, n_max)
+        assert bound_crossovers((), (0.0,), variant) == ()
+
+    def test_batched_alpha_validation_names_the_bad_alpha(self):
+        with pytest.raises(ValueError, match=r"^parity variant needs alpha in \(0, 1/2\), got 0\.6$"):
+            bound_crossovers((0.1, 0.6), (0.0,), "parity")
 
     def test_eval_poly(self):
         assert eval_poly((1.0, 2.0, 3.0), 2.0) == 1 + 4 + 12
