@@ -17,7 +17,6 @@ from .core import (
     trace_distance,
 )
 from .oracles import (
-    OracleChannel,
     apply_in_place,
     apply_phase,
     apply_randomized_preimage,

@@ -309,9 +309,16 @@ class DensityMatrix:
     @classmethod
     def random(cls, dim: int, rng: np.random.Generator) -> "DensityMatrix":
         """Random full-rank density matrix (normalized Wishart)."""
-        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        mat = g @ g.conj().T
-        return cls(dim, mat / np.trace(mat))
+        return cls(dim, random_densities(dim, 1, rng)[0])
+
+
+def random_densities(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """`count` normalized Wishart matrices G G† / tr(G G†) as one unvalidated
+    (count, dim, dim) array, drawn as `count` `DensityMatrix.random` calls would."""
+    normal = rng.normal(size=(count, 2, dim, dim))
+    g = normal[:, 0] + 1j * normal[:, 1]
+    mats = g @ np.swapaxes(g, -1, -2).conj()
+    return mats / np.trace(mats, axis1=-2, axis2=-1)[:, None, None]
 
 
 def _raise_first(bad: np.ndarray, values: np.ndarray, message: str, stacked: bool) -> None:

@@ -12,15 +12,17 @@ S form the coset {tau o sigma* : tau block-preserving}, so the channel equals
 a two-block twirl of P_sigma* rho P_sigma*†. The twirl over the block
 subgroup has a closed form: every entry becomes the mean of its orbit of
 index pairs, and there are six orbits (the diagonal and the off-diagonal of
-each block, and the two cross blocks), each averaged by slicing. Tests
-compare it against the exhaustive group average.
+each block, and the two cross blocks). Each entry gets one integer label,
+its orbit kind together with its pair of B indices and its member of a
+stack, so one `bincount` per real and imaginary part sums every orbit of a
+whole (..., d, d) stack, and a gather writes the means back. Tests compare
+it against the exhaustive group average.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -136,40 +138,39 @@ def apply_phase(subset: Subset, psi: PureState) -> PureState:
 
 
 def block_average(mat: np.ndarray, block: int) -> np.ndarray:
-    """Closed form of the average of P_tau mat P_tau† over the block subgroup."""
+    """Closed form of the average of P_tau mat P_tau† over the block subgroup (stacks too)."""
     mat = np.asarray(mat)
-    return block_average_on_first_factor(mat, block, mat.shape[0], 1)
+    return block_average_on_first_factor(mat, block, mat.shape[-1], 1)
 
 
 def block_average_on_first_factor(
     mat: np.ndarray, block: int, dim_a: int, dim_b: int
 ) -> np.ndarray:
-    """Block twirl acting on the A factor of a matrix on A (x) B.
-
-    Every entry becomes the mean of its A-orbit (see the module docstring),
-    taken separately for each pair of B indices.
-    """
+    """Block twirl acting on the A factor of a matrix on A (x) B, or of each
+    matrix of a (..., d, d) stack: every entry becomes the mean of its A-orbit,
+    per pair of B indices and per member (see the module docstring)."""
     if not 1 <= block <= dim_a:
         raise ValueError(f"block size {block} out of range for dim {dim_a}")
-    x = np.asarray(mat).reshape(dim_a, dim_b, dim_a, dim_b)
-    out = np.empty(x.shape, dtype=np.complex128)
-    first, second = (0, block), (block, dim_a)
-    for lo, hi in (first, second):
-        size = hi - lo
-        if size == 0:
-            continue
-        within = x[lo:hi, :, lo:hi, :]
-        diag_sum = np.einsum("ibic->bc", within)
-        if size > 1:
-            off_mean = (within.sum(axis=(0, 2)) - diag_sum) / (size * (size - 1))
-            out[lo:hi, :, lo:hi, :] = off_mean[None, :, None, :]
-        idx = np.arange(lo, hi)
-        out[idx, :, idx, :] = diag_sum / size
-    if block < dim_a:
-        for (r0, r1), (c0, c1) in ((first, second), (second, first)):
-            cross = x[r0:r1, :, c0:c1, :].mean(axis=(0, 2))
-            out[r0:r1, :, c0:c1, :] = cross[None, :, None, :]
-    return out.reshape(dim_a * dim_b, dim_a * dim_b)
+    x = np.asarray(mat, dtype=np.complex128)
+    d, pairs = dim_a * dim_b, dim_b * dim_b
+    if x.shape[-2:] != (d, d):
+        raise ValueError(f"matrix shape {x.shape} does not end in ({d}, {d})")
+    # kind(a, a') * d_B^2, kinds 0/1 the diagonal/off-diagonal of the first
+    # block, 2/3 those of the second and 4/5 the two cross blocks
+    kind = np.full((dim_a, dim_a), 3 * pairs, dtype=np.intp)
+    kind[:block, :block] = pairs
+    kind[:block, block:] = 4 * pairs
+    kind[block:, :block] = 5 * pairs
+    kind.flat[:: dim_a + 1] -= pairs
+    # orbit sizes; an empty orbit sums to 0, so its size may read 1
+    sizes = np.maximum(np.bincount(kind.reshape(-1), minlength=6 * pairs)[::pairs], 1)
+    members = x.size // (d * d)
+    head = (6 * pairs * np.arange(members)).reshape(-1, 1, 1, 1, 1) + kind[:, None, :, None]
+    labels = (head + np.arange(pairs).reshape(dim_b, 1, dim_b)).reshape(-1)
+    bins = 6 * pairs * members
+    re, im = (np.bincount(labels, part.reshape(-1), bins) for part in (x.real, x.imag))
+    means = (re + 1j * im).reshape(members, 6, pairs) / sizes[:, None]
+    return means.reshape(-1)[labels].reshape(x.shape)
 
 
 def block_twirl(rho: DensityMatrix, block: int) -> DensityMatrix:
@@ -188,79 +189,3 @@ def apply_randomized_preimage(subset: Subset, rho: DensityMatrix) -> DensityMatr
     block = len(subset)
     p = representative_sigma(subset, block).matrix()
     return DensityMatrix(rho.dim, block_average(p @ rho.entries @ p.T, block))
-
-
-@dataclass(frozen=True)
-class OracleChannel:
-    """One oracle tagged with its kind, Hilbert dimension, and payload."""
-
-    kind: str
-    dim: int
-    perm: Permutation | None = None
-    subset: Subset | None = None
-    block: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind == "standard":
-            if self.perm is None or self.dim != self.perm.size**2:
-                raise ValueError("standard oracle needs a permutation and dim V^2")
-        elif self.kind == "in_place":
-            if self.perm is None or self.dim != self.perm.size:
-                raise ValueError("in_place oracle needs a permutation and dim V")
-        elif self.kind == "phase":
-            if self.subset is None or self.dim != self.subset.universe:
-                raise ValueError("phase oracle needs a subset and dim equal to its universe")
-        elif self.kind == "randomized_preimage":
-            if self.subset is None or self.block is None:
-                raise ValueError("randomized oracle needs a subset and block size")
-            if self.dim != self.subset.universe or self.block > self.dim:
-                raise ValueError("randomized oracle needs dim = universe and block <= dim")
-            if len(self.subset) != self.block:
-                raise ValueError("randomized oracle subset size must equal the block size")
-        else:
-            raise ValueError(f"unknown oracle kind {self.kind!r}")
-
-    @property
-    def is_unitary(self) -> bool:
-        return self.kind != "randomized_preimage"
-
-    def apply_to_state(self, psi: PureState) -> PureState:
-        if self.kind == "standard":
-            return apply_standard(self.perm, psi)
-        if self.kind == "in_place":
-            return apply_in_place(self.perm, psi)
-        if self.kind == "phase":
-            return apply_phase(self.subset, psi)
-        raise ValueError("the randomized oracle is not unitary; use apply_to_density")
-
-    def apply_to_density(self, rho: DensityMatrix) -> DensityMatrix:
-        if self.kind == "randomized_preimage":
-            return apply_randomized_preimage(self.subset, rho)
-        if self.kind == "phase":
-            s = phase_signs(self.subset)
-            return DensityMatrix(self.dim, rho.entries * np.outer(s, s))
-        if self.kind == "in_place":
-            p = self.perm.matrix()
-            return DensityMatrix(self.dim, p @ rho.entries @ p.T)
-        idx = _standard_targets(self.perm)
-        out = rho.entries[np.ix_(np.argsort(idx), np.argsort(idx))]
-        return DensityMatrix(self.dim, out)
-
-    @classmethod
-    def from_spec(cls, spec: dict) -> "OracleChannel":
-        """Build from a flat config entry like {"kind": ..., "perm": "3 4 1 2"}."""
-        kind = spec.get("kind")
-        if kind in ("standard", "in_place"):
-            perm = Permutation.from_text(spec["perm"])
-            dim = perm.size**2 if kind == "standard" else perm.size
-            return cls(kind, dim, perm=perm)
-        if kind == "phase":
-            universe = int(spec["universe"])
-            return cls(kind, universe, subset=Subset.from_text(universe, spec["subset"]))
-        if kind == "randomized_preimage":
-            block = int(spec["N"])
-            universe = int(spec.get("universe", block * block))
-            subset = Subset.from_text(universe, spec["subset"])
-            return cls(kind, universe, subset=subset, block=block)
-        raise ValueError(f"unknown oracle kind {kind!r}")
-

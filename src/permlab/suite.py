@@ -13,7 +13,7 @@ import math
 import time
 import traceback
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -25,15 +25,16 @@ from .adversary import (
     relation_stats,
 )
 from .core import (
-    DensityMatrix,
     PureState,
     Subset,
     SubsetFamily,
     enumerate_family,
     philox_stream,
+    random_densities,
+    validated_densities,
 )
 from .dilation import DILATION_TOL, check_dilation, haar_unitary, random_query_algorithm
-from .oracles import block_permutations, block_twirl, random_representative
+from .oracles import block_average, block_permutations, random_representative
 from .structure import (
     TargetClass,
     bound_crossovers,
@@ -142,15 +143,25 @@ def criterion_04_dilation(seed: int) -> CriterionResult:
 TWIRL_CHUNK_ROWS = 2048
 
 
+def _tuple_table(tuples: Iterable[tuple[int, ...]], count: int, width: int, dtype) -> np.ndarray:
+    """`count` tuples of length `width` as one (count, width) array, never a list."""
+    flat = np.fromiter(itertools.chain.from_iterable(tuples), dtype=dtype, count=count * width)
+    return flat.reshape(count, width)
+
+
 def _block_group_rows(v: int, block: int) -> Iterator[np.ndarray]:
-    """Every permutation preserving {0..block-1, block..v-1}, as chunks of 0-based image rows."""
-    elements = (
-        first + second
-        for first in itertools.permutations(range(block))
-        for second in itertools.permutations(range(block, v))
+    """Every permutation preserving {0..block-1, block..v-1}, as chunks of at most
+    TWIRL_CHUNK_ROWS 0-based image rows. Element i joins row i // |second| of the
+    first block's int8 permutation table to row i % |second| of the second's, so
+    the group is never held whole."""
+    first, second = (
+        _tuple_table(itertools.permutations(side), math.factorial(len(side)), len(side), np.int8)
+        for side in (range(block), range(block, v))
     )
-    while chunk := list(itertools.islice(elements, TWIRL_CHUNK_ROWS)):
-        yield np.array(chunk, dtype=np.intp)
+    total = len(first) * len(second)
+    for start in range(0, total, TWIRL_CHUNK_ROWS):
+        i, j = np.divmod(np.arange(start, min(start + TWIRL_CHUNK_ROWS, total)), len(second))
+        yield np.concatenate([first[i], second[j]], axis=1, dtype=np.intp)
 
 
 def exhaustive_block_average(stack: np.ndarray, block: int) -> tuple[np.ndarray, int]:
@@ -164,11 +175,13 @@ def exhaustive_block_average(stack: np.ndarray, block: int) -> tuple[np.ndarray,
     v = stack.shape[-1]
     d = v * v
     counts = np.zeros(d * d, dtype=np.int64)
-    source = np.arange(d)
+    lane = np.arange(v)
     enumerated = 0
     for rows in _block_group_rows(v, block):
-        target = (rows[:, :, None] * v + rows[:, None, :]).reshape(len(rows), d)
-        counts += np.bincount((target * d + source).ravel(), minlength=d * d)
+        # flat index of C's entry (tau(a) V + tau(b), a V + b), split into its a and b parts
+        left = rows * (v * d) + lane * v
+        right = rows * d + lane
+        counts += np.bincount((left[:, :, None] + right[:, None, :]).ravel(), minlength=d * d)
         enumerated += len(rows)
     if enumerated != math.factorial(block) * math.factorial(v - block):
         raise RuntimeError(
@@ -182,8 +195,9 @@ def exhaustive_block_average(stack: np.ndarray, block: int) -> tuple[np.ndarray,
 def criterion_05_twirl(seed: int) -> CriterionResult:
     """Closed-form twirl equals the exhaustive block-group average for V <= 8.
 
-    The reference enumerates the group as integer rows into one count matrix
-    (`exhaustive_block_average`), so no `Permutation` is built.
+    Each (V, N) cell draws its 20 densities as one validated stack and twirls it
+    with one orbit-label mean; the reference counts the whole group, in chunks
+    of integer rows, into one count matrix (`exhaustive_block_average`).
     """
     worst = 0.0
     stream_idx = 500
@@ -191,11 +205,9 @@ def criterion_05_twirl(seed: int) -> CriterionResult:
         for block in range(1, v + 1):
             rng = philox_stream(seed, stream_idx)
             stream_idx += 1
-            rhos = [DensityMatrix.random(v, rng) for _ in range(20)]
-            averages, _ = exhaustive_block_average(np.stack([r.entries for r in rhos]), block)
-            for rho, avg in zip(rhos, averages):
-                closed = block_twirl(rho, block)
-                worst = max(worst, float(np.max(np.abs(closed.entries - avg))))
+            rhos = validated_densities(random_densities(v, 20, rng))
+            averages, _ = exhaustive_block_average(rhos, block)
+            worst = max(worst, float(np.max(np.abs(block_average(rhos, block) - averages))))
     return CriterionResult(
         5, "twirl correctness", worst <= 1e-12,
         f"max |closed - exhaustive| = {worst:.3g} across all (V, N), V <= 8",
@@ -205,10 +217,7 @@ def criterion_05_twirl(seed: int) -> CriterionResult:
 def _k_subset_rows(universe: int, k: int) -> np.ndarray:
     """Every k-subset of [universe] as a bool incidence row, in lexicographic order."""
     total = math.comb(universe, k)
-    members = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(universe), k)),
-        dtype=np.intp, count=total * k,
-    ).reshape(total, k)
+    members = _tuple_table(itertools.combinations(range(universe), k), total, k, np.intp)
     rows = np.zeros((total, universe), dtype=bool)
     rows[np.arange(total)[:, None], members] = True
     return rows

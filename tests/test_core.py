@@ -14,6 +14,7 @@ from permlab.core import (
     enumerate_family,
     partial_trace,
     philox_stream,
+    random_densities,
     sample_family,
     subset_state,
     trace_distance,
@@ -218,6 +219,24 @@ class TestStates:
             DensityMatrix(2, np.eye(2))
         with pytest.raises(ValueError, match="eigenvalue"):
             DensityMatrix(2, np.array([[1.5, 0.0], [0.0, -0.5]]))
+
+
+    @pytest.mark.parametrize("dim,count", [(1, 3), (2, 1), (5, 20), (8, 7), (17, 2)])
+    def test_random_densities_equal_per_matrix_draws_bit_for_bit(self, dim, count):
+        def one_draw(rng):  # the per-matrix normalized Wishart draw, written out
+            g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            mat = g @ g.conj().T
+            return mat / np.trace(mat)
+
+        stack = random_densities(dim, count, philox_stream(dim, count))
+        rng = philox_stream(dim, count)
+        by_class = [DensityMatrix.random(dim, rng).entries for _ in range(count)]
+        rng = philox_stream(dim, count)
+        written_out = [one_draw(rng) for _ in range(count)]
+        assert stack.shape == (count, dim, dim)
+        assert np.array_equal(stack, np.stack(by_class))
+        assert np.array_equal(stack, np.stack(written_out))
+        validated_densities(stack)
 
 
 # One bad member of each kind, and the message a single object raises for it.

@@ -9,7 +9,18 @@ from permlab.harness import (
     main,
     render_csv,
     run,
+    with_defaults,
 )
+
+# Each subcommand's unset fields, written out as the values the runners used
+# before they moved into one defaults table.
+WRITTEN_OUT_DEFAULTS = {
+    "dilate": dict(n=1, queries=2, dim_b=2),
+    "fix": dict(V=16, k=4, alpha=0.25, p=2.0, nref=4.0, target_k=3),
+    "crossover": dict(alpha=0.25, p_coeffs=(0.0, 1.0), variant="uniform"),
+    "relation": dict(kind="subset", epsilon=0.0, V=6, kx=2, ky=3, fixed="1"),
+    "wtrace": dict(queries=5),
+}
 
 
 class TestConfig:
@@ -42,6 +53,18 @@ class TestConfig:
         path2 = tmp_path / "cfg2.json"
         path2.write_text(canon)
         assert load_config(str(path2)).canonical_json() == canon
+
+    @pytest.mark.parametrize("subcommand", sorted(WRITTEN_OUT_DEFAULTS))
+    def test_unset_fields_run_as_the_written_out_defaults(self, subcommand):
+        explicit = ExperimentConfig(subcommand, trials=2, **WRITTEN_OUT_DEFAULTS[subcommand])
+        assert execute(ExperimentConfig(subcommand, trials=2)) == execute(explicit)
+
+    def test_defaults_fill_only_unset_fields(self):
+        cfg = with_defaults(ExperimentConfig("fix", k=6, alpha=0.1))
+        assert (cfg.V, cfg.k, cfg.alpha, cfg.p, cfg.nref, cfg.target_k) == (16, 6, 0.1, 2.0, 6.0, 5)
+        assert with_defaults(ExperimentConfig("fix", k=6, nref=2.5)).nref == 2.5
+        for subcommand in ("verify", "suite"):
+            assert with_defaults(ExperimentConfig(subcommand, n=2)) == ExperimentConfig(subcommand, n=2)
 
     def test_unknown_subcommand_rejected(self):
         with pytest.raises(ValueError, match="subcommand"):
@@ -192,6 +215,37 @@ class TestCli:
         worst = max(row[2] for row in rows)
         assert captured.err == f"exact dilation: worst trace distance {worst:.3g} against 1e-09\n"
         assert worst <= 1e-12
+
+    def test_verify_reports_its_margins_on_stderr_only(self, capsys):
+        code, header, rows = execute(ExperimentConfig(subcommand="verify", n=3, trials=4, seed=1))
+        capsys.readouterr()
+        assert main(["verify", "--n", "3", "--trials", "4", "--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == render_csv(header, rows)
+        lam = {label: [r[7] for r in rows if r[3] == label] for label in ("YES", "NO")}
+        assert captured.err == (
+            f"lambda_max - 2/3: YES smallest {min(lam['YES']) - 2 / 3:+.3g} (of 2), "
+            f"NO largest {max(lam['NO']) - 2 / 3:+.3g} (of 2)\n"
+        )
+        assert main(["verify", "--n", "2", "--exhaustive-no"]) == 1
+        assert capsys.readouterr().err.startswith("lambda_max - 2/3: NO largest +0.0833 (of 448)")
+
+    def test_wtrace_reports_its_worst_drop_on_stderr_only(self, capsys):
+        code, header, rows = execute(
+            ExperimentConfig(subcommand="wtrace", queries=4, trials=3, seed=2)
+        )
+        capsys.readouterr()
+        assert main(["wtrace", "--queries", "4", "--trials", "3", "--seed", "2"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == render_csv(header, rows)
+        worst = max(r[2] for r in rows if r[2] != "")
+        bound = rows[0][3]
+        assert captured.err == (
+            f"W trace: worst drop {worst:.6g} against sqrt(l_max) = {bound:.6g} "
+            f"(slack {bound - worst:+.3g})\n"
+        )
+        assert main(["wtrace", "--queries", "0"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_main_stdout_csv(self, capsys):
         code = main(["crossover", "--alpha", "0.25", "--variant", "uniform"])

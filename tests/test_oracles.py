@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
@@ -17,7 +18,7 @@ from permlab.core import (
     subset_state,
 )
 from permlab.oracles import (
-    OracleChannel,
+    _standard_targets,
     apply_in_place,
     apply_phase,
     apply_randomized_preimage,
@@ -26,10 +27,87 @@ from permlab.oracles import (
     block_average_on_first_factor,
     block_permutations,
     block_twirl,
+    phase_signs,
     random_representative,
     representative_sigma,
     sample_block_permutations,
 )
+
+
+# The tagged oracle wrapper: the package never runs it, so it lives with its tests.
+@dataclass(frozen=True)
+class OracleChannel:
+    """One oracle tagged with its kind, Hilbert dimension, and payload."""
+
+    kind: str
+    dim: int
+    perm: Permutation | None = None
+    subset: Subset | None = None
+    block: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind == "standard":
+            if self.perm is None or self.dim != self.perm.size**2:
+                raise ValueError("standard oracle needs a permutation and dim V^2")
+        elif self.kind == "in_place":
+            if self.perm is None or self.dim != self.perm.size:
+                raise ValueError("in_place oracle needs a permutation and dim V")
+        elif self.kind == "phase":
+            if self.subset is None or self.dim != self.subset.universe:
+                raise ValueError("phase oracle needs a subset and dim equal to its universe")
+        elif self.kind == "randomized_preimage":
+            if self.subset is None or self.block is None:
+                raise ValueError("randomized oracle needs a subset and block size")
+            if self.dim != self.subset.universe or self.block > self.dim:
+                raise ValueError("randomized oracle needs dim = universe and block <= dim")
+            if len(self.subset) != self.block:
+                raise ValueError("randomized oracle subset size must equal the block size")
+        else:
+            raise ValueError(f"unknown oracle kind {self.kind!r}")
+
+    @property
+    def is_unitary(self) -> bool:
+        return self.kind != "randomized_preimage"
+
+    def apply_to_state(self, psi: PureState) -> PureState:
+        if self.kind == "standard":
+            return apply_standard(self.perm, psi)
+        if self.kind == "in_place":
+            return apply_in_place(self.perm, psi)
+        if self.kind == "phase":
+            return apply_phase(self.subset, psi)
+        raise ValueError("the randomized oracle is not unitary; use apply_to_density")
+
+    def apply_to_density(self, rho: DensityMatrix) -> DensityMatrix:
+        if self.kind == "randomized_preimage":
+            return apply_randomized_preimage(self.subset, rho)
+        if self.kind == "phase":
+            s = phase_signs(self.subset)
+            return DensityMatrix(self.dim, rho.entries * np.outer(s, s))
+        if self.kind == "in_place":
+            p = self.perm.matrix()
+            return DensityMatrix(self.dim, p @ rho.entries @ p.T)
+        idx = _standard_targets(self.perm)
+        out = rho.entries[np.ix_(np.argsort(idx), np.argsort(idx))]
+        return DensityMatrix(self.dim, out)
+
+    @classmethod
+    def from_spec(cls, spec: dict) -> "OracleChannel":
+        """Build from a flat config entry like {"kind": ..., "perm": "3 4 1 2"}."""
+        kind = spec.get("kind")
+        if kind in ("standard", "in_place"):
+            perm = Permutation.from_text(spec["perm"])
+            dim = perm.size**2 if kind == "standard" else perm.size
+            return cls(kind, dim, perm=perm)
+        if kind == "phase":
+            universe = int(spec["universe"])
+            return cls(kind, universe, subset=Subset.from_text(universe, spec["subset"]))
+        if kind == "randomized_preimage":
+            block = int(spec["N"])
+            universe = int(spec.get("universe", block * block))
+            subset = Subset.from_text(universe, spec["subset"])
+            return cls(kind, universe, subset=subset, block=block)
+        raise ValueError(f"unknown oracle kind {kind!r}")
 
 
 def random_state(dim, rng):
@@ -187,17 +265,42 @@ class TestBlockTwirl:
         rng = philox_stream(seed)
         d = v * dim_b
         mat = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        # the exhaustive count-matrix average of every (b, b') slice, which
+        # TestCountMatrixAverage pins to the per-permutation loop
         x = mat.reshape(v, dim_b, v, dim_b)
-        group = block_permutations(v, block)
-        acc = np.zeros_like(x)
-        for tau in group:
-            inv = np.argsort(tau.zero_based())
-            acc += x[inv][:, :, inv]
-        expected = (acc / len(group)).reshape(d, d)
+        slices = x.transpose(1, 3, 0, 2).reshape(dim_b * dim_b, v, v)
+        averaged, _ = suite.exhaustive_block_average(slices, block)
+        expected = averaged.reshape(dim_b, dim_b, v, v).transpose(2, 0, 3, 1).reshape(d, d)
         got = block_average_on_first_factor(mat, block, v, dim_b)
         assert np.max(np.abs(got - expected)) <= 1e-12
         if dim_b == 1:
             assert np.max(np.abs(block_average(mat, block) - expected)) <= 1e-12
+
+
+    @given(
+        st.integers(1, 6).flatmap(lambda v: st.tuples(st.just(v), st.integers(1, v))),
+        st.integers(1, 3),
+        st.integers(1, 5),
+        st.integers(0, 10_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_stack_equals_single_calls_bit_for_bit(self, v_block, dim_b, members, seed):
+        v, block = v_block
+        rng = philox_stream(seed)
+        d = v * dim_b
+        stack = rng.normal(size=(members, d, d)) + 1j * rng.normal(size=(members, d, d))
+        got = block_average_on_first_factor(stack, block, v, dim_b)
+        singles = [block_average_on_first_factor(m, block, v, dim_b) for m in stack]
+        assert got.shape == stack.shape
+        assert np.array_equal(got, np.stack(singles))
+        if dim_b == 1:
+            assert np.array_equal(block_average(stack, block), got)
+
+    def test_rejects_a_shape_that_does_not_match_the_factors(self):
+        with pytest.raises(ValueError, match="does not end in"):
+            block_average_on_first_factor(np.eye(6), 2, 4, 2)
+        with pytest.raises(ValueError, match="out of range"):
+            block_average_on_first_factor(np.eye(4), 0, 4, 1)
 
 
 def permutation_loop_block_average(stack, block):
@@ -232,6 +335,19 @@ class TestCountMatrixAverage:
         assert enumerated == math.factorial(block) * math.factorial(v - block)
         assert got.shape == stack.shape
         assert np.max(np.abs(got - permutation_loop_block_average(stack, block))) <= 1e-12
+
+    @pytest.mark.parametrize("v", range(1, 9))
+    def test_group_rows_are_every_block_permutation_once(self, v):
+        for block in range(1, v + 1):
+            chunks = list(suite._block_group_rows(v, block))
+            assert all(len(c) <= suite.TWIRL_CHUNK_ROWS for c in chunks)
+            assert all(c.dtype == np.intp for c in chunks)
+            rows = np.concatenate(chunks)
+            assert len(rows) == math.factorial(block) * math.factorial(v - block)
+            assert len(np.unique(rows, axis=0)) == len(rows)
+            assert np.array_equal(np.sort(rows, axis=1), np.broadcast_to(np.arange(v), rows.shape))
+            assert np.array_equal(np.sort(rows[:, :block], axis=1),
+                                  np.broadcast_to(np.arange(block), (len(rows), block)))
 
     def test_short_enumeration_raises(self, monkeypatch):
         rows = suite._block_group_rows
