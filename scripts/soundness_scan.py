@@ -10,25 +10,18 @@ the 2/3 soundness target: everywhere the instance has even members.
 import argparse
 
 from permlab.core import philox_stream
-from permlab.verifier import (
-    analytic_optimum,
-    enumerate_instances,
-    honest_witness,
-    optimal_witness_prob,
-    random_instance,
-    run_verifier,
-)
+from permlab.verifier import analytic_optimum, enumerate_instances, random_instance, sweep
 
 
-def describe(inst) -> str:
-    honest = run_verifier(inst, honest_witness(inst)).p_accept
-    lam, _ = optimal_witness_prob(inst)
-    closed = analytic_optimum(inst)
-    flag = "" if inst.label == "YES" or lam <= 2 / 3 + 1e-9 else "  <-- above 2/3"
-    return (
-        f"N={inst.block:3d} {inst.label:3s} k_even={inst.k_even:2d}  "
-        f"honest={honest:.6f}  optimal={lam:.6f}  closed-form={closed:.6f}{flag}"
-    )
+def show(instances) -> None:
+    """Print one line per instance; they share one size, so one sweep covers them."""
+    _, _, honest, lams = sweep(instances)
+    for inst, p, lam in zip(instances, honest, lams):
+        flag = "" if inst.label == "YES" or lam <= 2 / 3 + 1e-9 else "  <-- above 2/3"
+        print(
+            f"  N={inst.block:3d} {inst.label:3s} k_even={inst.k_even:2d}  "
+            f"honest={p:.6f}  optimal={lam:.6f}  closed-form={analytic_optimum(inst):.6f}{flag}"
+        )
 
 
 def main() -> None:
@@ -38,17 +31,15 @@ def main() -> None:
 
     print("power-of-two instances")
     for n in (1, 2):
-        for label in ("YES", "NO"):
-            print(" ", describe(enumerate_instances(n, label)[0]))
-    for label in ("YES", "NO"):
-        inst = random_instance(8, label, philox_stream(args.seed), n=3)
-        print(" ", describe(inst))
+        show([enumerate_instances(n, label)[0] for label in ("YES", "NO")])
+    show([random_instance(8, label, philox_stream(args.seed), n=3) for label in ("YES", "NO")])
 
     print("fractional instances (N divisible by 3, exact two-thirds split)")
     for big_n in (6, 9, 12):
-        for label in ("YES", "NO"):
-            inst = random_instance(big_n, label, philox_stream(args.seed + big_n))
-            print(" ", describe(inst))
+        show([
+            random_instance(big_n, label, philox_stream(args.seed + big_n))
+            for label in ("YES", "NO")
+        ])
 
 
 if __name__ == "__main__":

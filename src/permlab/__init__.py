@@ -29,10 +29,10 @@ from .verifier import (
     PreimageInstance,
     VerifierReport,
     acceptance_operator,
-    classify,
     honest_witness,
     optimal_witness_prob,
     run_verifier,
+    sweep,
     test_i,
     test_ii,
 )

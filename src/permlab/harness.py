@@ -48,15 +48,7 @@ from .structure import (
     fixing_procedure,
     witness_pigeonhole,
 )
-from .verifier import (
-    THRESHOLD_LO,
-    enumerate_instances,
-    honest_witness,
-    meets_threshold,
-    optimal_witness_prob,
-    random_instance,
-    run_verifier,
-)
+from .verifier import THRESHOLD_LO, enumerate_instances, meets_threshold, random_instance, sweep
 
 SUBCOMMANDS = ("verify", "dilate", "fix", "crossover", "relation", "wtrace", "suite")
 
@@ -196,26 +188,25 @@ def run_verify(cfg: ExperimentConfig) -> tuple[bool, list[str], list[list]]:
         ]
     else:
         raise ValueError("subcommand 'verify' needs either n or N")
-    rows = []
-    lams: dict[str, list[float]] = {"YES": [], "NO": []}
-    for inst in instances:
-        report = run_verifier(inst, honest_witness(inst))
-        lam, _ = optimal_witness_prob(inst)
-        n_or_big = inst.n if inst.n is not None else inst.block
-        rows.append([
+    columns = sweep(instances)
+    rows = [
+        [
             "-".join(str(m) for m in inst.subset.members),
-            n_or_big, inst.k_even, inst.label,
-            report.p_test_i, report.p_test_ii, report.p_accept, lam,
-        ])
-        lams[inst.label].append(lam)
+            inst.n if inst.n is not None else inst.block, inst.k_even, inst.label, *values,
+        ]
+        for inst, *values in zip(instances, *(column.tolist() for column in columns))
+    ]
+    lams = columns[-1]
+    labels = np.array([inst.label for inst in instances], dtype=str)
+    picked = {label: lams[labels == label] for label in ("YES", "NO")}
     slack = [
-        f"{label} {word} {pick(lams[label]) - THRESHOLD_LO:+.3g} (of {len(lams[label])})"
-        for label, word, pick in (("YES", "smallest", min), ("NO", "largest", max))
-        if lams[label]
+        f"{label} {word} {pick(picked[label]) - THRESHOLD_LO:+.3g} (of {picked[label].size})"
+        for label, word, pick in (("YES", "smallest", np.min), ("NO", "largest", np.max))
+        if picked[label].size
     ]
     if slack:
         print("lambda_max - 2/3: " + ", ".join(slack), file=sys.stderr)
-    ok = all(meets_threshold(label, lam) for label, values in lams.items() for lam in values)
+    ok = all(np.all(meets_threshold(label, values)) for label, values in picked.items())
     return ok, header, rows
 
 

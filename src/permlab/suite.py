@@ -46,13 +46,10 @@ from .verifier import (
     THRESHOLD_LO,
     PreimageInstance,
     enumerate_instances,
-    honest_witness,
     majority_count,
     meets_threshold,
-    optimal_witness_prob,
     random_instance,
-    run_verifier,
-    test_i,
+    sweep,
 )
 
 
@@ -76,16 +73,14 @@ def _yes_instance(n: int | None, n_labels: int, members: tuple[int, ...]) -> Pre
 
 def criterion_01_completeness(seed: int) -> CriterionResult:
     """Honest-witness acceptance: 5/6 at N=6 and (1 + ceil(2N/3)/N)/2 at n <= 3."""
-    checks: list[tuple[str, float, float, float]] = []
     frac = PreimageInstance.fractional(6, Subset(36, (1, 2, 3, 4, 6, 8)))
-    p = run_verifier(frac, honest_witness(frac)).p_accept
-    checks.append(("N=6", p, 5.0 / 6.0, 1e-10))
+    cases = [("N=6", frac, 5.0 / 6.0, 1e-10)]
     fixed_sets = {1: (2, 4), 2: (1, 2, 4, 6), 3: (1, 2, 3, 4, 6, 8, 10, 12)}
     for n, members in fixed_sets.items():
-        inst = _yes_instance(n, 2**n, members)
         expected = 0.5 * (1.0 + majority_count(2**n) / 2**n)
-        p = run_verifier(inst, honest_witness(inst)).p_accept
-        checks.append((f"n={n}", p, expected, 1e-12))
+        cases.append((f"n={n}", _yes_instance(n, 2**n, members), expected, 1e-12))
+    # one sweep per size: every case has its own dimension
+    checks = [(tag, float(sweep([inst])[2][0]), want, tol) for tag, inst, want, tol in cases]
     bad = [(tag, got, want) for tag, got, want, tol in checks if abs(got - want) > tol]
     summary = "; ".join(f"{tag}: {got:.12g} (want {want:.12g})" for tag, got, want, _ in checks)
     return CriterionResult(1, "completeness", not bad, summary)
@@ -93,14 +88,14 @@ def criterion_01_completeness(seed: int) -> CriterionResult:
 
 def criterion_02_soundness(seed: int) -> CriterionResult:
     """Optimal-witness acceptance of every NO instance against the 2/3 target."""
-    lam_n1 = max(optimal_witness_prob(i)[0] for i in enumerate_instances(1, "NO"))
-    lams_n2 = [optimal_witness_prob(i)[0] for i in enumerate_instances(2, "NO")]
+    lam_n1 = float(np.max(sweep(enumerate_instances(1, "NO"))[3]))
+    lams_n2 = sweep(enumerate_instances(2, "NO"))[3]
     frac = PreimageInstance.fractional(6, Subset(36, (1, 2, 3, 4, 5, 7)))
-    lam_frac = optimal_witness_prob(frac)[0]
-    above_n2 = sum(1 for lam in lams_n2 if not meets_threshold("NO", lam))
+    lam_frac = float(sweep([frac])[3][0])
+    above_n2 = int(np.count_nonzero(~meets_threshold("NO", lams_n2)))
     passed = not above_n2 and meets_threshold("NO", lam_n1) and meets_threshold("NO", lam_frac)
     summary = (
-        f"n=1 max {lam_n1:.6g}; n=2 max {max(lams_n2):.6g} over {len(lams_n2)} "
+        f"n=1 max {lam_n1:.6g}; n=2 max {np.max(lams_n2):.6g} over {lams_n2.size} "
         f"instances ({above_n2} above 2/3); "
         f"N=6 {lam_frac:.6g}; target {THRESHOLD_LO:.6g}"
     )
@@ -110,11 +105,10 @@ def criterion_02_soundness(seed: int) -> CriterionResult:
 def criterion_03_test_i_perfection(seed: int) -> CriterionResult:
     """Honest witness passes test (i) with probability exactly 1 on random YES inputs."""
     worst = 0.0
-    for i in range(50):
-        n = 1 + i % 3
-        rng = philox_stream(seed, 300 + i)
-        inst = random_instance(2**n, "YES", rng, n=n)
-        worst = max(worst, abs(test_i(inst, honest_witness(inst)) - 1.0))
+    for n in (1, 2, 3):  # one sweep per size; run i has n = 1 + i % 3
+        runs = range(n - 1, 50, 3)
+        insts = [random_instance(2**n, "YES", philox_stream(seed, 300 + i), n=n) for i in runs]
+        worst = max(worst, float(np.max(np.abs(sweep(insts)[0] - 1.0))))
     return CriterionResult(
         3, "test (i) perfection", worst <= 1e-12, f"max |p-1| = {worst:.3g} over 50 runs"
     )

@@ -16,6 +16,11 @@ Both run in closed form: the twirl fixes the [N]-uniform state and the
 oracle maps S onto [N], so test (i) accepts with |<S|w>|^2, test (ii) with
 the weight of w on the even members of S, and the acceptance operator is
 (|S><S| + P_even)/2. The tests check these against the channel simulation.
+
+`sweep` verifies instances of one dimension as one (count, V) array of subset
+states, reduced row by row for the honest witness, and one (count, V, V) stack
+of M with one batched `eigh`. The one-instance functions remain for arbitrary
+witnesses; `acceptance_operator` builds M as a stack of one.
 """
 
 from __future__ import annotations
@@ -24,10 +29,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
+from typing import Sequence
 
 import numpy as np
 
-from .core import DensityMatrix, PureState, Subset, enumerate_family, subset_state
+from .core import DensityMatrix, PureState, Subset, enumerate_family, subset_state, validated_states
 from .oracles import apply_randomized_preimage
 
 PROBABILITY_TOL = 1e-10
@@ -35,6 +41,9 @@ PROBABILITY_TOL = 1e-10
 THRESHOLD_LO = 2.0 / 3.0
 # An optimal acceptance at most this far above the mark still counts as sound.
 SOUNDNESS_SLACK = 1e-9
+# Float64 entries of one acceptance-operator stack in `sweep` (8 MB): 4,096
+# instances at V = 16, 16 at V = 256 and one from V = 1024 on.
+SWEEP_CHUNK_ENTRIES = 2**20
 
 
 def meets_threshold(label: str, lam: float, threshold_lo: float = THRESHOLD_LO) -> bool:
@@ -136,21 +145,12 @@ def honest_witness(inst: PreimageInstance) -> PureState:
     return subset_state(inst.subset, inst.dim)
 
 
-def target_state(inst: PreimageInstance) -> PureState:
-    """The uniform state over [N] that test (i) projects onto."""
-    return subset_state(Subset(inst.dim, tuple(range(1, inst.block + 1))), inst.dim)
-
-
-def _even_member_indices(inst: PreimageInstance) -> list[int]:
-    return [m - 1 for m in inst.subset.members if m % 2 == 0]
-
-
 def test_i(inst: PreimageInstance, witness: PureState) -> float:
     """Oracle the witness, then project onto the [N]-uniform state: |<S|w>|^2."""
     if witness.dim != inst.dim:
         raise ValueError(f"witness dim {witness.dim} != instance dim {inst.dim}")
     s = subset_state(inst.subset, inst.dim).amplitudes
-    return _as_probability(abs(np.vdot(s, witness.amplitudes)) ** 2)
+    return float(_as_probability(abs(np.vdot(s, witness.amplitudes)) ** 2))
 
 
 def test_i_circuit(inst: PreimageInstance, witness: PureState) -> float:
@@ -166,7 +166,7 @@ def test_i_circuit(inst: PreimageInstance, witness: PureState) -> float:
     h_low = reduce(np.kron, [h1] * inst.n)
     u = np.kron(np.eye(inst.block), h_low)
     rotated = u @ out.entries @ u.conj().T
-    return _as_probability(rotated[0, 0])
+    return float(_as_probability(rotated[0, 0]))
 
 
 def test_ii(inst: PreimageInstance, witness: PureState) -> float:
@@ -176,8 +176,8 @@ def test_ii(inst: PreimageInstance, witness: PureState) -> float:
     """
     if witness.dim != inst.dim:
         raise ValueError(f"witness dim {witness.dim} != instance dim {inst.dim}")
-    weights = np.abs(witness.amplitudes[_even_member_indices(inst)]) ** 2
-    return _as_probability(np.sum(weights))
+    weights = np.abs(witness.amplitudes[[m - 1 for m in inst.subset.members if m % 2 == 0]]) ** 2
+    return float(_as_probability(np.sum(weights)))
 
 
 @dataclass(frozen=True)
@@ -188,12 +188,14 @@ class VerifierReport:
     witness_used: PureState
 
     def __post_init__(self) -> None:
-        for p in (self.p_test_i, self.p_test_ii, self.p_accept):
-            if not -PROBABILITY_TOL <= p <= 1.0 + PROBABILITY_TOL:
-                raise ValueError(f"probability {p} outside [0, 1]")
-        mean = 0.5 * (self.p_test_i + self.p_test_ii)
-        if abs(self.p_accept - mean) > PROBABILITY_TOL:
-            raise ValueError("p_accept must be the arithmetic mean of the two tests")
+        _check_report(self.p_test_i, self.p_test_ii, self.p_accept)
+
+
+def _check_report(p_i, p_ii, p_accept) -> None:
+    """The report's invariants, on scalars or on a sweep's arrays."""
+    _check_range(np.array([p_i, p_ii, p_accept]), "probability")
+    if np.any(np.abs(p_accept - 0.5 * (np.asarray(p_i) + p_ii)) > PROBABILITY_TOL):
+        raise ValueError("p_accept must be the arithmetic mean of the two tests")
 
 
 def run_verifier(inst: PreimageInstance, witness: PureState) -> VerifierReport:
@@ -203,23 +205,67 @@ def run_verifier(inst: PreimageInstance, witness: PureState) -> VerifierReport:
     return VerifierReport(p1, p2, 0.5 * (p1 + p2), witness)
 
 
+def _subset_rows(instances: Sequence[PreimageInstance]) -> tuple[np.ndarray, np.ndarray]:
+    """Real subset states of same-dimension instances, (count, V), and their even-member mask."""
+    block = instances[0].block
+    members = np.array([inst.subset.members for inst in instances], dtype=np.intp) - 1
+    states = np.zeros((len(instances), block**2))
+    np.put_along_axis(states, members, 1.0 / math.sqrt(block), axis=1)
+    even = np.zeros(states.shape, dtype=bool)
+    np.put_along_axis(even, members, members % 2 == 1, axis=1)
+    return validated_states(states), even
+
+
+def _acceptance_stack(states: np.ndarray, even: np.ndarray) -> np.ndarray:
+    """M = (|S><S| + P_even)/2 for every row, as one (count, V, V) float64 stack."""
+    m = states[:, :, None] * states[:, None, :]
+    diagonal = np.arange(states.shape[1])
+    m[:, diagonal, diagonal] += even
+    m *= 0.5
+    return m
+
+
 def acceptance_operator(inst: PreimageInstance) -> np.ndarray:
     """Real symmetric M with <w|M|w> equal to the verifier's acceptance probability.
 
     M = (|S><S| + P_even)/2, where P_even projects onto the even members of S.
     Both terms are real, so M is built as float64 and its eigensolve is real.
     """
-    s = subset_state(inst.subset, inst.dim).amplitudes.real
-    m = np.outer(s, s)
-    even = _even_member_indices(inst)
-    m[even, even] += 1.0
-    return 0.5 * m
+    return _acceptance_stack(*_subset_rows([inst]))[0]
 
 
 def optimal_witness_prob(inst: PreimageInstance) -> tuple[float, PureState]:
     """Largest eigenvalue of the acceptance operator and a maximizing witness."""
     vals, vecs = np.linalg.eigh(acceptance_operator(inst))
     return float(vals[-1]), PureState(inst.dim, vecs[:, -1])
+
+
+def sweep(instances: Sequence[PreimageInstance]) -> tuple[np.ndarray, ...]:
+    """Honest-witness tests (i) and (ii), their mean and lambda_max, as float64 arrays.
+
+    The instances share one dimension V; each chunk of at most SWEEP_CHUNK_ENTRIES
+    entries of M is one stack and one batched `eigh`.
+    """
+    dims = sorted({inst.dim for inst in instances})
+    if len(dims) > 1:
+        raise ValueError(f"a sweep needs instances of one dimension, got {dims}")
+    if not dims:
+        return tuple(np.zeros(0) for _ in range(4))
+    rows = max(1, SWEEP_CHUNK_ENTRIES // dims[0] ** 2)
+    chunks = []
+    for start in range(0, len(instances), rows):
+        states, even = _subset_rows(instances[start:start + rows])
+        # reduced as test_i (a complex inner product) and test_ii reduce, bit for bit
+        amps = states.astype(np.complex128)
+        chunks.append((
+            _as_probability(np.abs((amps[:, None, :] @ amps[:, :, None])[:, 0, 0]) ** 2),
+            _as_probability(np.einsum("ij,ij,ij->i", states, states, even)),
+            np.linalg.eigh(_acceptance_stack(states, even))[0][:, -1],
+        ))
+    p_i, p_ii, lam = (np.concatenate(column) for column in zip(*chunks))
+    p_accept = 0.5 * (p_i + p_ii)
+    _check_report(p_i, p_ii, p_accept)
+    return p_i, p_ii, p_accept, lam
 
 
 def analytic_optimum(inst: PreimageInstance) -> float:
@@ -234,48 +280,14 @@ def analytic_optimum(inst: PreimageInstance) -> float:
     return 0.5 * (1.0 + math.sqrt(inst.k_even / inst.block))
 
 
-@dataclass(frozen=True)
-class ClassifyReport:
-    label: str
-    p_honest: float
-    lambda_max: float
-    threshold_hi: float
-    threshold_lo: float
-    completeness_ok: bool
-    soundness_ok: bool
-    message: str
+def _check_range(p: np.ndarray, what: str) -> None:
+    outside = p[(p < -PROBABILITY_TOL) | (p > 1.0 + PROBABILITY_TOL)]
+    if outside.size:
+        raise ValueError(f"{what} {outside.flat[0]} outside [0, 1]")
 
 
-def classify(
-    inst: PreimageInstance,
-    threshold_hi: float = 5.0 / 6.0,
-    threshold_lo: float = THRESHOLD_LO,
-) -> ClassifyReport:
-    """Evaluate the instance against the completeness and soundness thresholds."""
-    p_honest = run_verifier(inst, honest_witness(inst)).p_accept
-    lam, _ = optimal_witness_prob(inst)
-    completeness_ok = meets_threshold("YES", lam, threshold_lo)
-    soundness_ok = meets_threshold("NO", lam, threshold_lo)
-    if inst.label == "YES":
-        message = (
-            f"completeness holds at {p_honest:.6g} >= {threshold_lo:.6g}"
-            if p_honest >= threshold_lo - PROBABILITY_TOL
-            else f"completeness FAILS at {p_honest:.6g} < {threshold_lo:.6g}"
-        )
-    else:
-        message = (
-            f"soundness holds: lambda_max = {lam:.6g} <= {threshold_lo:.6g}"
-            if soundness_ok
-            else f"soundness FAILS: lambda_max = {lam:.6g} > {threshold_lo:.6g}"
-        )
-    return ClassifyReport(
-        inst.label, p_honest, lam, threshold_hi, threshold_lo,
-        completeness_ok, soundness_ok, message,
-    )
-
-
-def _as_probability(value: complex | float) -> float:
-    p = float(np.real(value))
-    if not -PROBABILITY_TOL <= p <= 1.0 + PROBABILITY_TOL:
-        raise ValueError(f"computed probability {p} outside [0, 1]")
-    return min(max(p, 0.0), 1.0)
+def _as_probability(value):
+    """Range-check computed probabilities, a scalar or an array; clip them to [0, 1]."""
+    p = np.real(value)
+    _check_range(np.asarray(p), "computed probability")
+    return np.clip(p, 0.0, 1.0)

@@ -28,6 +28,7 @@ VERIFY_CASES = {
     "verify_n2_exhaustive_no.csv": (dict(n=2, exhaustive_no=True), 1),
     "verify_n3_seed1.csv": (dict(n=3, trials=4, seed=1), 1),
     "verify_N6_seed1.csv": (dict(N=6, trials=2, seed=1), 1),
+    "verify_n4_seed1.csv": (dict(n=4, trials=2, seed=1), 1),
 }
 
 # The README CLI examples, one deeper dilation (four queries, c^t*d_AB = 2048),

@@ -230,6 +230,14 @@ class TestCli:
         assert main(["verify", "--n", "2", "--exhaustive-no"]) == 1
         assert capsys.readouterr().err.startswith("lambda_max - 2/3: NO largest +0.0833 (of 448)")
 
+    def test_verify_with_no_trials_prints_only_the_header(self, capsys):
+        assert main(["verify", "--n", "2", "--trials", "0"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "instance_id,n_or_N,k_even,label,p_honest_i,p_honest_ii,p_honest,lambda_max\n"
+        )
+        assert captured.err == ""
+
     def test_wtrace_reports_its_worst_drop_on_stderr_only(self, capsys):
         code, header, rows = execute(
             ExperimentConfig(subcommand="wtrace", queries=4, trials=3, seed=2)

@@ -1,4 +1,9 @@
+import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -404,3 +409,17 @@ class TestBoundCrossover:
 
     def test_eval_poly(self):
         assert eval_poly((1.0, 2.0, 3.0), 2.0) == 1 + 4 + 12
+
+
+def test_crossover_curves_script_runs():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "crossover_curves.py")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = list(csv.reader(proc.stdout.splitlines()))
+    assert rows[0] == ["variant", "alpha", "n", "log_upper", "log_lower", "crossed"]
+    assert len(rows) == 1 + 2 * 5 * 24  # two variants, five alphas, n = 1..24
+    assert proc.stderr.count("crossover at n =") == 10

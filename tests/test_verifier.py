@@ -1,26 +1,34 @@
 import math
+import os
+import re
+import subprocess
+import sys
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permlab import verifier
 from permlab.core import DensityMatrix, PureState, Subset, philox_stream, subset_state
 from permlab.oracles import apply_randomized_preimage, block_average, representative_sigma
 from permlab.verifier import (
-    ClassifyReport,
+    PROBABILITY_TOL,
+    THRESHOLD_LO,
     PreimageInstance,
     VerifierReport,
     acceptance_operator,
     analytic_optimum,
-    classify,
     enumerate_instances,
     honest_witness,
     majority_count,
+    meets_threshold,
     optimal_witness_prob,
     random_instance,
     run_verifier,
-    target_state,
+    sweep,
 )
 from permlab.verifier import test_i as probe_i
 from permlab.verifier import test_i_circuit as probe_i_circuit
@@ -40,6 +48,47 @@ def random_witness(dim, seed):
     return PureState(dim, z / np.linalg.norm(z))
 
 
+def target_state(inst):
+    """The uniform state over [N] that test (i) projects onto."""
+    return subset_state(Subset(inst.dim, tuple(range(1, inst.block + 1))), inst.dim)
+
+
+@dataclass(frozen=True)
+class ClassifyReport:
+    label: str
+    p_honest: float
+    lambda_max: float
+    threshold_hi: float
+    threshold_lo: float
+    completeness_ok: bool
+    soundness_ok: bool
+    message: str
+
+
+def classify(inst, threshold_hi=5.0 / 6.0, threshold_lo=THRESHOLD_LO):
+    """Evaluate one instance against the completeness and soundness thresholds."""
+    p_honest = run_verifier(inst, honest_witness(inst)).p_accept
+    lam, _ = optimal_witness_prob(inst)
+    completeness_ok = meets_threshold("YES", lam, threshold_lo)
+    soundness_ok = meets_threshold("NO", lam, threshold_lo)
+    if inst.label == "YES":
+        message = (
+            f"completeness holds at {p_honest:.6g} >= {threshold_lo:.6g}"
+            if p_honest >= threshold_lo - PROBABILITY_TOL
+            else f"completeness FAILS at {p_honest:.6g} < {threshold_lo:.6g}"
+        )
+    else:
+        message = (
+            f"soundness holds: lambda_max = {lam:.6g} <= {threshold_lo:.6g}"
+            if soundness_ok
+            else f"soundness FAILS: lambda_max = {lam:.6g} > {threshold_lo:.6g}"
+        )
+    return ClassifyReport(
+        inst.label, p_honest, lam, threshold_hi, threshold_lo,
+        completeness_ok, soundness_ok, message,
+    )
+
+
 def channel_test_i(inst, witness):
     """Reference for test (i): run the randomized channel, then project."""
     out = apply_randomized_preimage(inst.subset, DensityMatrix.from_pure(witness))
@@ -48,15 +97,17 @@ def channel_test_i(inst, witness):
 
 
 def channel_test_ii(inst, witness):
-    """Reference for test (ii): send each even outcome through the channel."""
-    weights = np.abs(witness.amplitudes) ** 2
-    total = 0.0
-    for label in range(2, inst.dim + 1, 2):
-        landed = apply_randomized_preimage(
-            inst.subset, DensityMatrix.from_pure(PureState.basis(inst.dim, label))
-        )
-        total += float(weights[label - 1]) * float(np.sum(landed.diagonal()[: inst.block]))
-    return total
+    """Reference for test (ii): measure, keep the even outcomes, send that mixture
+    through the channel, and take the weight that lands in [N]."""
+    kept = np.abs(witness.amplitudes) ** 2
+    kept[0::2] = 0.0  # 0-based index i holds label i + 1, so even indices hold odd labels
+    p_even = float(np.sum(kept))
+    if p_even == 0.0:
+        return 0.0
+    landed = apply_randomized_preimage(
+        inst.subset, DensityMatrix(inst.dim, np.diag(kept / p_even))
+    )
+    return p_even * float(np.sum(landed.diagonal()[: inst.block]))
 
 
 def channel_acceptance_operator(inst):
@@ -73,6 +124,8 @@ def channel_acceptance_operator(inst):
 
 # (n, N) pairs: power-of-two sizes n = 1..3 and the fractional N = 6
 SIZES = ((1, 2), (2, 4), (3, 8), (None, 6))
+# the same with the larger fractional sizes, for the sweep
+SWEEP_SIZES = SIZES + ((None, 9), (None, 12))
 
 
 class TestInstances:
@@ -294,3 +347,90 @@ class TestClosedFormsMatchChannel:
         assert abs(probe_ii(inst, w) - channel_test_ii(inst, w)) <= 1e-12
         m = acceptance_operator(inst)
         assert np.max(np.abs(m - channel_acceptance_operator(inst))) <= 1e-12
+
+
+class TestSweep:
+    @given(
+        st.sampled_from(SWEEP_SIZES),
+        st.lists(st.sampled_from(("YES", "NO")), min_size=1, max_size=12),
+        st.integers(0, 10_000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_channel_routes_per_instance(self, size, labels, seed):
+        n, big_n = size
+        rng = philox_stream(seed)
+        instances = [random_instance(big_n, label, rng, n=n) for label in labels]
+        p_i, p_ii, p_accept, lams = sweep(instances)
+        for k, inst in enumerate(instances):
+            w = honest_witness(inst)
+            assert abs(p_i[k] - channel_test_i(inst, w)) <= 1e-12
+            assert abs(p_ii[k] - channel_test_ii(inst, w)) <= 1e-12
+            assert abs(lams[k] - np.linalg.eigh(channel_acceptance_operator(inst))[0][-1]) <= 1e-12
+        assert np.array_equal(p_accept, 0.5 * (p_i + p_ii))
+
+    def test_equals_single_instance_calls_bit_for_bit(self):
+        labels = ("YES", "NO") * 10
+        instances = [random_instance(9, lab, philox_stream(5, t)) for t, lab in enumerate(labels)]
+        p_i, p_ii, p_accept, lams = sweep(instances)
+        for k, inst in enumerate(instances):
+            report = run_verifier(inst, honest_witness(inst))
+            assert (p_i[k], p_ii[k], p_accept[k]) == (
+                report.p_test_i, report.p_test_ii, report.p_accept,
+            )
+            assert lams[k] == optimal_witness_prob(inst)[0]
+
+    def test_chunk_split_is_bit_for_bit(self, monkeypatch):
+        instances = enumerate_instances(2, "NO")
+        whole = sweep(instances)
+        assert len(whole[0]) == 448
+        # one instance per chunk, then three per chunk with one left over
+        for entries in (3, 3 * 16**2):
+            monkeypatch.setattr(verifier, "SWEEP_CHUNK_ENTRIES", entries)
+            for a, b in zip(whole, sweep(instances)):
+                assert np.array_equal(a, b)
+
+    def test_chunk_rows_follow_the_entry_cap(self, monkeypatch):
+        calls = []
+        original = np.linalg.eigh
+
+        def counted(m):
+            calls.append(m.shape)
+            return original(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        sweep(enumerate_instances(2, "NO"))
+        assert calls == [(448, 16, 16)]
+        calls.clear()
+        sweep([random_instance(16, "YES", philox_stream(1, t), n=4) for t in range(20)])
+        assert calls == [(16, 256, 256), (4, 256, 256)]
+
+    def test_mixed_dimensions_raise_value_error(self):
+        with pytest.raises(ValueError, match="one dimension"):
+            sweep([YES_N2, NO_N1])
+        with pytest.raises(ValueError, match="one dimension"):
+            sweep([YES_N6, NO_N6, YES_N2])
+
+    def test_empty_sweep_returns_empty_arrays(self):
+        for column in sweep([]):
+            assert column.shape == (0,) and column.dtype == np.float64
+
+    def test_probability_checks_run_on_the_stack(self, monkeypatch):
+        states, even = verifier._subset_rows([YES_N2, NO_N2])
+        monkeypatch.setattr(verifier, "_subset_rows", lambda insts: (1.5 * states, even))
+        with pytest.raises(ValueError, match="computed probability"):
+            sweep([YES_N2, NO_N2])
+        with pytest.raises(ValueError, match="mean"):
+            verifier._check_report(np.ones(2), np.full(2, 0.5), np.array([0.75, 0.8]))
+
+
+def test_soundness_scan_script_runs():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "soundness_scan.py")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    pairs = re.findall(r"optimal=(\S+)  closed-form=(\S+)", proc.stdout)
+    assert len(pairs) == 12
+    assert all(optimal == closed for optimal, closed in pairs)
