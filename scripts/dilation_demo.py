@@ -5,7 +5,8 @@ The dilated picture replaces the randomized oracle with a fixed permutation
 followed by a control-permutation against a fresh uniform register per
 query; tracing out the controls must reproduce the channel picture exactly.
 Feeding a permutation with the wrong preimage set breaks the equality, which
-is the sanity check that the comparison is not vacuous.
+is the sanity check that the comparison is not vacuous. The matched sigma and
+the negative control run as one stack of two trials of the same algorithm.
 """
 
 import argparse
@@ -13,7 +14,7 @@ import argparse
 import numpy as np
 
 from permlab.core import PureState, philox_stream, subset_state
-from permlab.dilation import check_dilation, random_query_algorithm
+from permlab.dilation import QueryAlgorithm, check_dilation, random_query_algorithm
 from permlab.oracles import block_permutations, representative_sigma
 from permlab.verifier import random_instance
 
@@ -31,14 +32,14 @@ def main() -> None:
     initial = PureState(8, np.kron(subset_state(inst.subset, 4).amplitudes, np.eye(2)[0]))
 
     sigma = representative_sigma(inst.subset, 2)
-    run = check_dilation(alg, inst.subset, sigma, taus, initial)
+    wrong = representative_sigma(inst.subset.complement(), 2)
+    pair = QueryAlgorithm(4, 2, np.stack([alg.unitaries] * 2))
+    run, control = check_dilation(pair, inst.subset, [sigma, wrong], taus, initial)
     print(f"instance S = {inst.subset.members}, sigma = {sigma.to_text()}")
     print(f"consistent = {run.consistent}")
     for k, d in enumerate(run.trace_distances):
         print(f"  after query {k}: trace distance {d:.3e}")
 
-    wrong = representative_sigma(inst.subset.complement(), 2)
-    control = check_dilation(alg, inst.subset, wrong, taus, initial)
     print(f"negative control with sigma = {wrong.to_text()}: "
           f"consistent = {control.consistent}, "
           f"max distance {control.max_trace_distance:.3e}")

@@ -10,12 +10,18 @@ the 2/3 soundness target: everywhere the instance has even members.
 import argparse
 
 from permlab.core import philox_stream
-from permlab.verifier import analytic_optimum, enumerate_instances, random_instance, sweep
+from permlab.verifier import (
+    analytic_optimum,
+    enumerate_instances,
+    random_instance,
+    sweep_honest,
+    sweep_lambda,
+)
 
 
 def show(instances) -> None:
-    """Print one line per instance; they share one size, so one sweep covers them."""
-    _, _, honest, lams = sweep(instances)
+    """Print one line per instance; they share one size, so one sweep of each kind covers them."""
+    honest, lams = sweep_honest(instances)[2], sweep_lambda(instances)
     for inst, p, lam in zip(instances, honest, lams):
         flag = "" if inst.label == "YES" or lam <= 2 / 3 + 1e-9 else "  <-- above 2/3"
         print(

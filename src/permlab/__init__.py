@@ -17,22 +17,17 @@ from .core import (
     trace_distance,
 )
 from .oracles import (
-    apply_in_place,
-    apply_phase,
     apply_randomized_preimage,
-    apply_standard,
     block_permutations,
     block_twirl,
     representative_sigma,
 )
 from .verifier import (
     PreimageInstance,
-    VerifierReport,
     acceptance_operator,
-    honest_witness,
     optimal_witness_prob,
-    run_verifier,
-    sweep,
+    sweep_honest,
+    sweep_lambda,
     test_i,
     test_ii,
 )

@@ -10,7 +10,9 @@ Every oracle of a relation has one row, chosen so that the two oracles of a
 pair disagree at a label exactly where their rows differ. The statistics m,
 m' and l_max are one array formula over those rows and the pair index
 arrays, for every kind of relation; W and the end-to-end check apply all the
-oracles of a relation at once, as one sign multiply or one gather per query.
+oracles of a relation at once, as one sign multiply or one gather per query,
+and run a stack of algorithms the same way, with one `relation_stats` call
+per stack.
 
 The progress measure W sums the absolute control-register coherences across
 related pairs; each oracle query can lower it by at most sqrt(l_max), which
@@ -249,14 +251,6 @@ def adversary_bound(stats: AdversaryStats, epsilon: float) -> float:
     return coeff * math.sqrt(stats.m * stats.m_prime / stats.l_max)
 
 
-def contrapositive_bias_bound(stats: AdversaryStats, queries: float) -> float:
-    """Bias reachable with q queries: epsilon < (1/2) sqrt(2 q / sqrt(m m'/l_max))."""
-    if queries < 0:
-        raise ValueError("query count must be nonnegative")
-    base = math.sqrt(stats.m * stats.m_prime / stats.l_max)
-    return 0.5 * math.sqrt(2.0 * queries / base)
-
-
 @dataclass(frozen=True)
 class ProgressTrace:
     relation: OracleRelation
@@ -276,13 +270,15 @@ class ProgressTrace:
 def _query_states(
     rel: OracleRelation,
     alg: QueryAlgorithm,
-    initial_aq: PureState | None,
+    initial_aq: PureState | np.ndarray | None,
     weights: np.ndarray,
 ) -> list[np.ndarray]:
-    """The (c, V*Q) stack of every oracle's run, before and after each query.
+    """The (trials, c, V*Q) stack of every trial's run against every oracle,
+    before and after each query.
 
-    Row i starts as weights[i] * initial_aq and meets oracle i at each query:
-    all the oracles act at once, as one sign multiply or one gather.
+    Row i of a trial starts as weights[i] times its initial state and meets
+    oracle i at each query: all trials and oracles act at once, as one batched
+    matmul and one sign multiply or one gather per query.
     """
     if rel.analytic:
         raise ValueError(
@@ -293,34 +289,34 @@ def _query_states(
     if alg.dim_a != v:
         raise ValueError(f"algorithm register A has dim {alg.dim_a}, oracles act on {v}")
     d_aq = alg.dim_a * alg.dim_b
-    if initial_aq is None:
-        initial_aq = PureState.basis(d_aq, 1)
-    if initial_aq.dim != d_aq:
-        raise ValueError(f"initial AQ state has dim {initial_aq.dim}, expected {d_aq}")
+    amps = alg.initial_rows(PureState.basis(d_aq, 1) if initial_aq is None else initial_aq)
     rows = np.concatenate(rel.rows)
     # an in-place oracle moves the amplitude of label a to its image
-    sources = np.argsort(rows, axis=1)[:, :, None] if rel.kind == "in_place" else None
-    states = [weights[:, None] * initial_aq.amplitudes[None, :]]
-    for u in alg.query_unitaries:
-        shaped = (states[-1] @ u.T).reshape(len(rows), v, alg.dim_b)
+    sources = np.argsort(rows, axis=1)[None, :, :, None] if rel.kind == "in_place" else None
+    shape = (len(alg.stack), len(rows), d_aq)
+    states = [np.broadcast_to(weights[:, None] * amps[:, None, :], shape)]
+    for k in range(alg.queries):
+        mats = (states[-1] @ alg.stack[:, k].mT).reshape(*shape[:2], v, -1)
         if rel.kind == "phase":
-            shaped = shaped * rows[:, :, None]
+            mats = mats * rows[:, :, None]
         else:
-            shaped = np.take_along_axis(shaped, sources, axis=1)
-        states.append(shaped.reshape(len(rows), d_aq))
+            mats = np.take_along_axis(mats, sources, axis=2)
+        states.append(mats.reshape(shape))
     return states
 
 
 def progress_trace(
     rel: OracleRelation,
     alg: QueryAlgorithm,
-    initial_aq: PureState | None = None,
-) -> ProgressTrace:
+    initial_aq: PureState | np.ndarray | None = None,
+) -> ProgressTrace | tuple[ProgressTrace, ...]:
     """Track the coherence measure W across the queries of an algorithm.
 
-    The control register spans the individual oracles of the relation, so
-    analytic relations (whose cosets were never materialized) are rejected;
-    use relation_stats on those.
+    A stacked algorithm gives one trace per trial, from one run of the whole
+    stack and one `relation_stats` call; its initial state is shared, or one
+    row per trial. The control register spans the individual oracles of the
+    relation, so analytic relations (whose cosets were never materialized)
+    are rejected; use relation_stats on those.
     """
     n_x, n_y = len(rel.x_items), len(rel.y_items)
     if n_x + n_y > MAX_CONTROL_ITEMS:
@@ -330,11 +326,14 @@ def progress_trace(
     sqrt_lmax = math.sqrt(relation_stats(rel).l_max)
     px, py = rel.pair_index
     # W sums |<x|y>| over the related pairs of control states
-    w_values = tuple(
-        float(np.abs((s[:n_x] @ s[n_x:].conj().T)[px, py]).sum()) for s in states
+    w = np.stack([
+        np.abs((s[:, :n_x] @ s[:, n_x:].conj().mT)[:, px, py]).sum(axis=-1) for s in states
+    ], axis=1)
+    traces = tuple(
+        ProgressTrace(rel, tuple(values), tuple(drops), sqrt_lmax)
+        for values, drops in zip(w.tolist(), (w[:, :-1] - w[:, 1:]).tolist())
     )
-    drops = tuple(a - b for a, b in zip(w_values, w_values[1:]))
-    return ProgressTrace(rel, w_values, drops, sqrt_lmax)
+    return traces if alg.stacked else traces[0]
 
 
 @dataclass(frozen=True)
@@ -351,37 +350,42 @@ def end_to_end_bound_check(
     rel: OracleRelation,
     alg: QueryAlgorithm,
     accept_element: np.ndarray,
-    initial_aq: PureState | None = None,
-) -> BoundCheckReport:
+    initial_aq: PureState | np.ndarray | None = None,
+) -> BoundCheckReport | tuple[BoundCheckReport, ...]:
     """Verify that no distinguisher beats the adversary bound.
 
     Runs the algorithm against every oracle item, scores the worst-case
     success (accepting on YES items, rejecting on NO items), and checks that
-    the query count is at least the bound implied by that success rate.
+    the query count is at least the bound implied by that success rate. A
+    stacked algorithm takes one accept element shared by every trial or a
+    (trials, d, d) stack of them, checked at once, and gives one report per
+    trial from one `relation_stats` call.
     """
     d_aq = alg.dim_a * alg.dim_b
     e = np.asarray(accept_element, dtype=np.complex128)
-    if e.shape != (d_aq, d_aq):
+    if e.shape != (d_aq, d_aq) and (not alg.stacked or e.shape != (len(alg.stack), d_aq, d_aq)):
         raise ValueError(f"accept element has shape {e.shape}, expected ({d_aq}, {d_aq})")
-    if np.max(np.abs(e - e.conj().T)) > 1e-10:
-        raise ValueError("accept element must be Hermitian")
+    e = e.reshape(-1, d_aq, d_aq)
     eigs = np.linalg.eigvalsh(e)
-    if eigs[0] < -1e-9 or eigs[-1] > 1 + 1e-9:
-        raise ValueError("accept element must satisfy 0 <= E <= identity")
+    for bad, need in (
+        (np.max(np.abs(e - e.conj().mT), axis=(1, 2)) > 1e-10, "be Hermitian"),
+        ((eigs[:, 0] < -1e-9) | (eigs[:, -1] > 1 + 1e-9), "satisfy 0 <= E <= identity"),
+    ):
+        if bad.any():
+            raise ValueError(f"accept element {int(np.argmax(bad))} must {need}")
 
     n_x = len(rel.x_items)
     ones = np.ones(n_x + len(rel.y_items))
-    state = _query_states(rel, alg, initial_aq, ones)[-1] @ alg.final_unitary.T
-    p_accept = np.einsum("id,id->i", state.conj(), state @ e.T).real
-    successes = np.concatenate([p_accept[:n_x], 1.0 - p_accept[n_x:]]).tolist()
-    worst = min(successes)
-    epsilon = 1.0 - worst
-    if epsilon >= 0.5:
-        # worst-case success at or below a coin flip carries no constraint
-        bound = 0.0
-    else:
-        bound = adversary_bound(relation_stats(rel), epsilon)
-    return BoundCheckReport(
-        tuple(successes), worst, epsilon, alg.queries, bound,
-        alg.queries >= bound - BOUND_TOL,
-    )
+    state = _query_states(rel, alg, initial_aq, ones)[-1] @ alg.stack[:, -1].mT
+    p_accept = np.einsum("tid,tid->ti", state.conj(), state @ e.mT).real
+    successes = np.concatenate([p_accept[:, :n_x], 1.0 - p_accept[:, n_x:]], axis=1)
+    # worst-case success at or below a coin flip carries no constraint
+    stats = relation_stats(rel) if np.any(successes.min(axis=1) > 0.5) else None
+    reports = []
+    for row in successes.tolist():
+        epsilon = 1.0 - min(row)
+        bound = 0.0 if epsilon >= 0.5 else adversary_bound(stats, epsilon)
+        reports.append(BoundCheckReport(
+            tuple(row), min(row), epsilon, alg.queries, bound, alg.queries >= bound - BOUND_TOL
+        ))
+    return tuple(reports) if alg.stacked else reports[0]

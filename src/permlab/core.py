@@ -59,12 +59,6 @@ class Permutation:
             raise ValueError(f"size mismatch: {self.size} vs {other.size}")
         return Permutation(self.size, tuple(self.image[i - 1] for i in other.image))
 
-    def invert(self) -> "Permutation":
-        inv = [0] * self.size
-        for j, i in enumerate(self.image, start=1):
-            inv[i - 1] = j
-        return Permutation(self.size, tuple(inv))
-
     def preimage_set(self, block: int) -> "Subset":
         """Labels mapped into the first `block` positions; always has `block` members."""
         if block > self.size:
@@ -84,25 +78,6 @@ class Permutation:
 
     def to_text(self) -> str:
         return " ".join(str(i) for i in self.image)
-
-    @classmethod
-    def from_text(cls, text: str) -> "Permutation":
-        image = tuple(int(tok) for tok in text.split())
-        return cls(len(image), image)
-
-    @classmethod
-    def identity(cls, size: int) -> "Permutation":
-        return cls(size, tuple(range(1, size + 1)))
-
-    @classmethod
-    def transposition(cls, size: int, a: int, b: int) -> "Permutation":
-        image = list(range(1, size + 1))
-        image[a - 1], image[b - 1] = image[b - 1], image[a - 1]
-        return cls(size, tuple(image))
-
-    @classmethod
-    def random(cls, size: int, rng: np.random.Generator) -> "Permutation":
-        return cls(size, tuple(int(i) + 1 for i in rng.permutation(size)))
 
 
 @dataclass(frozen=True)
@@ -154,10 +129,6 @@ class Subset:
         sym = set(self.members) ^ set(other.members)
         return Subset(self.universe, tuple(sorted(sym)))
 
-    def issubset(self, other: "Subset") -> bool:
-        self._check_same_universe(other)
-        return all(m in other for m in self.members)
-
     def complement(self) -> "Subset":
         inside = self._member_set  # type: ignore[attr-defined]
         return Subset(self.universe, tuple(m for m in range(1, self.universe + 1) if m not in inside))
@@ -165,13 +136,6 @@ class Subset:
     def _check_same_universe(self, other: "Subset") -> None:
         if self.universe != other.universe:
             raise ValueError(f"universe mismatch: {self.universe} vs {other.universe}")
-
-    def to_text(self) -> str:
-        return " ".join(str(m) for m in self.members)
-
-    @classmethod
-    def from_text(cls, universe: int, text: str) -> "Subset":
-        return cls(universe, tuple(sorted(int(tok) for tok in text.split())))
 
 
 class SubsetFamily:
@@ -268,9 +232,6 @@ class PureState:
             raise ValueError(f"amplitudes have shape {amps.shape}, expected ({self.dim},)")
         object.__setattr__(self, "amplitudes", validated_states(amps))
 
-    def density(self) -> "DensityMatrix":
-        return DensityMatrix.from_pure(self)
-
     @classmethod
     def basis(cls, dim: int, label: int) -> "PureState":
         amps = np.zeros(dim, dtype=np.complex128)
@@ -295,26 +256,14 @@ class DensityMatrix:
     def validate_psd(self) -> None:
         _check_psd(self.entries)
 
-    def diagonal(self) -> np.ndarray:
-        return np.real(np.diag(self.entries)).copy()
-
     @classmethod
     def from_pure(cls, psi: PureState) -> "DensityMatrix":
         return cls(psi.dim, np.outer(psi.amplitudes, psi.amplitudes.conj()))
 
-    @classmethod
-    def maximally_mixed(cls, dim: int) -> "DensityMatrix":
-        return cls(dim, np.eye(dim, dtype=np.complex128) / dim)
-
-    @classmethod
-    def random(cls, dim: int, rng: np.random.Generator) -> "DensityMatrix":
-        """Random full-rank density matrix (normalized Wishart)."""
-        return cls(dim, random_densities(dim, 1, rng)[0])
-
 
 def random_densities(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """`count` normalized Wishart matrices G G† / tr(G G†) as one unvalidated
-    (count, dim, dim) array, drawn as `count` `DensityMatrix.random` calls would."""
+    """`count` random full-rank density matrices, normalized Wishart G G† / tr(G G†),
+    as one unvalidated (count, dim, dim) array."""
     normal = rng.normal(size=(count, 2, dim, dim))
     g = normal[:, 0] + 1j * normal[:, 1]
     mats = g @ np.swapaxes(g, -1, -2).conj()

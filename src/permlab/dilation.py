@@ -8,7 +8,14 @@ C^t (x) A (x) B. That picture stays pure: its t+1 states are one (t+1, c^t*d_AB)
 stack, capped in length, and each query is one matmul and one index gather.
 Tracing out the controls is rho_AB = M^T conj(M) with M a state reshaped to
 (c^t, d_AB), batched over the stack, so no matrix larger than d_AB is built.
-Both pictures return validated stacks; one eigensolve gives every distance.
+
+Every layer has a trial axis: a `QueryAlgorithm` may hold a stack of
+algorithms with one query count, validated once, and both pictures then run
+every trial at once, with one subset, sigma and initial state per trial (or
+one shared). `check_dilation` takes such a stack in chunks of at most
+TRIAL_STACK_ENTRIES dilated amplitudes; per chunk, each query is one
+batched matmul and one gather, and one eigensolve gives every distance. One
+algorithm is a stack of one on the same path.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -34,76 +41,100 @@ from .oracles import block_average_on_first_factor, representative_sigma
 UNITARY_TOL = 1e-10
 # Largest trace distance an exact dilation may show: round-off only.
 DILATION_TOL = 1e-9
+# Complex entries of one trial stack (256 KB): `check_dilation` runs a stack's
+# trials in chunks whose dilated states hold at most this many, and random
+# algorithms are drawn in stacks whose unitaries hold at most this many.
+TRIAL_STACK_ENTRIES = 2**14
 
 
-def haar_unitaries(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """`count` Haar-distributed unitaries, as a (count, dim, dim) array.
+def trial_stacks(count: int, entries: int) -> Iterator[slice]:
+    """Consecutive slices of `count` trials of `entries` complex entries each,
+    every slice at most TRIAL_STACK_ENTRIES entries or one trial."""
+    step = max(1, TRIAL_STACK_ENTRIES // max(entries, 1))
+    return (slice(start, start + step) for start in range(0, count, step))
 
-    One normal draw gives each complex Ginibre matrix its real part, then its
-    imaginary part, matrix by matrix, so the stream is consumed exactly as
-    `count` separate `haar_unitary` calls would. One stacked QR with the phase
-    of R's diagonal folded into Q makes the distribution Haar.
-    """
-    normal = rng.normal(size=(count, 2, dim, dim))
-    q, r = np.linalg.qr(normal[:, 0] + 1j * normal[:, 1])
+
+def haar_stack(dim: int, count: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """`count` Haar unitaries per stream, as one (streams, count, dim, dim) array: one
+    normal draw per stream (each Ginibre matrix's real part, then its imaginary part,
+    as `count` one-matrix draws would take them), then one stacked QR for all, with
+    the phase of R's diagonal folded into Q."""
+    z = np.empty((len(rngs), count, dim, dim), dtype=np.complex128)
+    for i, rng in enumerate(rngs):
+        normal = rng.normal(size=(count, 2, dim, dim))
+        z[i] = normal[:, 0] + 1j * normal[:, 1]
+    q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[:, None, :]
-
-
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """One Haar-distributed unitary."""
-    return haar_unitaries(dim, 1, rng)[0]
+    return q * (d / np.abs(d))[..., None, :]
 
 
 @dataclass(frozen=True)
 class QueryAlgorithm:
-    """t query-interleaved unitaries plus a final one, all on A (x) B.
+    """t query-interleaved unitaries plus a final one, all on A (x) B, or a
+    stack of such algorithms with one t, one per trial.
 
-    The unitaries are checked for shape one by one, then for unitarity as one
-    stack (U^H U - I for all of them at once), and kept as read-only views of
-    that stack.
+    `unitaries` is a sequence of t+1 (d, d) matrices, or a (trials, t+1, d, d)
+    array for a stack. Either is checked for unitarity as one stack (U^H U - I
+    for all of them at once) and kept as one read-only array of that shape.
     """
 
     dim_a: int
     dim_b: int
-    unitaries: tuple[np.ndarray, ...]
+    unitaries: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.unitaries) < 1:
-            raise ValueError("need at least the final unitary")
         d = self.dim_a * self.dim_b
-        for i, u in enumerate(self.unitaries):
-            if np.shape(u) != (d, d):
-                raise ValueError(f"unitary {i} has shape {np.shape(u)}, expected ({d}, {d})")
+        if not isinstance(self.unitaries, np.ndarray):
+            for i, u in enumerate(self.unitaries):
+                if np.shape(u) != (d, d):
+                    raise ValueError(f"unitary {i} has shape {np.shape(u)}, expected ({d}, {d})")
         stack = np.array(self.unitaries, dtype=np.complex128)
-        gram = np.conj(stack.transpose(0, 2, 1)) @ stack
-        errs = np.max(np.abs(gram - np.eye(d)), axis=(1, 2))
-        bad = np.flatnonzero(errs > UNITARY_TOL)
+        if stack.ndim not in (3, 4) or stack.shape[-3] < 1 or stack.shape[-2:] != (d, d):
+            raise ValueError(f"unitaries have shape {stack.shape}, not ([trials,] t+1, {d}, {d})")
+        gram = stack.conj().mT @ stack
+        errs = np.max(np.abs(gram - np.eye(d)), axis=(-2, -1))
+        bad = np.argwhere(errs > UNITARY_TOL)
         if bad.size:
-            i = int(bad[0])
-            raise ValueError(f"matrix {i} is not unitary (deviation {float(errs[i])})")
+            *trial, i = bad[0]
+            where = "".join(f"trial {j}: " for j in trial)
+            raise ValueError(f"{where}matrix {i} is not unitary (deviation {errs[tuple(bad[0])]})")
         stack.setflags(write=False)
-        object.__setattr__(self, "unitaries", tuple(stack))
+        object.__setattr__(self, "unitaries", stack)
+
+    @property
+    def stacked(self) -> bool:
+        return self.unitaries.ndim == 4
+
+    @property
+    def stack(self) -> np.ndarray:
+        """The unitaries as a (trials, t+1, d, d) stack; one algorithm is a stack of one."""
+        return self.unitaries.reshape(-1, *self.unitaries.shape[-3:])
 
     @property
     def queries(self) -> int:
-        return len(self.unitaries) - 1
+        return self.unitaries.shape[-3] - 1
 
-    @property
-    def query_unitaries(self) -> tuple[np.ndarray, ...]:
-        return self.unitaries[:-1]
+    def trial_slice(self, part: slice) -> "QueryAlgorithm":
+        """Trials `part` as a stack sharing this algorithm's checked unitaries."""
+        sliced = object.__new__(QueryAlgorithm)
+        vars(sliced).update(vars(self), unitaries=self.stack[part])
+        return sliced
 
-    @property
-    def final_unitary(self) -> np.ndarray:
-        return self.unitaries[-1]
+    def initial_rows(self, initial: PureState | np.ndarray) -> np.ndarray:
+        """A PureState shared by every trial as one (1, d_AB) row, or a stack's
+        (trials, d_AB) array of initial states, validated."""
+        rows = initial.amplitudes[None] if isinstance(initial, PureState) else validated_states(
+            np.array(initial, dtype=np.complex128))
+        if rows.shape[1:] != (self.dim_a * self.dim_b,) or len(rows) not in (1, len(self.stack)):
+            raise ValueError(f"initial states of shape {rows.shape} do not fit {len(self.stack)} "
+                             f"trials on dim A*B = {self.dim_a * self.dim_b}")
+        return rows
 
 
 def random_query_algorithm(
     dim_a: int, dim_b: int, queries: int, rng: np.random.Generator
 ) -> QueryAlgorithm:
-    return QueryAlgorithm(
-        dim_a, dim_b, tuple(haar_unitaries(dim_a * dim_b, queries + 1, rng))
-    )
+    return QueryAlgorithm(dim_a, dim_b, haar_stack(dim_a * dim_b, queries + 1, [rng])[0])
 
 
 def chi_state(count: int) -> PureState:
@@ -113,77 +144,95 @@ def chi_state(count: int) -> PureState:
     return PureState(count, np.full(count, 1.0 / math.sqrt(count), dtype=np.complex128))
 
 
+def _images(perms: Permutation | Sequence) -> np.ndarray:
+    """Zero-based images of a Permutation, (V,), or of nested sequences of them, (..., V)."""
+    def nested(p):
+        return p.image if isinstance(p, Permutation) else [nested(q) for q in p]
+    return np.array(nested(perms), dtype=np.intp) - 1
+
+
 def run_channel_picture(
-    alg: QueryAlgorithm, subset: Subset, initial: PureState
+    alg: QueryAlgorithm, subset: Subset | Sequence[Subset], initial: PureState | np.ndarray
 ) -> np.ndarray:
     """States rho_0..rho_t with the randomized preimage channel applied on A.
 
-    Returned as one validated, read-only (t+1, d_AB, d_AB) stack. The fixed
-    permutation sigma acts as an index gather on both axes of rho.
+    Returned as one validated, read-only (t+1, d_AB, d_AB) stack, or
+    (trials, t+1, d_AB, d_AB) for a stacked algorithm, which takes one subset
+    per trial. The fixed permutation sigma acts as an index gather on both axes
+    of rho; each query is one batched matmul over the trials.
     """
-    if subset.universe != alg.dim_a:
-        raise ValueError(
-            f"oracle universe {subset.universe} does not match register A ({alg.dim_a})"
-        )
-    if initial.dim != alg.dim_a * alg.dim_b:
-        raise ValueError(f"initial state dim {initial.dim} != dim A*B")
-    block = len(subset)
-    inv_sigma = np.argsort(representative_sigma(subset, block).zero_based())
-    source = (inv_sigma[:, None] * alg.dim_b + np.arange(alg.dim_b)).ravel()
-    rhos = np.empty((alg.queries + 1, initial.dim, initial.dim), dtype=np.complex128)
-    rhos[0] = np.outer(initial.amplitudes, initial.amplitudes.conj())
-    for k, u in enumerate(alg.query_unitaries, start=1):
-        rho = (u @ rhos[k - 1] @ u.conj().T)[source[:, None], source]
-        rhos[k] = block_average_on_first_factor(rho, block, alg.dim_a, alg.dim_b)
-    return validated_densities(rhos)
+    subsets = [subset] if isinstance(subset, Subset) else list(subset)
+    block = len(subsets[0])
+    if any(s.universe != alg.dim_a or len(s) != block for s in subsets):
+        raise ValueError(f"every subset needs {block} members of register A's [{alg.dim_a}]")
+    amps, stack = alg.initial_rows(initial), alg.stack
+    trials, d = len(stack), amps.shape[1]
+    inv_sigma = np.argsort(_images([representative_sigma(s, block) for s in subsets]), axis=-1)
+    source = (inv_sigma[:, :, None] * alg.dim_b + np.arange(alg.dim_b)).reshape(-1, d, 1)
+    # entry (i, j) of a trial's rho after the gather reads entry (source_i, source_j)
+    flat = np.arange(trials)[:, None, None] * d * d + source * d + source.mT
+    rhos = np.empty((trials, alg.queries + 1, d, d), dtype=np.complex128)
+    rhos[:, 0] = amps[:, :, None] * amps[:, None, :].conj()
+    for k in range(alg.queries):
+        u = stack[:, k]
+        rho = (u @ rhos[:, k] @ u.conj().mT).ravel()[flat]
+        rhos[:, k + 1] = block_average_on_first_factor(rho, block, alg.dim_a, alg.dim_b)
+    return validated_densities(rhos if alg.stacked else rhos[0])
 
 
 def run_dilated_picture(
     alg: QueryAlgorithm,
-    sigma: Permutation,
-    taus: Sequence[Permutation],
-    initial: PureState,
+    sigma: Permutation | Sequence[Permutation],
+    taus: Sequence[Permutation | Sequence[Permutation]],
+    initial: PureState | np.ndarray,
     max_dim: int = MAX_DIM,
 ) -> np.ndarray:
     """Pure states psi~_0..psi~_t on C^t (x) A (x) B, query k touching control k.
 
-    Returned as one validated, read-only (t+1, c^t * d_AB) stack; control 1 is
-    the most significant digit. Each query is one matmul of the (c^t, d_AB)
-    state matrix by the algorithm unitary, then one flat gather for the fixed
+    Returned as one validated, read-only (t+1, c^t * d_AB) stack, or
+    (trials, t+1, c^t * d_AB) for a stacked algorithm; control 1 is the most
+    significant digit. Entry i of `taus` is control value i's permutation;
+    it and sigma are shared by every trial, or a stack's sequence of one per
+    trial. Each query is one batched matmul of the (trials, c^t, d_AB) state
+    matrices by the algorithm unitaries, then one flat gather for the fixed
     in-place permutation on A and the control permutation between C_k and A:
     A index j of a row whose control k holds i reads from inv_sigma[inv_tau_i[j]].
     """
-    t = alg.queries
-    c = len(taus)
+    stack = alg.stack
+    t, c, trials = alg.queries, len(taus), len(stack)
     d_ab = alg.dim_a * alg.dim_b
-    if sigma.size != alg.dim_a:
-        raise ValueError(f"permutation size {sigma.size} does not match register A")
-    if initial.dim != d_ab:
-        raise ValueError(f"initial state dim {initial.dim} != dim A*B")
+    # chi applied t times in kron's order, so psi~_0 is the t-fold kron bit for bit.
+    chi = chi_state(c).amplitudes[0]
+    sigma_images, tau_images = _images(sigma), _images(taus)
+    if sigma_images.shape[-1] != alg.dim_a or tau_images.shape[-1] != alg.dim_a:
+        raise ValueError(f"sigma and every tau must permute the {alg.dim_a} labels of register A")
+    amps = alg.initial_rows(initial)
     full = (c**t) * d_ab
     if full > max_dim:
         raise ValueError(
             f"dilated dimension {c}^{t} * {d_ab} = {full} exceeds the cap {max_dim}; "
             "each query consumes a fresh control register"
         )
-    inv_sigma = np.argsort(sigma.zero_based())
-    inv_a = np.stack([inv_sigma[np.argsort(tau.zero_based())] for tau in taus])
-    source = (inv_a[:, :, None] * alg.dim_b + np.arange(alg.dim_b)).reshape(c, d_ab)
+    # (1 or trials, c, V): inv_sigma after control value i's inverse tau, per trial
+    inv_sigma = np.argsort(sigma_images, axis=-1).reshape(-1, alg.dim_a)
+    inv_taus = np.argsort(tau_images, axis=-1).reshape(c, -1, alg.dim_a).swapaxes(0, 1)
+    inv_a = inv_sigma.ravel()[np.arange(len(inv_sigma))[:, None, None] * alg.dim_a + inv_taus]
+    source = (inv_a[..., None] * alg.dim_b + np.arange(alg.dim_b)).reshape(-1, c, d_ab)
     rows = np.arange(c**t)
-    states = np.empty((t + 1, c**t, d_ab), dtype=np.complex128)
-    # chi applied t times in kron's order, so psi~_0 is the t-fold kron bit for bit.
-    chi = chi_state(c).amplitudes[0]
-    states[0] = functools.reduce(lambda amps, _: chi * amps, range(t), initial.amplitudes)
-    for k, u in enumerate(alg.query_unitaries, start=1):
-        flat = rows[:, None] * d_ab + source[rows // c ** (t - k) % c]
-        states[k] = (states[k - 1] @ u.T).ravel()[flat]
-    return validated_states(states.reshape(t + 1, full))
+    offsets = (np.arange(trials) * full)[:, None, None] + rows[:, None] * d_ab
+    states = np.empty((trials, t + 1, c**t, d_ab), dtype=np.complex128)
+    states[:, 0] = functools.reduce(lambda amps, _: chi * amps, range(t), amps)[:, None, :]
+    for k in range(1, t + 1):
+        flat = offsets + source[:, rows // c ** (t - k) % c]
+        states[:, k] = (states[:, k - 1] @ stack[:, k - 1].mT).ravel()[flat]
+    states = states.reshape(trials, t + 1, full)
+    return validated_states(states if alg.stacked else states[0])
 
 
 @dataclass(frozen=True)
 class DilationRun:
-    """Channel and reduced dilated states as read-only (t+1, d_AB, d_AB) stacks, and
-    the trace distance between them after each query."""
+    """Channel and reduced dilated states of one trial as read-only (t+1, d_AB, d_AB)
+    stacks, and the trace distance between them after each query."""
 
     subset: Subset
     sigma: Permutation
@@ -203,23 +252,38 @@ class DilationRun:
 
 def check_dilation(
     alg: QueryAlgorithm,
-    subset: Subset,
-    sigma: Permutation,
-    taus: Sequence[Permutation],
-    initial: PureState,
+    subset: Subset | Sequence[Subset],
+    sigma: Permutation | Sequence[Permutation],
+    taus: Sequence[Permutation | Sequence[Permutation]],
+    initial: PureState | np.ndarray,
     max_dim: int = MAX_DIM,
-) -> DilationRun:
+) -> DilationRun | tuple[DilationRun, ...]:
     """Run both pictures and compare tr_C(psi~_k) against rho_k for every k.
 
-    The reductions are one batched M^T conj(M), and the distances one stacked
-    eigensolve. A sigma whose preimage set differs from the subset is reported
-    through the `consistent` flag (and through large distances) rather than
-    raised, so deliberate mismatches can serve as negative controls.
+    A stacked algorithm takes the pictures' per-trial arguments and gives one
+    run per trial. Its trials go through in chunks whose dilated states hold
+    at most TRIAL_STACK_ENTRIES amplitudes; per chunk, the reductions are one
+    batched M^T conj(M) and the distances one stacked eigensolve. A sigma whose
+    preimage set differs from the subset is reported through the `consistent`
+    flag (and through large distances) rather than raised, so deliberate
+    mismatches can serve as negative controls.
     """
-    consistent = sigma.preimage_set(len(subset)) == subset
-    rhos = run_channel_picture(alg, subset, initial)
-    states = run_dilated_picture(alg, sigma, taus, initial, max_dim=max_dim)
-    mats = states.reshape(alg.queries + 1, -1, initial.dim)
-    reduced = validated_densities(mats.transpose(0, 2, 1) @ mats.conj())
-    distances = tuple(trace_distance(reduced, rhos).tolist())
-    return DilationRun(subset, sigma, rhos, reduced, distances, consistent)
+    trials, d_ab = len(alg.stack), alg.dim_a * alg.dim_b
+    subsets = [subset] * trials if isinstance(subset, Subset) else list(subset)
+    sigmas = [sigma] * trials if isinstance(sigma, Permutation) else list(sigma)
+    runs = []
+    for part in trial_stacks(trials, (alg.queries + 1) * len(taus) ** alg.queries * d_ab):
+        chunk = alg.trial_slice(part)
+        chunk_initial = initial if isinstance(initial, PureState) else initial[part]
+        chunk_taus = [tau if isinstance(tau, Permutation) else tau[part] for tau in taus]
+        rhos = run_channel_picture(chunk, subsets[part], chunk_initial)
+        states = run_dilated_picture(chunk, sigmas[part], chunk_taus, chunk_initial, max_dim)
+        mats = states.reshape(*rhos.shape[:2], -1, d_ab)
+        reduced = validated_densities(mats.mT @ mats.conj())
+        runs += [
+            DilationRun(s, sg, r, m, tuple(dist), sg.preimage_set(len(s)) == s)
+            for s, sg, r, m, dist in zip(
+                subsets[part], sigmas[part], rhos, reduced, trace_distance(reduced, rhos).tolist()
+            )
+        ]
+    return tuple(runs) if alg.stacked else runs[0]

@@ -29,13 +29,12 @@ from .adversary import (
     relation_stats,
 )
 from .core import (
-    PureState,
     SubsetFamily,
     enumerate_family,
     philox_stream,
     sample_family,
 )
-from .dilation import DILATION_TOL, check_dilation, haar_unitary, random_query_algorithm
+from .dilation import DILATION_TOL, QueryAlgorithm, check_dilation, haar_stack, trial_stacks
 from .oracles import (
     block_permutations,
     random_representative,
@@ -48,7 +47,14 @@ from .structure import (
     fixing_procedure,
     witness_pigeonhole,
 )
-from .verifier import THRESHOLD_LO, enumerate_instances, meets_threshold, random_instance, sweep
+from .verifier import (
+    THRESHOLD_LO,
+    enumerate_instances,
+    meets_threshold,
+    random_instance,
+    sweep_honest,
+    sweep_lambda,
+)
 
 SUBCOMMANDS = ("verify", "dilate", "fix", "crossover", "relation", "wtrace", "suite")
 
@@ -188,7 +194,7 @@ def run_verify(cfg: ExperimentConfig) -> tuple[bool, list[str], list[list]]:
         ]
     else:
         raise ValueError("subcommand 'verify' needs either n or N")
-    columns = sweep(instances)
+    columns = (*sweep_honest(instances), sweep_lambda(instances))
     rows = [
         [
             "-".join(str(m) for m in inst.subset.members),
@@ -214,21 +220,29 @@ def run_dilate(cfg: ExperimentConfig) -> tuple[bool, list[str], list[list]]:
     n, queries, dim_b = cfg.n, cfg.queries, cfg.dim_b
     big_n = 2**n
     v = big_n**2
+    d = v * dim_b
     exact = n == 1
-    rows, per_trial = [], []
-    for trial in range(cfg.trials):
-        rng = philox_stream(cfg.seed, trial)
-        inst = random_instance(big_n, "YES" if trial % 2 == 0 else "NO", rng, n=n)
-        sigma = random_representative(inst.subset, big_n, rng)
-        if exact:
-            taus = block_permutations(v, big_n)
-        else:
-            taus = sample_block_permutations(v, big_n, cfg.tau_samples, rng)
-        alg = random_query_algorithm(v, dim_b, queries, rng)
-        initial = PureState(v * dim_b, haar_unitary(v * dim_b, rng)[:, 0])
-        run = check_dilation(alg, inst.subset, sigma, taus, initial)
-        rows += [[trial, k, dist] for k, dist in enumerate(run.trace_distances)]
-        per_trial.append(run.max_trace_distance)
+    runs = []
+    # every trial draws from its own stream; each stack of trials then runs at once
+    for part in trial_stacks(cfg.trials, (queries + 2) * d * d):
+        trials = range(cfg.trials)[part]
+        rngs = [philox_stream(cfg.seed, trial) for trial in trials]
+        insts = [
+            random_instance(big_n, "YES" if trial % 2 == 0 else "NO", rng, n=n)
+            for trial, rng in zip(trials, rngs)
+        ]
+        sigmas = [random_representative(inst.subset, big_n, rng) for inst, rng in zip(insts, rngs)]
+        # entry i holds control value i's permutation: the whole group, or a sample per trial
+        taus = block_permutations(v, big_n) if exact else list(zip(*(
+            sample_block_permutations(v, big_n, cfg.tau_samples, rng) for rng in rngs)))
+        # each trial's queries + 1 unitaries, then one whose first column is its initial state
+        u = haar_stack(d, queries + 2, rngs)
+        runs += check_dilation(
+            QueryAlgorithm(v, dim_b, u[:, : queries + 1]), [inst.subset for inst in insts], sigmas,
+            taus, u[:, queries + 1, :, 0],
+        )
+    rows = [[i, k, x] for i, run in enumerate(runs) for k, x in enumerate(run.trace_distances)]
+    per_trial = [run.max_trace_distance for run in runs]
     top = max(per_trial, default=0.0)
     if exact:
         print(f"exact dilation: worst trace distance {top:.3g} against {DILATION_TOL:g}",
@@ -291,12 +305,13 @@ def run_wtrace(cfg: ExperimentConfig) -> tuple[bool, list[str], list[list]]:
     sx = enumerate_family(4, 2, lambda m: all(x % 2 == 0 for x in m))
     sy = enumerate_family(4, 2, lambda m: all(x % 2 == 1 for x in m))
     rel = build_preimage_relation(sx, sy, 2)
+    traces = []
+    for part in trial_stacks(cfg.trials, (cfg.queries + 1) * 8 * 8):
+        rngs = [philox_stream(cfg.seed, trial) for trial in range(cfg.trials)[part]]
+        traces += progress_trace(rel, QueryAlgorithm(4, 2, haar_stack(8, cfg.queries + 1, rngs)))
     rows = []
     worst = None  # (largest drop of any trial, sqrt(l_max)); l_max is one per relation
-    for trial in range(cfg.trials):
-        rng = philox_stream(cfg.seed, trial)
-        alg = random_query_algorithm(4, 2, cfg.queries, rng)
-        trace = progress_trace(rel, alg)
+    for trace in traces:
         for t, w in enumerate(trace.w_values):
             drop = "" if t == 0 else trace.drops[t - 1]
             rows.append([t, w, drop, trace.sqrt_lmax])

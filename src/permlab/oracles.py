@@ -1,11 +1,10 @@
-"""The four oracle models built from permutations and subsets.
+"""Oracle models built from permutations and subsets.
 
-Kinds:
-  standard    |i>|b> -> |i>|b XOR sigma(i)> with XOR on 0-based indices,
-  in_place    |i>   -> |sigma(i)>,
-  phase       |i>   -> (-1)^{[i in S]} |i>,
-  randomized_preimage   rho -> average of P_sigma rho P_sigma† over every
-                        permutation whose preimage set is S.
+An in-place oracle is |i> -> |sigma(i)>, a phase oracle |i> -> (-1)^{[i in S]} |i>
+(its diagonal is `phase_signs`), and the randomized preimage oracle is the
+channel rho -> average of P_sigma rho P_sigma† over every permutation whose
+preimage set is S. The state maps of the standard, in-place and phase oracles
+are references in tests/test_oracles.py; the package runs their rows.
 
 The randomized channel is never sampled: the permutations with preimage set
 S form the coset {tau o sigma* : tau block-preserving}, so the channel equals
@@ -26,7 +25,7 @@ import math
 
 import numpy as np
 
-from .core import DensityMatrix, Permutation, PureState, Subset
+from .core import DensityMatrix, Permutation, Subset
 
 # Refuse to enumerate block groups larger than this (use sampling instead).
 GROUP_ENUMERATION_CAP = 50_000
@@ -94,47 +93,11 @@ def sample_block_permutations(
     return tuple(out)
 
 
-def apply_in_place(perm: Permutation, psi: PureState) -> PureState:
-    """Route amplitude at label j to label sigma(j)."""
-    if psi.dim != perm.size:
-        raise ValueError(f"state dim {psi.dim} does not match permutation size {perm.size}")
-    out = np.empty_like(psi.amplitudes)
-    out[perm.zero_based()] = psi.amplitudes
-    return PureState(psi.dim, out)
-
-
-def _standard_targets(perm: Permutation) -> np.ndarray:
-    """Where |i>|b> lands under the standard oracle, as 0-based joint indices."""
-    v = perm.size
-    sigma0 = perm.zero_based()
-    idx = np.arange(v * v)
-    return (idx // v) * v + ((idx % v) ^ sigma0[idx // v])
-
-
-def apply_standard(perm: Permutation, psi: PureState) -> PureState:
-    """|i>|b> -> |i>|b XOR sigma(i)> on two V-dim registers, XOR on 0-based indices."""
-    v = perm.size
-    if v & (v - 1):
-        raise ValueError(f"standard oracle needs a power-of-2 size, got {v}")
-    if psi.dim != v * v:
-        raise ValueError(f"state dim {psi.dim} does not match two registers of size {v}")
-    out = np.empty_like(psi.amplitudes)
-    out[_standard_targets(perm)] = psi.amplitudes
-    return PureState(psi.dim, out)
-
-
 def phase_signs(subset: Subset) -> np.ndarray:
     """The phase oracle's diagonal: -1 at the members of the subset, +1 elsewhere."""
     signs = np.ones(subset.universe)
     signs[[m - 1 for m in subset.members]] = -1.0
     return signs
-
-
-def apply_phase(subset: Subset, psi: PureState) -> PureState:
-    """Flip the sign of every amplitude whose label lies in the subset."""
-    if psi.dim != subset.universe:
-        raise ValueError(f"state dim {psi.dim} does not match universe {subset.universe}")
-    return PureState(psi.dim, psi.amplitudes * phase_signs(subset))
 
 
 def block_average(mat: np.ndarray, block: int) -> np.ndarray:

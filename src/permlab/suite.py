@@ -25,7 +25,6 @@ from .adversary import (
     relation_stats,
 )
 from .core import (
-    PureState,
     Subset,
     SubsetFamily,
     enumerate_family,
@@ -33,7 +32,7 @@ from .core import (
     random_densities,
     validated_densities,
 )
-from .dilation import DILATION_TOL, check_dilation, haar_unitary, random_query_algorithm
+from .dilation import DILATION_TOL, QueryAlgorithm, check_dilation, haar_stack, trial_stacks
 from .oracles import block_average, block_permutations, random_representative
 from .structure import (
     TargetClass,
@@ -49,7 +48,8 @@ from .verifier import (
     majority_count,
     meets_threshold,
     random_instance,
-    sweep,
+    sweep_honest,
+    sweep_lambda,
 )
 
 
@@ -80,7 +80,7 @@ def criterion_01_completeness(seed: int) -> CriterionResult:
         expected = 0.5 * (1.0 + majority_count(2**n) / 2**n)
         cases.append((f"n={n}", _yes_instance(n, 2**n, members), expected, 1e-12))
     # one sweep per size: every case has its own dimension
-    checks = [(tag, float(sweep([inst])[2][0]), want, tol) for tag, inst, want, tol in cases]
+    checks = [(tag, float(sweep_honest([inst])[2][0]), want, t) for tag, inst, want, t in cases]
     bad = [(tag, got, want) for tag, got, want, tol in checks if abs(got - want) > tol]
     summary = "; ".join(f"{tag}: {got:.12g} (want {want:.12g})" for tag, got, want, _ in checks)
     return CriterionResult(1, "completeness", not bad, summary)
@@ -88,10 +88,10 @@ def criterion_01_completeness(seed: int) -> CriterionResult:
 
 def criterion_02_soundness(seed: int) -> CriterionResult:
     """Optimal-witness acceptance of every NO instance against the 2/3 target."""
-    lam_n1 = float(np.max(sweep(enumerate_instances(1, "NO"))[3]))
-    lams_n2 = sweep(enumerate_instances(2, "NO"))[3]
+    lam_n1 = float(np.max(sweep_lambda(enumerate_instances(1, "NO"))))
+    lams_n2 = sweep_lambda(enumerate_instances(2, "NO"))
     frac = PreimageInstance.fractional(6, Subset(36, (1, 2, 3, 4, 5, 7)))
-    lam_frac = float(sweep([frac])[3][0])
+    lam_frac = float(sweep_lambda([frac])[0])
     above_n2 = int(np.count_nonzero(~meets_threshold("NO", lams_n2)))
     passed = not above_n2 and meets_threshold("NO", lam_n1) and meets_threshold("NO", lam_frac)
     summary = (
@@ -108,25 +108,36 @@ def criterion_03_test_i_perfection(seed: int) -> CriterionResult:
     for n in (1, 2, 3):  # one sweep per size; run i has n = 1 + i % 3
         runs = range(n - 1, 50, 3)
         insts = [random_instance(2**n, "YES", philox_stream(seed, 300 + i), n=n) for i in runs]
-        worst = max(worst, float(np.max(np.abs(sweep(insts)[0] - 1.0))))
+        worst = max(worst, float(np.max(np.abs(sweep_honest(insts)[0] - 1.0))))
     return CriterionResult(
         3, "test (i) perfection", worst <= 1e-12, f"max |p-1| = {worst:.3g} over 50 runs"
     )
 
 
 def criterion_04_dilation(seed: int) -> CriterionResult:
-    """Channel picture equals the traced dilated picture for random algorithms."""
+    """Channel picture equals the traced dilated picture for random algorithms.
+
+    Trial i draws from its own stream and makes 1 + i % 3 queries; the trials
+    of one query count are one stack, with one QR for their unitaries and
+    initial states and one `check_dilation`.
+    """
     taus = block_permutations(4, 2)
     worst = 0.0
-    for trial in range(100):
-        rng = philox_stream(seed, 400 + trial)
-        t = 1 + trial % 3
-        inst = random_instance(2, "YES" if trial % 2 == 0 else "NO", rng, n=1)
-        sigma = random_representative(inst.subset, 2, rng)
-        alg = random_query_algorithm(4, 2, t, rng)
-        initial = PureState(8, haar_unitary(8, rng)[:, 0])
-        run = check_dilation(alg, inst.subset, sigma, taus, initial)
-        worst = max(worst, run.max_trace_distance)
+    for t in (1, 2, 3):
+        trials = range(t - 1, 100, 3)
+        rngs = [philox_stream(seed, 400 + trial) for trial in trials]
+        insts = [
+            random_instance(2, "YES" if trial % 2 == 0 else "NO", rng, n=1)
+            for trial, rng in zip(trials, rngs)
+        ]
+        sigmas = [random_representative(inst.subset, 2, rng) for inst, rng in zip(insts, rngs)]
+        # each trial's t + 1 unitaries, then one whose first column is its initial state
+        u = haar_stack(8, t + 2, rngs)
+        runs = check_dilation(
+            QueryAlgorithm(4, 2, u[:, : t + 1]), [inst.subset for inst in insts], sigmas, taus,
+            u[:, t + 1, :, 0],
+        )
+        worst = max([worst, *(run.max_trace_distance for run in runs)])
     return CriterionResult(
         4, "dilation equality", worst <= DILATION_TOL, f"max trace distance {worst:.3g} over 100 runs"
     )
@@ -377,26 +388,28 @@ def criterion_10_progress_measure(seed: int) -> CriterionResult:
     stats = relation_stats(rel)
     w0_expected = len(rel.pairs) / (2.0 * math.sqrt(len(rel.x_items) * len(rel.y_items)))
     problems = []
-    worst_drop_excess = -1.0
-    worst_w0 = 0.0
-    for trial in range(100):
-        rng = philox_stream(seed, 1000 + trial)
-        alg = random_query_algorithm(4, 2, 5, rng)
-        trace = progress_trace(rel, alg)
-        worst_w0 = max(worst_w0, abs(trace.w_values[0] - w0_expected))
-        worst_drop_excess = max(worst_drop_excess, trace.max_drop - trace.sqrt_lmax)
+    # 100 five-query algorithms, then 200 two-query ones, each trial drawn from
+    # its own stream and each stack of trials run at once
+    traces = []
+    for part in trial_stacks(100, 6 * 8 * 8):
+        rngs = [philox_stream(seed, 1000 + trial) for trial in range(100)[part]]
+        traces += progress_trace(rel, QueryAlgorithm(4, 2, haar_stack(8, 6, rngs)))
+    worst_w0 = max(abs(trace.w_values[0] - w0_expected) for trace in traces)
+    worst_drop_excess = max(trace.max_drop - trace.sqrt_lmax for trace in traces)
     if worst_w0 > 1e-12:
         problems.append(f"W_0 error {worst_w0:.3g}")
     if worst_drop_excess > 1e-9:
         problems.append(f"drop exceeds sqrt(l_max) by {worst_drop_excess:.3g}")
-    bound_failures = 0
-    for trial in range(200):
-        rng = philox_stream(seed, 1200 + trial)
-        alg = random_query_algorithm(4, 2, 2, rng)
-        vec = haar_unitary(8, rng)[:, 0]
-        report = end_to_end_bound_check(rel, alg, np.outer(vec, vec.conj()))
-        if not report.satisfied:
-            bound_failures += 1
+    reports = []
+    for part in trial_stacks(200, 4 * 8 * 8):
+        rngs = [philox_stream(seed, 1200 + trial) for trial in range(200)[part]]
+        # each trial's three unitaries, then one whose first column is its accept vector
+        u = haar_stack(8, 4, rngs)
+        vecs = u[:, 3, :, 0]
+        reports += end_to_end_bound_check(
+            rel, QueryAlgorithm(4, 2, u[:, :3]), vecs[:, :, None] * vecs[:, None, :].conj()
+        )
+    bound_failures = sum(not report.satisfied for report in reports)
     if bound_failures:
         problems.append(f"{bound_failures} distinguishers beat the bound")
     return CriterionResult(

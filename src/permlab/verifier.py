@@ -17,10 +17,11 @@ oracle maps S onto [N], so test (i) accepts with |<S|w>|^2, test (ii) with
 the weight of w on the even members of S, and the acceptance operator is
 (|S><S| + P_even)/2. The tests check these against the channel simulation.
 
-`sweep` verifies instances of one dimension as one (count, V) array of subset
-states, reduced row by row for the honest witness, and one (count, V, V) stack
-of M with one batched `eigh`. The one-instance functions remain for arbitrary
-witnesses; `acceptance_operator` builds M as a stack of one.
+`sweep_honest` verifies the honest witness of instances of one dimension as one
+(count, V) array of subset states, reduced row by row; `sweep_lambda` takes
+their lambda_max from (count, V, V) stacks of M, one batched `eigh` each. A
+caller runs only the sweep it reads. The one-instance functions remain for
+arbitrary witnesses; `acceptance_operator` builds M as a stack of one.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ PROBABILITY_TOL = 1e-10
 THRESHOLD_LO = 2.0 / 3.0
 # An optimal acceptance at most this far above the mark still counts as sound.
 SOUNDNESS_SLACK = 1e-9
-# Float64 entries of one acceptance-operator stack in `sweep` (8 MB): 4,096
+# Float64 entries of one acceptance-operator stack in `sweep_lambda` (8 MB): 4,096
 # instances at V = 16, 16 at V = 256 and one from V = 1024 on.
 SWEEP_CHUNK_ENTRIES = 2**20
 
@@ -141,10 +142,6 @@ def random_instance(
     return PreimageInstance(n, n_labels, subset, label)
 
 
-def honest_witness(inst: PreimageInstance) -> PureState:
-    return subset_state(inst.subset, inst.dim)
-
-
 def test_i(inst: PreimageInstance, witness: PureState) -> float:
     """Oracle the witness, then project onto the [N]-uniform state: |<S|w>|^2."""
     if witness.dim != inst.dim:
@@ -180,29 +177,11 @@ def test_ii(inst: PreimageInstance, witness: PureState) -> float:
     return float(_as_probability(np.sum(weights)))
 
 
-@dataclass(frozen=True)
-class VerifierReport:
-    p_test_i: float
-    p_test_ii: float
-    p_accept: float
-    witness_used: PureState
-
-    def __post_init__(self) -> None:
-        _check_report(self.p_test_i, self.p_test_ii, self.p_accept)
-
-
 def _check_report(p_i, p_ii, p_accept) -> None:
-    """The report's invariants, on scalars or on a sweep's arrays."""
+    """The invariants of a verifier report, on scalars or on a sweep's arrays."""
     _check_range(np.array([p_i, p_ii, p_accept]), "probability")
     if np.any(np.abs(p_accept - 0.5 * (np.asarray(p_i) + p_ii)) > PROBABILITY_TOL):
         raise ValueError("p_accept must be the arithmetic mean of the two tests")
-
-
-def run_verifier(inst: PreimageInstance, witness: PureState) -> VerifierReport:
-    """Both tests plus their fair-coin average."""
-    p1 = test_i(inst, witness)
-    p2 = test_ii(inst, witness)
-    return VerifierReport(p1, p2, 0.5 * (p1 + p2), witness)
 
 
 def _subset_rows(instances: Sequence[PreimageInstance]) -> tuple[np.ndarray, np.ndarray]:
@@ -240,32 +219,46 @@ def optimal_witness_prob(inst: PreimageInstance) -> tuple[float, PureState]:
     return float(vals[-1]), PureState(inst.dim, vecs[:, -1])
 
 
-def sweep(instances: Sequence[PreimageInstance]) -> tuple[np.ndarray, ...]:
-    """Honest-witness tests (i) and (ii), their mean and lambda_max, as float64 arrays.
+def _sweep_dim(instances: Sequence[PreimageInstance]) -> int | None:
+    """The one dimension V of a sweep's instances; None for an empty sweep."""
+    dims = sorted({inst.dim for inst in instances})
+    if len(dims) > 1:
+        raise ValueError(f"a sweep needs instances of one dimension, got {dims}")
+    return dims[0] if dims else None
+
+
+def sweep_honest(instances: Sequence[PreimageInstance]) -> tuple[np.ndarray, ...]:
+    """Honest-witness tests (i) and (ii) and their mean, as float64 arrays.
+
+    The instances share one dimension V; their subset states are one (count, V)
+    array, reduced as `test_i` (a complex inner product) and `test_ii` reduce,
+    bit for bit.
+    """
+    if _sweep_dim(instances) is None:
+        return tuple(np.zeros(0) for _ in range(3))
+    states, even = _subset_rows(instances)
+    amps = states.astype(np.complex128)
+    p_i = _as_probability(np.abs((amps[:, None, :] @ amps[:, :, None])[:, 0, 0]) ** 2)
+    p_ii = _as_probability(np.einsum("ij,ij,ij->i", states, states, even))
+    p_accept = 0.5 * (p_i + p_ii)
+    _check_report(p_i, p_ii, p_accept)
+    return p_i, p_ii, p_accept
+
+
+def sweep_lambda(instances: Sequence[PreimageInstance]) -> np.ndarray:
+    """lambda_max of each instance's acceptance operator, as a float64 array.
 
     The instances share one dimension V; each chunk of at most SWEEP_CHUNK_ENTRIES
     entries of M is one stack and one batched `eigh`.
     """
-    dims = sorted({inst.dim for inst in instances})
-    if len(dims) > 1:
-        raise ValueError(f"a sweep needs instances of one dimension, got {dims}")
-    if not dims:
-        return tuple(np.zeros(0) for _ in range(4))
-    rows = max(1, SWEEP_CHUNK_ENTRIES // dims[0] ** 2)
-    chunks = []
-    for start in range(0, len(instances), rows):
-        states, even = _subset_rows(instances[start:start + rows])
-        # reduced as test_i (a complex inner product) and test_ii reduce, bit for bit
-        amps = states.astype(np.complex128)
-        chunks.append((
-            _as_probability(np.abs((amps[:, None, :] @ amps[:, :, None])[:, 0, 0]) ** 2),
-            _as_probability(np.einsum("ij,ij,ij->i", states, states, even)),
-            np.linalg.eigh(_acceptance_stack(states, even))[0][:, -1],
-        ))
-    p_i, p_ii, lam = (np.concatenate(column) for column in zip(*chunks))
-    p_accept = 0.5 * (p_i + p_ii)
-    _check_report(p_i, p_ii, p_accept)
-    return p_i, p_ii, p_accept, lam
+    dim = _sweep_dim(instances)
+    if dim is None:
+        return np.zeros(0)
+    rows = max(1, SWEEP_CHUNK_ENTRIES // dim**2)
+    return np.concatenate([
+        np.linalg.eigh(_acceptance_stack(*_subset_rows(instances[start:start + rows])))[0][:, -1]
+        for start in range(0, len(instances), rows)
+    ])
 
 
 def analytic_optimum(inst: PreimageInstance) -> float:

@@ -1,0 +1,64 @@
+"""Helpers shared by several test files: constructors and views that only the
+tests need, kept out of the package.
+
+The test files import this module by name: `pyproject.toml` puts `tests/` on
+pytest's import path, whatever the import mode.
+"""
+
+import numpy as np
+
+from permlab.core import DensityMatrix, Permutation, Subset, random_densities
+from permlab.dilation import QueryAlgorithm, haar_stack
+
+
+def identity(size):
+    return Permutation(size, tuple(range(1, size + 1)))
+
+
+def invert(perm):
+    inv = [0] * perm.size
+    for j, i in enumerate(perm.image, start=1):
+        inv[i - 1] = j
+    return Permutation(perm.size, tuple(inv))
+
+
+def random_permutation(size, rng):
+    return Permutation(size, tuple(int(i) + 1 for i in rng.permutation(size)))
+
+
+def permutation_from_text(text):
+    image = tuple(int(tok) for tok in text.split())
+    return Permutation(len(image), image)
+
+
+def subset_from_text(universe, text):
+    return Subset(universe, tuple(sorted(int(tok) for tok in text.split())))
+
+
+def issubset(a, b):
+    if a.universe != b.universe:
+        raise ValueError(f"universe mismatch: {a.universe} vs {b.universe}")
+    return all(m in b for m in a.members)
+
+
+def maximally_mixed(dim):
+    return DensityMatrix(dim, np.eye(dim, dtype=np.complex128) / dim)
+
+
+def random_density(dim, rng):
+    """Random full-rank density matrix (normalized Wishart)."""
+    return DensityMatrix(dim, random_densities(dim, 1, rng)[0])
+
+
+def diagonal(rho):
+    return np.real(np.diag(rho.entries)).copy()
+
+
+def haar_unitary(dim, rng):
+    """One Haar-distributed unitary from one stream."""
+    return haar_stack(dim, 1, [rng])[0, 0]
+
+
+def identity_algorithm(dim_a, dim_b, queries):
+    """The identity before every query and at the end."""
+    return QueryAlgorithm(dim_a, dim_b, (np.eye(dim_a * dim_b),) * (queries + 1))

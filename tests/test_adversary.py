@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permlab import adversary
 from permlab.adversary import (
     AdversaryStats,
     OracleRelation,
     adversary_bound,
     build_preimage_relation,
     build_subset_relation,
-    contrapositive_bias_bound,
     end_to_end_bound_check,
     matched_representatives,
     progress_trace,
@@ -26,13 +26,17 @@ from permlab.core import (
     enumerate_family,
     philox_stream,
 )
-from permlab.dilation import QueryAlgorithm, haar_unitary, random_query_algorithm
+from permlab.dilation import QueryAlgorithm, random_query_algorithm
 from permlab.oracles import phase_signs
+from reference import haar_unitary, identity, identity_algorithm, invert
 
 
-def identity_algorithm(dim_a, dim_b, queries):
-    """The identity before every query and at the end."""
-    return QueryAlgorithm(dim_a, dim_b, (np.eye(dim_a * dim_b),) * (queries + 1))
+def contrapositive_bias_bound(stats, queries):
+    """Bias reachable with q queries: epsilon < (1/2) sqrt(2 q / sqrt(m m'/l_max))."""
+    if queries < 0:
+        raise ValueError("query count must be nonnegative")
+    base = math.sqrt(stats.m * stats.m_prime / stats.l_max)
+    return 0.5 * math.sqrt(2.0 * queries / base)
 
 
 def family_of(universe, *member_tuples):
@@ -102,7 +106,7 @@ def reference_w_values(rel, alg, initial_aq):
         return sum(abs(rho_c[xi, n_x + yi]) for xi, yi in rel.pairs)
 
     values = [w_of(state)]
-    for u in alg.query_unitaries:
+    for u in alg.unitaries[:-1]:
         shaped = (state @ u.T).reshape(len(items), rel.universe, alg.dim_b)
         state = np.stack(
             [apply_item(shaped[i], rel, item) for i, item in enumerate(items)]
@@ -117,10 +121,10 @@ def reference_successes(rel, alg, accept, initial_aq):
     for side, items in (("x", rel.x_items), ("y", rel.y_items)):
         for item in items:
             psi = initial_aq.amplitudes.copy()
-            for u in alg.query_unitaries:
+            for u in alg.unitaries[:-1]:
                 psi = u @ psi
                 psi = apply_item(psi.reshape(rel.universe, alg.dim_b), rel, item).reshape(-1)
-            psi = alg.final_unitary @ psi
+            psi = alg.unitaries[-1] @ psi
             p_accept = float(np.real(psi.conj() @ accept @ psi))
             successes.append(p_accept if side == "x" else 1.0 - p_accept)
     return successes
@@ -269,6 +273,70 @@ class TestBatchedMatchesPerItem:
         assert np.allclose(report.per_item_success, want, rtol=0.0, atol=1e-12)
 
 
+class TestTrialStacks:
+    @given(
+        traced_relations(), st.integers(1, 3), st.integers(0, 3), st.integers(1, 4),
+        st.integers(0, 10**6),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_stacked_runs_match_per_trial_reference(self, rel, dim_b, queries, trials, seed):
+        # every trial has its own algorithm, initial state and accept element
+        d = rel.universe * dim_b
+        rngs = [philox_stream(seed, k) for k in range(trials)]
+        algs = [random_query_algorithm(rel.universe, dim_b, queries, rng) for rng in rngs]
+        initials = [PureState(d, haar_unitary(d, rng)[:, 0]) for rng in rngs]
+        vecs = [haar_unitary(d, rng)[:, 0] for rng in rngs]
+        accepts = np.stack([np.outer(v, v.conj()) for v in vecs])
+        stack = QueryAlgorithm(rel.universe, dim_b, np.stack([alg.unitaries for alg in algs]))
+        rows = np.stack([psi.amplitudes for psi in initials])
+        traces = progress_trace(rel, stack, initial_aq=rows)
+        reports = end_to_end_bound_check(rel, stack, accepts, initial_aq=rows)
+        assert len(traces) == len(reports) == trials
+        for k in range(trials):
+            want = reference_w_values(rel, algs[k], initials[k])
+            assert np.allclose(traces[k].w_values, want, rtol=0.0, atol=1e-12)
+            want = reference_successes(rel, algs[k], accepts[k], initials[k])
+            assert np.allclose(reports[k].per_item_success, want, rtol=0.0, atol=1e-12)
+            one = end_to_end_bound_check(rel, algs[k], accepts[k], initial_aq=initials[k])
+            assert (reports[k].satisfied, reports[k].queries) == (one.satisfied, one.queries)
+            assert abs(reports[k].bound - one.bound) <= 1e-12
+
+    def test_relation_stats_run_once_per_stack(self, monkeypatch):
+        calls = []
+        original = adversary.relation_stats
+
+        def counted(relation):
+            calls.append(relation)
+            return original(relation)
+
+        monkeypatch.setattr(adversary, "relation_stats", counted)
+        rel = build_preimage_relation(N1_X, N1_Y, 2)
+        stack = QueryAlgorithm(4, 2, np.stack([
+            random_query_algorithm(4, 2, 2, philox_stream(70 + k)).unitaries for k in range(6)
+        ]))
+        assert len(progress_trace(rel, stack)) == 6
+        assert len(calls) == 1
+        # the swap detector of TestEndToEnd, three times: every trial carries a bound
+        swap = OracleRelation(
+            "in_place", 2, (identity(2),), (Permutation(2, (2, 1)),), ((0, 0),)
+        )
+        reports = end_to_end_bound_check(
+            swap, QueryAlgorithm(2, 1, np.tile(np.eye(2), (3, 2, 1, 1))), np.diag([1.0, 0.0])
+        )
+        assert [report.bound for report in reports] == [pytest.approx(1.0)] * 3
+        assert len(calls) == 2
+
+    def test_accept_element_of_a_member_is_named(self):
+        rel = build_preimage_relation(N1_X, N1_Y, 2)
+        stack = QueryAlgorithm(4, 2, np.tile(np.eye(8), (3, 2, 1, 1)))
+        accepts = np.tile(np.eye(8), (3, 1, 1))
+        accepts[2] *= 2.0
+        with pytest.raises(ValueError, match="accept element 2 must satisfy"):
+            end_to_end_bound_check(rel, stack, accepts)
+        with pytest.raises(ValueError, match="shape"):
+            end_to_end_bound_check(rel, identity_algorithm(4, 2, 1), accepts)
+
+
 class TestMatchedRepresentatives:
     def test_agreement_conditions_nonvacuous(self):
         sx, sy = Subset(6, (1, 2, 3)), Subset(6, (1, 4, 5))
@@ -355,7 +423,7 @@ class TestCancellationIdentity:
     def agreement_sets_coincide(self, px, py):
         v = px.size
         t = {i for i in range(1, v + 1) if px(i) == py(i)}
-        ix, iy = px.invert(), py.invert()
+        ix, iy = invert(px), invert(py)
         u = {ix(i) for i in range(1, v + 1) if ix(i) == iy(i)}
         return t == u
 
@@ -486,7 +554,7 @@ class TestEndToEnd:
     def test_swap_detector_saturates_bound(self):
         rel = OracleRelation(
             "in_place", 2,
-            (Permutation.identity(2),), (Permutation(2, (2, 1)),),
+            (identity(2),), (Permutation(2, (2, 1)),),
             ((0, 0),),
         )
         eye = np.eye(2, dtype=complex)

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permlab import dilation, harness
 from permlab.core import (
     DensityMatrix,
-    Permutation,
     PureState,
     Subset,
     partial_trace,
@@ -23,11 +23,11 @@ from permlab.dilation import (
     QueryAlgorithm,
     check_dilation,
     chi_state,
-    haar_unitaries,
-    haar_unitary,
+    haar_stack,
     random_query_algorithm,
     run_channel_picture,
     run_dilated_picture,
+    trial_stacks,
 )
 from permlab.oracles import (
     block_average_on_first_factor,
@@ -36,6 +36,7 @@ from permlab.oracles import (
     random_representative,
     representative_sigma,
 )
+from reference import haar_unitary, identity, identity_algorithm, random_density
 
 TAUS = block_permutations(4, 2)
 S_EVEN = Subset(4, (2, 4))
@@ -53,11 +54,6 @@ def reference_haar_unitary(dim, rng):
 def random_product_initial(dim, seed):
     rng = philox_stream(seed)
     return PureState(dim, haar_unitary(dim, rng)[:, 0])
-
-
-def identity_algorithm(dim_a, dim_b, queries):
-    """The identity before every query and at the end."""
-    return QueryAlgorithm(dim_a, dim_b, (np.eye(dim_a * dim_b),) * (queries + 1))
 
 
 def build_control_permutation(taus):
@@ -80,7 +76,7 @@ def reference_channel_picture(alg, subset, initial):
     p_joint = np.kron(representative_sigma(subset, block).matrix(), np.eye(alg.dim_b))
     states = [DensityMatrix.from_pure(initial)]
     rho = states[0].entries
-    for u in alg.query_unitaries:
+    for u in alg.unitaries[:-1]:
         rho = u @ rho @ u.conj().T
         rho = p_joint @ rho @ p_joint.T
         rho = block_average_on_first_factor(rho, block, alg.dim_a, alg.dim_b)
@@ -103,7 +99,7 @@ def reference_dilated_picture(alg, sigma, taus, initial):
     gather = np.stack([inv_sigma[np.argsort(tau.zero_based())] for tau in taus])
     states = [PureState(full, psi)]
     for k in range(1, t + 1):
-        mat = psi.reshape(c**t, d_ab) @ alg.query_unitaries[k - 1].T
+        mat = psi.reshape(c**t, d_ab) @ alg.unitaries[:-1][k - 1].T
         view = mat.reshape(c ** (k - 1), c, c ** (t - k), alg.dim_a, alg.dim_b)
         psi = np.take_along_axis(view, gather[None, :, None, :, None], axis=3).reshape(full)
         states.append(PureState(full, psi))
@@ -145,7 +141,7 @@ def dense_dilated_picture(alg, sigma, taus, initial):
 
     snapshots = [DensityMatrix.from_pure(PureState(full, psi))]
     for k in range(1, t + 1):
-        mat = psi.reshape(c**t, d_ab) @ alg.query_unitaries[k - 1].T
+        mat = psi.reshape(c**t, d_ab) @ alg.unitaries[:-1][k - 1].T
         shaped = mat.reshape((c,) * t + (alg.dim_a, alg.dim_b))
         shaped = shaped[..., inv_sigma, :]
         out = np.empty_like(shaped)
@@ -197,15 +193,20 @@ class TestQueryAlgorithm:
 
 
 class TestHaarUnitaries:
-    @given(dim=st.integers(1, 16), count=st.integers(1, 6), seed=st.integers(0, 10**6))
+    @given(
+        dim=st.integers(1, 16), count=st.integers(1, 6), streams=st.integers(0, 3),
+        seed=st.integers(0, 10**6),
+    )
     @settings(max_examples=60, deadline=None)
-    def test_matches_per_matrix_reference(self, dim, count, seed):
-        rng, ref_rng = philox_stream(seed), philox_stream(seed)
-        got = haar_unitaries(dim, count, rng)
-        want = np.stack([reference_haar_unitary(dim, ref_rng) for _ in range(count)])
-        assert got.shape == (count, dim, dim)
-        assert np.array_equal(got, want)
-        assert rng.random() == ref_rng.random()  # same stream position afterwards
+    def test_matches_per_matrix_reference(self, dim, count, streams, seed):
+        rngs = [philox_stream(seed, i) for i in range(streams)]
+        ref_rngs = [philox_stream(seed, i) for i in range(streams)]
+        got = haar_stack(dim, count, rngs)
+        assert got.shape == (streams, count, dim, dim)
+        for stack, rng, ref_rng in zip(got, rngs, ref_rngs, strict=True):
+            want = np.stack([reference_haar_unitary(dim, ref_rng) for _ in range(count)])
+            assert np.array_equal(stack, want)
+            assert rng.random() == ref_rng.random()  # same stream position afterwards
 
     def test_single_unitary_and_algorithm_use_the_same_draws(self):
         rng, ref_rng = philox_stream(11), philox_stream(11)
@@ -224,7 +225,7 @@ class TestChiAndControl:
             assert abs(np.linalg.norm(chi_state(count).amplitudes) - 1) < 1e-12
 
     def test_single_identity_tau(self):
-        mat = build_control_permutation([Permutation.identity(3)])
+        mat = build_control_permutation([identity(3)])
         np.testing.assert_allclose(mat, np.eye(3), atol=1e-15)
 
     def test_four_block_permutations(self):
@@ -245,7 +246,7 @@ class TestChiAndControl:
 
     def test_mismatched_sizes_rejected(self):
         with pytest.raises(ValueError, match="share"):
-            build_control_permutation([Permutation.identity(3), Permutation.identity(4)])
+            build_control_permutation([identity(3), identity(4)])
 
 
 class TestChannelPicture:
@@ -281,7 +282,8 @@ class TestDilatedPicture:
         initial = random_product_initial(8, 4)
         sigma = representative_sigma(S_EVEN, 2)
         tildes = run_dilated_picture(alg, sigma, TAUS, initial)
-        reduced = partial_trace(PureState(128, tildes[0]).density(), (4, 4, 4, 2), (2, 3))
+        first = DensityMatrix.from_pure(PureState(128, tildes[0]))
+        reduced = partial_trace(first, (4, 4, 4, 2), (2, 3))
         np.testing.assert_allclose(
             reduced.entries, np.outer(initial.amplitudes, initial.amplitudes.conj()),
             atol=1e-14,
@@ -338,9 +340,10 @@ class TestDilatedPicture:
         sigma = representative_sigma(S_EVEN, 2)
         rhos = run_channel_picture(alg, S_EVEN, initial)
         tildes = run_dilated_picture(alg, sigma, TAUS, initial)
-        final = alg.final_unitary
+        final = alg.unitaries[-1]
         rho_final = final @ rhos[-1] @ final.conj().T
-        reduced = partial_trace(PureState(128, tildes[-1]).density(), (4, 4, 4, 2), (2, 3)).entries
+        last = DensityMatrix.from_pure(PureState(128, tildes[-1]))
+        reduced = partial_trace(last, (4, 4, 4, 2), (2, 3)).entries
         tilde_final = final @ reduced @ final.conj().T
         rng = philox_stream(22)
         for _ in range(20):
@@ -460,11 +463,128 @@ class TestStacksMatchPerStateReference:
                 stack[(0,) * stack.ndim] = 0.0
 
 
+PAIRS = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+
+
+def _trial_stack(t, dim_b, seeds):
+    """One stacked algorithm with t queries, one trial per seed, and each trial's
+    algorithm on its own: the same unitaries, drawn from the trial's stream."""
+    algs = [random_query_algorithm(4, dim_b, t, philox_stream(seed)) for seed in seeds]
+    return QueryAlgorithm(4, dim_b, np.stack([alg.unitaries for alg in algs])), algs
+
+
+class TestTrialStacks:
+    @given(
+        t=st.integers(0, 3),
+        dim_b=st.integers(1, 2),
+        trials=st.lists(
+            st.tuples(st.integers(0, 5), st.sampled_from([0, 0, 1, 3]), st.integers(0, 10**6)),
+            min_size=1, max_size=4,
+        ),
+        tau_rows=st.lists(st.integers(0, 3), min_size=1, max_size=3),
+        shared_taus=st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_stacked_check_matches_per_trial_reference(
+        self, t, dim_b, trials, tau_rows, shared_taus
+    ):
+        # trial i: its own subset, sigma (with the subset's preimage set at offset 0),
+        # initial state and, unless shared, its own taus
+        stack, algs = _trial_stack(t, dim_b, [seed for _, _, seed in trials])
+        subsets = [Subset(4, PAIRS[i]) for i, _, _ in trials]
+        sigmas = [
+            random_representative(Subset(4, PAIRS[(i + offset) % 6]), 2, philox_stream(seed, 1))
+            for i, offset, seed in trials
+        ]
+        initials = [random_product_initial(4 * dim_b, seed + 2) for _, _, seed in trials]
+        per_trial_taus = [[TAUS[(row + k) % 4] for row in tau_rows] for k in range(len(trials))]
+        taus = per_trial_taus[0] if shared_taus else list(zip(*per_trial_taus))
+        runs = check_dilation(
+            stack, subsets, sigmas, taus, np.stack([psi.amplitudes for psi in initials])
+        )
+        assert len(runs) == len(trials)
+        for k, run in enumerate(runs):
+            own_taus = per_trial_taus[0 if shared_taus else k]
+            rhos, reduced, distances, consistent = reference_check_dilation(
+                algs[k], subsets[k], sigmas[k], own_taus, initials[k]
+            )
+            assert run.consistent == consistent == (trials[k][1] == 0)
+            assert np.max(np.abs(run.rhos - np.stack([r.entries for r in rhos]))) <= 1e-12
+            assert np.max(np.abs(run.reduced - np.stack([r.entries for r in reduced]))) <= 1e-12
+            gaps = [abs(a - b) for a, b in zip(run.trace_distances, distances, strict=True)]
+            assert max(gaps) <= 1e-12
+
+    def test_mixed_stack_flags_only_the_wrong_sigma(self):
+        stack, _ = _trial_stack(3, 2, [1, 2, 3])
+        sigmas = [representative_sigma(S_EVEN, 2)] * 3
+        sigmas[1] = representative_sigma(S_ODD, 2)
+        runs = check_dilation(stack, [S_EVEN] * 3, sigmas, TAUS, random_product_initial(8, 4))
+        assert [run.consistent for run in runs] == [True, False, True]
+        assert runs[0].max_trace_distance < 1e-12 and runs[2].max_trace_distance < 1e-12
+        assert runs[1].max_trace_distance > 0.1
+
+    def test_chunk_size_leaves_results_bit_for_bit(self, monkeypatch):
+        # 20 three-query trials of 4 * 4^3 * 8 = 2048 dilated amplitudes each
+        stack, _ = _trial_stack(3, 2, range(20))
+        subsets = [Subset(4, PAIRS[k % 6]) for k in range(20)]
+        sigmas = [random_representative(s, 2, philox_stream(k, 5)) for k, s in enumerate(subsets)]
+        initial = np.stack([random_product_initial(8, k).amplitudes for k in range(20)])
+        sizes = []
+        picture = dilation.run_dilated_picture
+
+        def counted(alg, *args):
+            sizes.append(len(alg.stack))
+            return picture(alg, *args)
+
+        monkeypatch.setattr(dilation, "run_dilated_picture", counted)
+        whole = check_dilation(stack, subsets, sigmas, TAUS, initial)
+        assert sizes == [8, 8, 4]  # 2^14 entries per chunk
+        configs = [
+            harness.ExperimentConfig(subcommand=name, queries=2, trials=9, seed=3)
+            for name in ("dilate", "wtrace")
+        ]
+        cli = [harness.execute(cfg) for cfg in configs]
+        for entries in (1, 3 * 2048):
+            monkeypatch.setattr(dilation, "TRIAL_STACK_ENTRIES", entries)
+            sizes.clear()
+            runs = check_dilation(stack, subsets, sigmas, TAUS, initial)
+            assert sizes == ([1] * 20 if entries == 1 else [3] * 6 + [2])
+            for a, b in zip(whole, runs, strict=True):
+                assert a.trace_distances == b.trace_distances and a.consistent == b.consistent
+                assert np.array_equal(a.rhos, b.rhos) and np.array_equal(a.reduced, b.reduced)
+            assert [harness.execute(cfg) for cfg in configs] == cli
+
+    def test_non_unitary_member_is_named(self):
+        unitaries = np.tile(np.eye(8, dtype=complex), (3, 4, 1, 1))
+        unitaries[1, 2] *= 2.0
+        message = r"^trial 1: matrix 2 is not unitary \(deviation 3\.0\)$"
+        with pytest.raises(ValueError, match=message):
+            QueryAlgorithm(4, 2, unitaries)
+
+    def test_single_algorithm_is_a_stack_of_one(self):
+        alg = random_query_algorithm(4, 2, 2, philox_stream(8))
+        initial = random_product_initial(8, 9)
+        sigma = representative_sigma(S_EVEN, 2)
+        one = check_dilation(alg, S_EVEN, sigma, TAUS, initial)
+        (stacked,) = check_dilation(
+            QueryAlgorithm(4, 2, alg.unitaries[None]), [S_EVEN], [sigma], TAUS, initial
+        )
+        assert one.trace_distances == stacked.trace_distances
+        assert np.array_equal(one.rhos, stacked.rhos)
+        assert np.array_equal(one.reduced, stacked.reduced)
+        assert all(isinstance(d, float) for d in one.trace_distances)
+
+    def test_trial_stacks_cover_every_trial_within_the_bound(self):
+        assert list(trial_stacks(5, 2**13)) == [slice(0, 2), slice(2, 4), slice(4, 6)]
+        assert list(trial_stacks(3, 2**20)) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+        assert list(trial_stacks(0, 64)) == []
+
+
 class TestDistanceHelpers:
     def test_trace_distance_symmetry(self):
         rng = philox_stream(30)
-        a = DensityMatrix.random(6, rng)
-        b = DensityMatrix.random(6, rng)
+        a = random_density(6, rng)
+        b = random_density(6, rng)
         assert abs(trace_distance(a, b) - trace_distance(b, a)) < 1e-14
 
 

@@ -57,6 +57,7 @@ EXAMPLE_CASES = {
     "relation_preimage_n1.csv": (dict(subcommand="relation", kind="preimage", n=1), 0),
     "relation_preimage_n2.csv": (dict(subcommand="relation", kind="preimage", n=2), 0),
     "wtrace_q5_seed3.csv": (dict(subcommand="wtrace", queries=5, seed=3), 0),
+    "wtrace_q5_t6_seed3.csv": (dict(subcommand="wtrace", queries=5, trials=6, seed=3), 0),
 }
 
 

@@ -18,11 +18,7 @@ from permlab.core import (
     subset_state,
 )
 from permlab.oracles import (
-    _standard_targets,
-    apply_in_place,
-    apply_phase,
     apply_randomized_preimage,
-    apply_standard,
     block_average,
     block_average_on_first_factor,
     block_permutations,
@@ -32,6 +28,53 @@ from permlab.oracles import (
     representative_sigma,
     sample_block_permutations,
 )
+from reference import (
+    diagonal,
+    identity,
+    maximally_mixed,
+    permutation_from_text,
+    random_density,
+    random_permutation,
+    subset_from_text,
+)
+
+
+# The state maps of the standard, in-place and phase oracles: the package runs
+# their rows (phase signs and zero-based images), so they live with their tests.
+def apply_in_place(perm, psi):
+    """Route amplitude at label j to label sigma(j)."""
+    if psi.dim != perm.size:
+        raise ValueError(f"state dim {psi.dim} does not match permutation size {perm.size}")
+    out = np.empty_like(psi.amplitudes)
+    out[perm.zero_based()] = psi.amplitudes
+    return PureState(psi.dim, out)
+
+
+def _standard_targets(perm):
+    """Where |i>|b> lands under the standard oracle, as 0-based joint indices."""
+    v = perm.size
+    sigma0 = perm.zero_based()
+    idx = np.arange(v * v)
+    return (idx // v) * v + ((idx % v) ^ sigma0[idx // v])
+
+
+def apply_standard(perm, psi):
+    """|i>|b> -> |i>|b XOR sigma(i)> on two V-dim registers, XOR on 0-based indices."""
+    v = perm.size
+    if v & (v - 1):
+        raise ValueError(f"standard oracle needs a power-of-2 size, got {v}")
+    if psi.dim != v * v:
+        raise ValueError(f"state dim {psi.dim} does not match two registers of size {v}")
+    out = np.empty_like(psi.amplitudes)
+    out[_standard_targets(perm)] = psi.amplitudes
+    return PureState(psi.dim, out)
+
+
+def apply_phase(subset, psi):
+    """Flip the sign of every amplitude whose label lies in the subset."""
+    if psi.dim != subset.universe:
+        raise ValueError(f"state dim {psi.dim} does not match universe {subset.universe}")
+    return PureState(psi.dim, psi.amplitudes * phase_signs(subset))
 
 
 # The tagged oracle wrapper: the package never runs it, so it lives with its tests.
@@ -96,16 +139,16 @@ class OracleChannel:
         """Build from a flat config entry like {"kind": ..., "perm": "3 4 1 2"}."""
         kind = spec.get("kind")
         if kind in ("standard", "in_place"):
-            perm = Permutation.from_text(spec["perm"])
+            perm = permutation_from_text(spec["perm"])
             dim = perm.size**2 if kind == "standard" else perm.size
             return cls(kind, dim, perm=perm)
         if kind == "phase":
             universe = int(spec["universe"])
-            return cls(kind, universe, subset=Subset.from_text(universe, spec["subset"]))
+            return cls(kind, universe, subset=subset_from_text(universe, spec["subset"]))
         if kind == "randomized_preimage":
             block = int(spec["N"])
             universe = int(spec.get("universe", block * block))
-            subset = Subset.from_text(universe, spec["subset"])
+            subset = subset_from_text(universe, spec["subset"])
             return cls(kind, universe, subset=subset, block=block)
         raise ValueError(f"unknown oracle kind {kind!r}")
 
@@ -134,7 +177,7 @@ class TestInPlace:
     def test_identity(self):
         psi = random_state(4, philox_stream(0))
         np.testing.assert_allclose(
-            apply_in_place(Permutation.identity(4), psi).amplitudes, psi.amplitudes
+            apply_in_place(identity(4), psi).amplitudes, psi.amplitudes
         )
 
     def test_basis_swap(self):
@@ -150,12 +193,12 @@ class TestInPlace:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            apply_in_place(Permutation.identity(3), PureState.basis(4, 1))
+            apply_in_place(identity(3), PureState.basis(4, 1))
 
     @given(st.integers(2, 6), st.integers(0, 100))
     def test_norm_preserved(self, v, seed):
         rng = philox_stream(seed)
-        p = Permutation.random(v, rng)
+        p = random_permutation(v, rng)
         psi = random_state(v, rng)
         out = apply_in_place(p, psi)
         assert abs(np.linalg.norm(out.amplitudes) - 1) < 1e-12
@@ -175,7 +218,7 @@ class TestStandard:
         np.testing.assert_allclose(out.amplitudes, np.eye(4)[1], atol=1e-15)
 
     def test_identity_permutation_encodes_index(self):
-        p = Permutation.identity(4)
+        p = identity(4)
         for i in range(1, 5):
             joint_label = (i - 1) * 4 + 1  # |i>|b=0-index>
             out = apply_standard(p, PureState.basis(16, joint_label))
@@ -184,11 +227,11 @@ class TestStandard:
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError, match="power-of-2"):
-            apply_standard(Permutation.identity(3), PureState.basis(9, 1))
+            apply_standard(identity(3), PureState.basis(9, 1))
 
     def test_norm_preserved(self):
         rng = philox_stream(1)
-        p = Permutation.random(4, rng)
+        p = random_permutation(4, rng)
         psi = random_state(16, rng)
         assert abs(np.linalg.norm(apply_standard(p, psi).amplitudes) - 1) < 1e-12
 
@@ -220,11 +263,11 @@ class TestBlockTwirl:
         np.testing.assert_allclose(out.entries, np.diag([0.5, 0.5, 0, 0]), atol=1e-15)
 
     def test_maximally_mixed_invariant(self):
-        rho = DensityMatrix.maximally_mixed(4)
+        rho = maximally_mixed(4)
         np.testing.assert_allclose(block_twirl(rho, 2).entries, rho.entries, atol=1e-15)
 
     def test_matches_exhaustive_four_term_average(self):
-        rho = DensityMatrix.random(4, philox_stream(4))
+        rho = random_density(4, philox_stream(4))
         taus = block_permutations(4, 2)
         assert len(taus) == 4
         acc = sum(t.matrix() @ rho.entries @ t.matrix().T for t in taus) / 4
@@ -232,7 +275,7 @@ class TestBlockTwirl:
 
     @pytest.mark.parametrize("v,block", [(4, 2), (5, 2), (6, 3), (4, 4), (5, 1)])
     def test_idempotent_trace_hermitian_psd(self, v, block):
-        rho = DensityMatrix.random(v, philox_stream(v * 10 + block))
+        rho = random_density(v, philox_stream(v * 10 + block))
         once = block_twirl(rho, block)
         twice = block_twirl(once, block)
         np.testing.assert_allclose(once.entries, twice.entries, atol=1e-13)
@@ -243,7 +286,7 @@ class TestBlockTwirl:
         for v in range(2, 7):
             for block in range(1, v + 1):
                 rng = philox_stream(100 + v * 8 + block)
-                rho = DensityMatrix.random(v, rng)
+                rho = random_density(v, rng)
                 group = block_permutations(v, block)
                 acc = sum(t.matrix() @ rho.entries @ t.matrix().T for t in group)
                 acc /= len(group)
@@ -352,14 +395,14 @@ class TestCountMatrixAverage:
     def test_short_enumeration_raises(self, monkeypatch):
         rows = suite._block_group_rows
         monkeypatch.setattr(suite, "_block_group_rows", lambda v, b: (r[1:] for r in rows(v, b)))
-        stack = DensityMatrix.random(4, philox_stream(3)).entries[None]
+        stack = random_density(4, philox_stream(3)).entries[None]
         with pytest.raises(RuntimeError, match="enumerated 3 block-group elements"):
             suite.exhaustive_block_average(stack, 2)
 
 
 class TestRepresentative:
     def test_canonical_examples(self):
-        assert representative_sigma(Subset(4, (1, 2)), 2) == Permutation.identity(4)
+        assert representative_sigma(Subset(4, (1, 2)), 2) == identity(4)
         assert representative_sigma(Subset(4, (3, 4)), 2) == Permutation(4, (3, 4, 1, 2))
         sigma = representative_sigma(Subset(4, (2, 4)), 2)
         assert (sigma(2), sigma(4), sigma(1), sigma(3)) == (1, 2, 3, 4)
@@ -391,16 +434,16 @@ class TestRandomizedPreimage:
     def test_member_basis_state_lands_in_block(self):
         s = Subset(16, (1, 2, 4, 6))
         out = apply_randomized_preimage(s, DensityMatrix.from_pure(PureState.basis(16, 2)))
-        assert abs(np.sum(out.diagonal()[:4]) - 1) < 1e-12
+        assert abs(np.sum(diagonal(out)[:4]) - 1) < 1e-12
 
     def test_non_member_basis_state_misses_block(self):
         s = Subset(16, (1, 2, 4, 6))
         out = apply_randomized_preimage(s, DensityMatrix.from_pure(PureState.basis(16, 3)))
-        assert np.sum(out.diagonal()[:4]) < 1e-12
+        assert np.sum(diagonal(out)[:4]) < 1e-12
 
     def test_matches_exhaustive_coset_average(self):
         s = Subset(4, (2, 4))
-        rho = DensityMatrix.random(4, philox_stream(6))
+        rho = random_density(4, philox_stream(6))
         expected, count = exhaustive_channel(s, rho)
         assert count == 4  # 2! * 2! coset members
         np.testing.assert_allclose(
@@ -409,7 +452,7 @@ class TestRandomizedPreimage:
 
     def test_independent_of_representative(self):
         s = Subset(9, (2, 5, 9))
-        rho = DensityMatrix.random(9, philox_stream(7))
+        rho = random_density(9, philox_stream(7))
         reference = apply_randomized_preimage(s, rho).entries
         for k in range(10):
             rng = philox_stream(70 + k)
@@ -419,9 +462,9 @@ class TestRandomizedPreimage:
 
     def test_block_membership_statistics_match_fixed_member(self):
         s = Subset(9, (1, 4, 7))
-        rho = DensityMatrix.random(9, philox_stream(8))
+        rho = random_density(9, philox_stream(8))
         out = apply_randomized_preimage(s, rho)
-        channel_prob = float(np.sum(out.diagonal()[:3]))
+        channel_prob = float(np.sum(diagonal(out)[:3]))
         p = random_representative(s, 3, philox_stream(9)).matrix()
         fixed = p @ rho.entries @ p.T
         fixed_prob = float(np.real(np.trace(fixed[:3, :3])))
@@ -429,12 +472,12 @@ class TestRandomizedPreimage:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            apply_randomized_preimage(Subset(4, (1, 2)), DensityMatrix.maximally_mixed(5))
+            apply_randomized_preimage(Subset(4, (1, 2)), maximally_mixed(5))
 
 
 class TestOracleChannel:
     def test_kind_invariants(self):
-        p = Permutation.identity(4)
+        p = identity(4)
         OracleChannel("standard", 16, perm=p)
         OracleChannel("in_place", 4, perm=p)
         with pytest.raises(ValueError):
@@ -482,7 +525,7 @@ class TestOracleChannel:
     def test_randomized_channel_is_trace_preserving_and_positive(self):
         s = Subset(4, (2, 4))
         ch = OracleChannel("randomized_preimage", 4, subset=s, block=2)
-        rho = DensityMatrix.random(4, philox_stream(11))
+        rho = random_density(4, philox_stream(11))
         out = ch.apply_to_density(rho)
         assert abs(np.trace(out.entries) - 1) < 1e-12
         out.validate_psd()

@@ -18,21 +18,20 @@ from permlab.verifier import (
     PROBABILITY_TOL,
     THRESHOLD_LO,
     PreimageInstance,
-    VerifierReport,
     acceptance_operator,
     analytic_optimum,
     enumerate_instances,
-    honest_witness,
     majority_count,
     meets_threshold,
     optimal_witness_prob,
     random_instance,
-    run_verifier,
-    sweep,
+    sweep_honest,
+    sweep_lambda,
 )
 from permlab.verifier import test_i as probe_i
 from permlab.verifier import test_i_circuit as probe_i_circuit
 from permlab.verifier import test_ii as probe_ii
+from reference import diagonal
 
 
 YES_N2 = PreimageInstance.power_of_two(2, Subset(16, (1, 2, 4, 6)))
@@ -46,6 +45,28 @@ def random_witness(dim, seed):
     rng = philox_stream(seed)
     z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return PureState(dim, z / np.linalg.norm(z))
+
+
+def honest_witness(inst):
+    return subset_state(inst.subset, inst.dim)
+
+
+@dataclass(frozen=True)
+class VerifierReport:
+    p_test_i: float
+    p_test_ii: float
+    p_accept: float
+    witness_used: PureState
+
+    def __post_init__(self) -> None:
+        verifier._check_report(self.p_test_i, self.p_test_ii, self.p_accept)
+
+
+def run_verifier(inst, witness):
+    """Both tests plus their fair-coin average."""
+    p1 = probe_i(inst, witness)
+    p2 = probe_ii(inst, witness)
+    return VerifierReport(p1, p2, 0.5 * (p1 + p2), witness)
 
 
 def target_state(inst):
@@ -107,7 +128,7 @@ def channel_test_ii(inst, witness):
     landed = apply_randomized_preimage(
         inst.subset, DensityMatrix(inst.dim, np.diag(kept / p_even))
     )
-    return p_even * float(np.sum(landed.diagonal()[: inst.block]))
+    return p_even * float(np.sum(diagonal(landed)[: inst.block]))
 
 
 def channel_acceptance_operator(inst):
@@ -360,7 +381,8 @@ class TestSweep:
         n, big_n = size
         rng = philox_stream(seed)
         instances = [random_instance(big_n, label, rng, n=n) for label in labels]
-        p_i, p_ii, p_accept, lams = sweep(instances)
+        p_i, p_ii, p_accept = sweep_honest(instances)
+        lams = sweep_lambda(instances)
         for k, inst in enumerate(instances):
             w = honest_witness(inst)
             assert abs(p_i[k] - channel_test_i(inst, w)) <= 1e-12
@@ -371,7 +393,8 @@ class TestSweep:
     def test_equals_single_instance_calls_bit_for_bit(self):
         labels = ("YES", "NO") * 10
         instances = [random_instance(9, lab, philox_stream(5, t)) for t, lab in enumerate(labels)]
-        p_i, p_ii, p_accept, lams = sweep(instances)
+        p_i, p_ii, p_accept = sweep_honest(instances)
+        lams = sweep_lambda(instances)
         for k, inst in enumerate(instances):
             report = run_verifier(inst, honest_witness(inst))
             assert (p_i[k], p_ii[k], p_accept[k]) == (
@@ -381,12 +404,12 @@ class TestSweep:
 
     def test_chunk_split_is_bit_for_bit(self, monkeypatch):
         instances = enumerate_instances(2, "NO")
-        whole = sweep(instances)
-        assert len(whole[0]) == 448
+        whole = (*sweep_honest(instances), sweep_lambda(instances))
+        assert len(whole[0]) == len(whole[3]) == 448
         # one instance per chunk, then three per chunk with one left over
         for entries in (3, 3 * 16**2):
             monkeypatch.setattr(verifier, "SWEEP_CHUNK_ENTRIES", entries)
-            for a, b in zip(whole, sweep(instances)):
+            for a, b in zip(whole, (*sweep_honest(instances), sweep_lambda(instances))):
                 assert np.array_equal(a, b)
 
     def test_chunk_rows_follow_the_entry_cap(self, monkeypatch):
@@ -398,27 +421,31 @@ class TestSweep:
             return original(m)
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
-        sweep(enumerate_instances(2, "NO"))
+        instances = enumerate_instances(2, "NO")
+        sweep_honest(instances)
+        assert calls == []  # the honest columns need no eigensolve
+        sweep_lambda(instances)
         assert calls == [(448, 16, 16)]
         calls.clear()
-        sweep([random_instance(16, "YES", philox_stream(1, t), n=4) for t in range(20)])
+        sweep_lambda([random_instance(16, "YES", philox_stream(1, t), n=4) for t in range(20)])
         assert calls == [(16, 256, 256), (4, 256, 256)]
 
     def test_mixed_dimensions_raise_value_error(self):
-        with pytest.raises(ValueError, match="one dimension"):
-            sweep([YES_N2, NO_N1])
-        with pytest.raises(ValueError, match="one dimension"):
-            sweep([YES_N6, NO_N6, YES_N2])
+        for run_sweep in (sweep_honest, sweep_lambda):
+            with pytest.raises(ValueError, match="one dimension"):
+                run_sweep([YES_N2, NO_N1])
+            with pytest.raises(ValueError, match="one dimension"):
+                run_sweep([YES_N6, NO_N6, YES_N2])
 
     def test_empty_sweep_returns_empty_arrays(self):
-        for column in sweep([]):
+        for column in (*sweep_honest([]), sweep_lambda([])):
             assert column.shape == (0,) and column.dtype == np.float64
 
     def test_probability_checks_run_on_the_stack(self, monkeypatch):
         states, even = verifier._subset_rows([YES_N2, NO_N2])
         monkeypatch.setattr(verifier, "_subset_rows", lambda insts: (1.5 * states, even))
         with pytest.raises(ValueError, match="computed probability"):
-            sweep([YES_N2, NO_N2])
+            sweep_honest([YES_N2, NO_N2])
         with pytest.raises(ValueError, match="mean"):
             verifier._check_report(np.ones(2), np.full(2, 0.5), np.array([0.75, 0.8]))
 
