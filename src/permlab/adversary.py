@@ -7,12 +7,12 @@ matched permutations agree everywhere except on the symmetric difference of
 their preimage sets, where they are transpose-linked.
 
 Every oracle of a relation has one row, chosen so that the two oracles of a
-pair disagree at a label exactly where their rows differ. The statistics m,
-m' and l_max are one array formula over those rows and the pair index
-arrays, for every kind of relation; W and the end-to-end check apply all the
-oracles of a relation at once, as one sign multiply or one gather per query,
-and run a stack of algorithms the same way, with one `relation_stats` call
-per stack.
+pair disagree at a label exactly where their rows differ; an in-place
+oracle's row is its 0-based image, and the cosets are one gather of the
+block group's rows. The statistics m, m' and l_max are one array formula
+over the rows and the (P, 2) pair array; W and the end-to-end check apply
+all the oracles at once, as one sign multiply or one gather per query, and
+run a stack of algorithms with one `relation_stats` call per stack.
 
 The progress measure W sums the absolute control-register coherences across
 related pairs; each oracle query can lower it by at most sqrt(l_max), which
@@ -21,16 +21,15 @@ is what turns relation statistics into query lower bounds.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .core import Permutation, PureState, Subset, SubsetFamily
+from .core import PureState, Subset, SubsetFamily
 from .dilation import QueryAlgorithm
-from .oracles import block_permutations, phase_signs, representative_sigma
+from .oracles import block_permutations, permutation_rows, phase_signs, representative_rows
 
 # progress_trace materializes a control register per oracle; cap its size
 MAX_CONTROL_ITEMS = 4096
@@ -39,25 +38,26 @@ MAX_COSET_ITEMS = 1000
 BOUND_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OracleRelation:
     """Pairs of YES/NO oracles, with one row per oracle for the statistics.
 
-    kind 'phase' stores Subsets as items; kind 'in_place' stores Permutations.
-    The two oracles of a pair disagree at label j exactly where their rows
-    differ in column j - 1: a phase oracle's row is its sign vector, an
-    in-place oracle's row its zero-based image. Analytic relations keep one
-    representative permutation per preimage set, and their rows are the sign
-    vectors of those sets, since matched permutations disagree exactly on the
-    symmetric difference of their preimage sets; they differ from other
-    relations only in their rows.
+    kind 'phase' stores Subsets as items; kind 'in_place' stores each side as
+    one read-only (count, V) array of 0-based image rows, checked to permute.
+    `pairs` is a read-only (P, 2) array of (x item, y item) indices. The two
+    oracles of a pair disagree at label j exactly where their rows differ in
+    column j - 1: a phase oracle's row is its sign vector, an in-place
+    oracle's row its image. Analytic relations keep one representative row
+    per preimage set and take their rows from the sets' sign vectors, since
+    matched permutations disagree exactly on the symmetric difference of
+    their preimage sets.
     """
 
     kind: str
     universe: int
-    x_items: tuple
-    y_items: tuple
-    pairs: tuple[tuple[int, int], ...]
+    x_items: tuple | np.ndarray
+    y_items: tuple | np.ndarray
+    pairs: np.ndarray
     x_sets: tuple[Subset, ...] | None = None
     y_sets: tuple[Subset, ...] | None = None
     analytic: bool = False
@@ -65,45 +65,44 @@ class OracleRelation:
     def __post_init__(self) -> None:
         if self.kind not in ("phase", "in_place"):
             raise ValueError(f"unknown relation kind {self.kind!r}")
-        if not self.pairs:
+        pairs = np.array(self.pairs, dtype=np.intp)
+        if not pairs.size:
             raise ValueError("relation has no pairs")
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError(f"pairs have shape {pairs.shape}, expected (P, 2)")
+        pairs.setflags(write=False)
+        object.__setattr__(self, "pairs", pairs)
+        for side in ("x_items", "y_items") if self.kind == "in_place" else ():
+            rows = permutation_rows(getattr(self, side), self.universe, f"in-place {side}")
+            object.__setattr__(self, side, rows)
         px, py = self.pair_index
         bad = (px < 0) | (px >= len(self.x_items)) | (py < 0) | (py >= len(self.y_items))
         if bad.any():
-            xi, yi = self.pairs[int(np.argmax(bad))]
+            xi, yi = pairs[int(np.argmax(bad))]
             raise ValueError(f"pair ({xi}, {yi}) references a missing item")
 
-    @cached_property
+    @property
     def pair_index(self) -> tuple[np.ndarray, np.ndarray]:
         """The pairs as two index arrays: into x_items and into y_items."""
-        flat = np.fromiter(itertools.chain.from_iterable(self.pairs), np.intp, 2 * len(self.pairs))
-        return flat[0::2], flat[1::2]
+        return self.pairs[:, 0], self.pairs[:, 1]
 
     @cached_property
     def rows(self) -> tuple[np.ndarray, np.ndarray]:
         """The (items, V) row arrays of the x side and the y side."""
-        if self.analytic:
-            sides, row = (self.x_sets, self.y_sets), phase_signs
-        else:
-            sides = (self.x_items, self.y_items)
-            row = phase_signs if self.kind == "phase" else Permutation.zero_based
-        return tuple(np.stack([row(item) for item in side]) for side in sides)
+        if self.kind == "in_place" and not self.analytic:
+            return self.x_items, self.y_items
+        sides = (self.x_sets, self.y_sets) if self.analytic else (self.x_items, self.y_items)
+        return tuple(np.stack([phase_signs(item) for item in side]) for side in sides)
 
     def disagrees(self, xi: int, yi: int, label: int) -> bool:
         """Do the two oracles of a pair act differently on this input label?"""
         x, y = self.x_items[xi], self.y_items[yi]
         if self.kind == "phase":
             return (label in x) != (label in y)
-        return x(label) != y(label)
-
-    def disagreement_labels(self, xi: int, yi: int) -> tuple[int, ...]:
-        return tuple(
-            lab for lab in range(1, self.universe + 1) if self.disagrees(xi, yi, lab)
-        )
+        return bool(x[label - 1] != y[label - 1])
 
 
-def build_subset_relation(sx: SubsetFamily, sy: SubsetFamily) -> OracleRelation:
-    """Complete bipartite relation between two disjoint phase-oracle families."""
+def _check_families(sx: SubsetFamily, sy: SubsetFamily) -> None:
     if sx.universe != sy.universe:
         raise ValueError("families must share a universe")
     if len(sx) == 0 or len(sy) == 0:
@@ -111,33 +110,34 @@ def build_subset_relation(sx: SubsetFamily, sy: SubsetFamily) -> OracleRelation:
     members_x = {s.members for s in sx}
     if any(s.members in members_x for s in sy):
         raise ValueError("families overlap; YES and NO oracle classes must be disjoint")
-    pairs = tuple((xi, yi) for xi in range(len(sx)) for yi in range(len(sy)))
-    return OracleRelation(
-        "phase", sx.universe, tuple(sx.sets), tuple(sy.sets), pairs,
-        x_sets=tuple(sx.sets), y_sets=tuple(sy.sets),
-    )
 
 
-def matched_representatives(
-    sx: Subset, sy: Subset, block: int
-) -> tuple[Permutation, Permutation]:
-    """A matched pair of permutations with preimage sets sx and sy.
+def _complete_relation(kind: str, sx: SubsetFamily, sy: SubsetFamily, x_items, y_items,
+                       analytic: bool = False) -> OracleRelation:
+    """Every (x, y) item pair related, x-major, with the families as the sets."""
+    pairs = np.stack(np.divmod(np.arange(len(sx) * len(sy)), len(sy)), axis=1)
+    return OracleRelation(kind, sx.universe, x_items, y_items, pairs, tuple(sx.sets),
+                          tuple(sy.sets), analytic)
 
-    The second permutation equals the first composed with the involution
-    swapping the i-th smallest elements of sx\\sy and sy\\sx, so the two agree
-    on the intersection and outside the union, and are transpose-linked on
-    the symmetric difference.
-    """
-    if len(sx) != block or len(sy) != block:
-        raise ValueError("both subsets must have exactly `block` members")
-    sigma_x = representative_sigma(sx, block)
-    only_x = sx.difference(sy).members
-    only_y = sy.difference(sx).members
-    swap = list(range(1, sx.universe + 1))
-    for a, b in zip(only_x, only_y):
-        swap[a - 1], swap[b - 1] = b, a
-    pi = Permutation(sx.universe, tuple(swap))
-    sigma_y = sigma_x.compose(pi)
+
+def build_subset_relation(sx: SubsetFamily, sy: SubsetFamily) -> OracleRelation:
+    """Complete bipartite relation between two disjoint phase-oracle families."""
+    _check_families(sx, sy)
+    return _complete_relation("phase", sx, sy, tuple(sx.sets), tuple(sy.sets))
+
+
+def matched_rows(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Matched image rows for (..., V) incidence arrays of equal-size sets x and y,
+    broadcast together: sigma_x is x's `representative_rows`, and sigma_y is
+    sigma_x after swapping the r-th smallest labels of x \\ y and y \\ x, so the
+    two agree on the intersection and outside the union, and are
+    transpose-linked on the symmetric difference. Each row holds as many labels
+    of x \\ y as of y \\ x, so masked reads and writes pair up row by row."""
+    x, y = np.broadcast_arrays(x, y)
+    only_x, only_y = x & ~y, y & ~x
+    sigma_x = representative_rows(x)
+    sigma_y = sigma_x.copy()
+    sigma_y[only_y], sigma_y[only_x] = sigma_x[only_x], sigma_x[only_y]
     return sigma_x, sigma_y
 
 
@@ -151,58 +151,41 @@ def build_preimage_relation(
 
     When the block group is small enough the full cosets are materialized and
     matched element by element (pair (tau o sigma_x*, tau o sigma_y*) for
-    every block permutation tau). Otherwise the relation is analytic: one
+    every block permutation tau): tau o sigma is the gather taus[:, sigma]
+    over the group's image rows, and equal y candidates become one item,
+    ranked by first appearance. Otherwise the relation is analytic: one
     representative per subset, every subset pair related, and the rows of
     the statistics taken from the preimage sets.
     """
-    if sx.universe != sy.universe:
-        raise ValueError("families must share a universe")
+    _check_families(sx, sy)
     if any(len(s) != block for s in sx) or any(len(s) != block for s in sy):
         raise ValueError(f"every subset must have exactly {block} members")
-    members_x = {s.members for s in sx}
-    if any(s.members in members_x for s in sy):
-        raise ValueError("families overlap; YES and NO oracle classes must be disjoint")
     v = sx.universe
     group_size = math.factorial(block) * math.factorial(v - block)
     if materialize_cosets is None:
         materialize_cosets = group_size <= MAX_COSET_ITEMS
-    if materialize_cosets:
-        if group_size > MAX_COSET_ITEMS:
-            raise ValueError(
-                f"block group has {group_size} elements, above the cap {MAX_COSET_ITEMS}; "
-                "build the relation analytically instead"
-            )
-        taus = block_permutations(v, block)
-        x_items = [
-            tau.compose(representative_sigma(s, block)) for s in sx for tau in taus
-        ]
-        y_items: list[Permutation] = []
-        y_index: dict[tuple[int, ...], int] = {}
-        pairs: list[tuple[int, int]] = []
-        t_count = len(taus)
-        for ix, s_x in enumerate(sx):
-            for s_y in sy:
-                _, sigma_y = matched_representatives(s_x, s_y, block)
-                for it, tau in enumerate(taus):
-                    y_perm = tau.compose(sigma_y)
-                    key = y_perm.image
-                    if key not in y_index:
-                        y_index[key] = len(y_items)
-                        y_items.append(y_perm)
-                    pairs.append((ix * t_count + it, y_index[key]))
-        return OracleRelation(
-            "in_place", v, tuple(x_items), tuple(y_items), tuple(pairs),
-            x_sets=tuple(sx.sets), y_sets=tuple(sy.sets),
+    if not materialize_cosets:
+        y_items = matched_rows(sx.incidence[:1], sy.incidence)[1]
+        return _complete_relation(
+            "in_place", sx, sy, representative_rows(sx.incidence), y_items, analytic=True)
+    if group_size > MAX_COSET_ITEMS:
+        raise ValueError(
+            f"block group has {group_size} elements, above the cap {MAX_COSET_ITEMS}; "
+            "build the relation analytically instead"
         )
-    pairs = tuple((xi, yi) for xi in range(len(sx)) for yi in range(len(sy)))
-    x_items = tuple(representative_sigma(s, block) for s in sx)
-    y_reps = tuple(
-        matched_representatives(sx.sets[0], s, block)[1] for s in sy
-    )
+    taus = block_permutations(v, block)
+    # x items run over (x set, tau); y candidates over (x set, y set, tau)
+    x_items = taus[:, representative_rows(sx.incidence)].swapaxes(0, 1).reshape(-1, v)
+    sigma_y = matched_rows(sx.incidence[:, None], sy.incidence[None])[1]
+    candidates = taus[:, sigma_y].transpose(1, 2, 0, 3).reshape(-1, v)
+    y_items, first, inverse = np.unique(
+        candidates, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    # candidate (x set, y set, tau) pairs x item (x set, tau) with its first-ranked y item
+    c, t = np.arange(len(candidates)), len(taus)
+    pairs = np.stack([c // (len(sy) * t) * t + c % t, np.argsort(order)[inverse.reshape(-1)]], 1)
     return OracleRelation(
-        "in_place", v, x_items, y_reps, pairs,
-        x_sets=tuple(sx.sets), y_sets=tuple(sy.sets), analytic=True,
-    )
+        "in_place", v, x_items, y_items[order], pairs, tuple(sx.sets), tuple(sy.sets))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -33,6 +33,12 @@ def _check_dim(dim: int) -> None:
         raise ValueError(f"dimension must be a positive integer, got {dim!r}")
     if dim > MAX_DIM:
         raise ValueError(f"dimension {dim} exceeds the dense-matrix cap {MAX_DIM}")
+
+
+def tuple_table(tuples: Iterable[tuple[int, ...]], count: int, width: int, dtype) -> np.ndarray:
+    """`count` tuples of length `width` as one (count, width) array, never a list."""
+    flat = np.fromiter(itertools.chain.from_iterable(tuples), dtype=dtype, count=count * width)
+    return flat.reshape(count, width)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,13 @@
 """Unitary simulation of the randomized preimage oracle on an enlarged system.
 
 The randomized channel on register A is reproduced by a fixed in-place
-permutation on A followed by a control-permutation entangling A with a fresh
-control register prepared in the uniform superposition over the block group.
-One control register is consumed per query, so the dilated system is
-C^t (x) A (x) B. That picture stays pure: its t+1 states are one (t+1, c^t*d_AB)
-stack, capped in length, and each query is one matmul and one index gather.
-Tracing out the controls is rho_AB = M^T conj(M) with M a state reshaped to
-(c^t, d_AB), batched over the stack, so no matrix larger than d_AB is built.
+permutation on A and a control-permutation between A and a fresh control
+register in the uniform superposition over the taus: the block group, or a
+sample of it, as 0-based image rows. With one control register per query,
+the dilated system is C^t (x) A (x) B. That picture stays pure: its t+1
+states are one (t+1, c^t*d_AB) stack, capped in length, and each query is
+one matmul and one index gather. Tracing out the controls is rho_AB =
+M^T conj(M) with M a state reshaped to (c^t, d_AB), batched over the stack.
 
 Every layer has a trial axis: a `QueryAlgorithm` may hold a stack of
 algorithms with one query count, validated once, and both pictures then run
@@ -36,7 +36,7 @@ from .core import (
     validated_densities,
     validated_states,
 )
-from .oracles import block_average_on_first_factor, representative_sigma
+from .oracles import block_average_on_first_factor, permutation_rows
 
 UNITARY_TOL = 1e-10
 # Largest trace distance an exact dilation may show: round-off only.
@@ -144,13 +144,6 @@ def chi_state(count: int) -> PureState:
     return PureState(count, np.full(count, 1.0 / math.sqrt(count), dtype=np.complex128))
 
 
-def _images(perms: Permutation | Sequence) -> np.ndarray:
-    """Zero-based images of a Permutation, (V,), or of nested sequences of them, (..., V)."""
-    def nested(p):
-        return p.image if isinstance(p, Permutation) else [nested(q) for q in p]
-    return np.array(nested(perms), dtype=np.intp) - 1
-
-
 def run_channel_picture(
     alg: QueryAlgorithm, subset: Subset | Sequence[Subset], initial: PureState | np.ndarray
 ) -> np.ndarray:
@@ -167,7 +160,9 @@ def run_channel_picture(
         raise ValueError(f"every subset needs {block} members of register A's [{alg.dim_a}]")
     amps, stack = alg.initial_rows(initial), alg.stack
     trials, d = len(stack), amps.shape[1]
-    inv_sigma = np.argsort(_images([representative_sigma(s, block) for s in subsets]), axis=-1)
+    # the inverse of each subset's representative_sigma: its members, then the rest, in order
+    inv_sigma = np.argsort([[j not in s for j in range(1, alg.dim_a + 1)] for s in subsets],
+                           axis=-1, kind="stable")
     source = (inv_sigma[:, :, None] * alg.dim_b + np.arange(alg.dim_b)).reshape(-1, d, 1)
     # entry (i, j) of a trial's rho after the gather reads entry (source_i, source_j)
     flat = np.arange(trials)[:, None, None] * d * d + source * d + source.mT
@@ -183,7 +178,7 @@ def run_channel_picture(
 def run_dilated_picture(
     alg: QueryAlgorithm,
     sigma: Permutation | Sequence[Permutation],
-    taus: Sequence[Permutation | Sequence[Permutation]],
+    taus: np.ndarray,
     initial: PureState | np.ndarray,
     max_dim: int = MAX_DIM,
 ) -> np.ndarray:
@@ -191,21 +186,21 @@ def run_dilated_picture(
 
     Returned as one validated, read-only (t+1, c^t * d_AB) stack, or
     (trials, t+1, c^t * d_AB) for a stacked algorithm; control 1 is the most
-    significant digit. Entry i of `taus` is control value i's permutation;
-    it and sigma are shared by every trial, or a stack's sequence of one per
+    significant digit. Control value i's permutation is the 0-based image row
+    taus[i] of a (c, V) array shared by every trial, or of a (c, trials, V)
+    array with one per trial; sigma is shared, or a stack's sequence of one per
     trial. Each query is one batched matmul of the (trials, c^t, d_AB) state
     matrices by the algorithm unitaries, then one flat gather for the fixed
     in-place permutation on A and the control permutation between C_k and A:
     A index j of a row whose control k holds i reads from inv_sigma[inv_tau_i[j]].
     """
-    stack = alg.stack
-    t, c, trials = alg.queries, len(taus), len(stack)
+    tau_rows, stack = permutation_rows(taus, alg.dim_a, "every tau"), alg.stack
+    t, c, trials = alg.queries, len(tau_rows), len(stack)
     d_ab = alg.dim_a * alg.dim_b
     # chi applied t times in kron's order, so psi~_0 is the t-fold kron bit for bit.
     chi = chi_state(c).amplitudes[0]
-    sigma_images, tau_images = _images(sigma), _images(taus)
-    if sigma_images.shape[-1] != alg.dim_a or tau_images.shape[-1] != alg.dim_a:
-        raise ValueError(f"sigma and every tau must permute the {alg.dim_a} labels of register A")
+    sigmas = [sigma] if isinstance(sigma, Permutation) else sigma
+    inv_sigma = np.argsort(permutation_rows([p.zero_based() for p in sigmas], alg.dim_a, "sigma"))
     amps = alg.initial_rows(initial)
     full = (c**t) * d_ab
     if full > max_dim:
@@ -214,8 +209,7 @@ def run_dilated_picture(
             "each query consumes a fresh control register"
         )
     # (1 or trials, c, V): inv_sigma after control value i's inverse tau, per trial
-    inv_sigma = np.argsort(sigma_images, axis=-1).reshape(-1, alg.dim_a)
-    inv_taus = np.argsort(tau_images, axis=-1).reshape(c, -1, alg.dim_a).swapaxes(0, 1)
+    inv_taus = np.argsort(tau_rows, axis=-1).reshape(c, -1, alg.dim_a).swapaxes(0, 1)
     inv_a = inv_sigma.ravel()[np.arange(len(inv_sigma))[:, None, None] * alg.dim_a + inv_taus]
     source = (inv_a[..., None] * alg.dim_b + np.arange(alg.dim_b)).reshape(-1, c, d_ab)
     rows = np.arange(c**t)
@@ -254,7 +248,7 @@ def check_dilation(
     alg: QueryAlgorithm,
     subset: Subset | Sequence[Subset],
     sigma: Permutation | Sequence[Permutation],
-    taus: Sequence[Permutation | Sequence[Permutation]],
+    taus: np.ndarray,
     initial: PureState | np.ndarray,
     max_dim: int = MAX_DIM,
 ) -> DilationRun | tuple[DilationRun, ...]:
@@ -271,11 +265,11 @@ def check_dilation(
     trials, d_ab = len(alg.stack), alg.dim_a * alg.dim_b
     subsets = [subset] * trials if isinstance(subset, Subset) else list(subset)
     sigmas = [sigma] * trials if isinstance(sigma, Permutation) else list(sigma)
-    runs = []
+    taus, runs = np.asarray(taus), []
     for part in trial_stacks(trials, (alg.queries + 1) * len(taus) ** alg.queries * d_ab):
         chunk = alg.trial_slice(part)
         chunk_initial = initial if isinstance(initial, PureState) else initial[part]
-        chunk_taus = [tau if isinstance(tau, Permutation) else tau[part] for tau in taus]
+        chunk_taus = taus[:, part] if taus.ndim == 3 else taus
         rhos = run_channel_picture(chunk, subsets[part], chunk_initial)
         states = run_dilated_picture(chunk, sigmas[part], chunk_taus, chunk_initial, max_dim)
         mats = states.reshape(*rhos.shape[:2], -1, d_ab)

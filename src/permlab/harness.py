@@ -35,11 +35,7 @@ from .core import (
     sample_family,
 )
 from .dilation import DILATION_TOL, QueryAlgorithm, check_dilation, haar_stack, trial_stacks
-from .oracles import (
-    block_permutations,
-    random_representative,
-    sample_block_permutations,
-)
+from .oracles import block_permutations, random_representative, sample_block_permutations
 from .structure import (
     TargetClass,
     bound_crossover,
@@ -232,9 +228,9 @@ def run_dilate(cfg: ExperimentConfig) -> tuple[bool, list[str], list[list]]:
             for trial, rng in zip(trials, rngs)
         ]
         sigmas = [random_representative(inst.subset, big_n, rng) for inst, rng in zip(insts, rngs)]
-        # entry i holds control value i's permutation: the whole group, or a sample per trial
-        taus = block_permutations(v, big_n) if exact else list(zip(*(
-            sample_block_permutations(v, big_n, cfg.tau_samples, rng) for rng in rngs)))
+        # row i holds control value i's permutation: the whole group, or a sample per trial
+        taus = block_permutations(v, big_n) if exact else np.stack(
+            [sample_block_permutations(v, big_n, cfg.tau_samples, rng) for rng in rngs], axis=1)
         # each trial's queries + 1 unitaries, then one whose first column is its initial state
         u = haar_stack(d, queries + 2, rngs)
         runs += check_dilation(

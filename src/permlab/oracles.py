@@ -1,10 +1,11 @@
 """Oracle models built from permutations and subsets.
 
 An in-place oracle is |i> -> |sigma(i)>, a phase oracle |i> -> (-1)^{[i in S]} |i>
-(its diagonal is `phase_signs`), and the randomized preimage oracle is the
-channel rho -> average of P_sigma rho P_sigma† over every permutation whose
-preimage set is S. The state maps of the standard, in-place and phase oracles
-are references in tests/test_oracles.py; the package runs their rows.
+(its diagonal is `phase_signs`), and the randomized preimage oracle averages
+P_sigma rho P_sigma† over every sigma with preimage set S. The package runs
+the oracles' rows (their state maps are references in tests/test_oracles.py):
+a permutation is a 0-based intp image row, and the block group has one
+enumeration, `block_group_chunks`, which `block_permutations` holds whole.
 
 The randomized channel is never sampled: the permutations with preimage set
 S form the coset {tau o sigma* : tau block-preserving}, so the channel equals
@@ -14,40 +15,55 @@ index pairs, and there are six orbits (the diagonal and the off-diagonal of
 each block, and the two cross blocks). Each entry gets one integer label,
 its orbit kind together with its pair of B indices and its member of a
 stack, so one `bincount` per real and imaginary part sums every orbit of a
-whole (..., d, d) stack, and a gather writes the means back. Tests compare
-it against the exhaustive group average.
+whole (..., d, d) stack, and a gather writes the means back.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from typing import Iterator
 
 import numpy as np
 
-from .core import DensityMatrix, Permutation, Subset
+from .core import DensityMatrix, Permutation, Subset, tuple_table
 
 # Refuse to enumerate block groups larger than this (use sampling instead).
 GROUP_ENUMERATION_CAP = 50_000
 
 
-def representative_sigma(subset: Subset, block: int) -> Permutation:
-    """Canonical member of the permutations with preimage set `subset`.
+def block_group_order(size: int, block: int) -> int:
+    """block! (size - block)!, the order of the block-preserving subgroup of [size]."""
+    if not 1 <= block <= size:
+        raise ValueError(f"block size {block} out of range for size {size}")
+    return math.factorial(block) * math.factorial(size - block)
 
-    Sends the i-th smallest member of the subset to i and the remaining
-    labels, in increasing order, to block+1..V.
-    """
+
+def permutation_rows(rows, size: int, what: str) -> np.ndarray:
+    """A read-only intp copy of `rows`, each last-axis row checked to permute 0..size-1."""
+    out = np.asarray(rows)
+    if not (np.issubdtype(out.dtype, np.integer) and out.shape[-1:] == (size,)
+            and (np.sort(out, axis=-1) == np.arange(size)).all()):
+        raise ValueError(f"{what} must be rows permuting the {size} labels 0..{size - 1}")
+    out = out.astype(np.intp)
+    out.setflags(write=False)
+    return out
+
+
+def representative_rows(incidence: np.ndarray) -> np.ndarray:
+    """The canonical representative of each set of a (..., V) incidence array, as
+    0-based image rows: the i-th smallest member goes to i - 1 and the other
+    labels, in increasing order, to block..V-1 (the inverse lists them in that order)."""
+    return np.argsort(np.argsort(~incidence, axis=-1, kind="stable"), axis=-1)
+
+
+def representative_sigma(subset: Subset, block: int) -> Permutation:
+    """Canonical member of the permutations with preimage set `subset`: the
+    `representative_rows` of its incidence row, as 1-based labels."""
     if len(subset) != block:
         raise ValueError(f"subset has {len(subset)} members, block size is {block}")
-    v = subset.universe
-    image = [0] * v
-    for rank, member in enumerate(subset.members, start=1):
-        image[member - 1] = rank
-    rest = iter(range(block + 1, v + 1))
-    for j in range(1, v + 1):
-        if image[j - 1] == 0:
-            image[j - 1] = next(rest)
-    return Permutation(v, tuple(image))
+    row = representative_rows(np.array([j in subset for j in range(1, subset.universe + 1)]))
+    return Permutation(subset.universe, tuple((row + 1).tolist()))
 
 
 def random_representative(subset: Subset, block: int, rng: np.random.Generator) -> Permutation:
@@ -55,42 +71,55 @@ def random_representative(subset: Subset, block: int, rng: np.random.Generator) 
     if len(subset) != block:
         raise ValueError(f"subset has {len(subset)} members, block size is {block}")
     v = subset.universe
-    inside = list(rng.permutation(block) + 1)
-    outside = list(rng.permutation(v - block) + block + 1)
-    image = [0] * v
-    members = set(subset.members)
-    for j in range(1, v + 1):
-        image[j - 1] = inside.pop() if j in members else outside.pop()
-    return Permutation(v, tuple(image))
+    inside = np.array([j in subset for j in range(1, v + 1)])
+    # members, in increasing order, take each draw from its end, as pops would
+    image = np.empty(v, dtype=np.intp)
+    image[inside] = rng.permutation(block)[::-1] + 1
+    image[~inside] = rng.permutation(v - block)[::-1] + block + 1
+    return Permutation(v, tuple(image.tolist()))
 
 
-def block_permutations(size: int, block: int) -> tuple[Permutation, ...]:
-    """Every permutation of [size] preserving the split {1..block, block+1..size}."""
-    if not 1 <= block <= size:
-        raise ValueError(f"block size {block} out of range for size {size}")
-    count = math.factorial(block) * math.factorial(size - block)
+def block_group_chunks(size: int, block: int, chunk_rows: int) -> Iterator[np.ndarray]:
+    """Every permutation preserving {0..block-1, block..size-1}, as chunks of at
+    most `chunk_rows` 0-based intp image rows. Element i joins row i // |second|
+    of the first block's int8 permutation table (`itertools.permutations`
+    order) to row i % |second| of the second's, so the group is never held whole."""
+    total = block_group_order(size, block)
+    first, second = (
+        tuple_table(itertools.permutations(side), math.factorial(len(side)), len(side), np.int8)
+        for side in (range(block), range(block, size))
+    )
+    for start in range(0, total, chunk_rows):
+        i, j = np.divmod(np.arange(start, min(start + chunk_rows, total)), len(second))
+        yield np.concatenate([first[i], second[j]], axis=1, dtype=np.intp)
+
+
+def block_permutations(size: int, block: int) -> np.ndarray:
+    """The whole block group of [size] as one read-only (count, size) array of
+    0-based image rows, in `block_group_chunks` order."""
+    count = block_group_order(size, block)
     if count > GROUP_ENUMERATION_CAP:
         raise ValueError(
             f"block group has {count} elements, above the cap {GROUP_ENUMERATION_CAP}; "
             "use sample_block_permutations"
         )
-    out = []
-    for first in itertools.permutations(range(1, block + 1)):
-        for second in itertools.permutations(range(block + 1, size + 1)):
-            out.append(Permutation(size, first + second))
-    return tuple(out)
+    rows = next(block_group_chunks(size, block, count))
+    rows.setflags(write=False)
+    return rows
 
 
 def sample_block_permutations(
     size: int, block: int, count: int, rng: np.random.Generator
-) -> tuple[Permutation, ...]:
-    """Seeded iid-uniform draws from the block-preserving subgroup."""
-    out = []
-    for _ in range(count):
-        first = tuple(int(x) + 1 for x in rng.permutation(block))
-        second = tuple(int(x) + block + 1 for x in rng.permutation(size - block))
-        out.append(Permutation(size, first + second))
-    return tuple(out)
+) -> np.ndarray:
+    """`count` seeded iid-uniform draws from the block-preserving subgroup, as a
+    (count, size) array of 0-based image rows: per draw, one `rng.permutation`
+    of the first block, then one of the second."""
+    block_group_order(size, block)
+    rows = np.empty((count, size), dtype=np.intp)
+    for row in rows:
+        row[:block] = rng.permutation(block)
+        row[block:] = rng.permutation(size - block) + block
+    return rows
 
 
 def phase_signs(subset: Subset) -> np.ndarray:

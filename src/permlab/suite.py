@@ -13,7 +13,7 @@ import math
 import time
 import traceback
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -30,10 +30,11 @@ from .core import (
     enumerate_family,
     philox_stream,
     random_densities,
+    tuple_table,
     validated_densities,
 )
 from .dilation import DILATION_TOL, QueryAlgorithm, check_dilation, haar_stack, trial_stacks
-from .oracles import block_average, block_permutations, random_representative
+from .oracles import block_average, block_group_chunks, block_permutations, random_representative
 from .structure import (
     TargetClass,
     bound_crossovers,
@@ -148,27 +149,6 @@ def criterion_04_dilation(seed: int) -> CriterionResult:
 TWIRL_CHUNK_ROWS = 2048
 
 
-def _tuple_table(tuples: Iterable[tuple[int, ...]], count: int, width: int, dtype) -> np.ndarray:
-    """`count` tuples of length `width` as one (count, width) array, never a list."""
-    flat = np.fromiter(itertools.chain.from_iterable(tuples), dtype=dtype, count=count * width)
-    return flat.reshape(count, width)
-
-
-def _block_group_rows(v: int, block: int) -> Iterator[np.ndarray]:
-    """Every permutation preserving {0..block-1, block..v-1}, as chunks of at most
-    TWIRL_CHUNK_ROWS 0-based image rows. Element i joins row i // |second| of the
-    first block's int8 permutation table to row i % |second| of the second's, so
-    the group is never held whole."""
-    first, second = (
-        _tuple_table(itertools.permutations(side), math.factorial(len(side)), len(side), np.int8)
-        for side in (range(block), range(block, v))
-    )
-    total = len(first) * len(second)
-    for start in range(0, total, TWIRL_CHUNK_ROWS):
-        i, j = np.divmod(np.arange(start, min(start + TWIRL_CHUNK_ROWS, total)), len(second))
-        yield np.concatenate([first[i], second[j]], axis=1, dtype=np.intp)
-
-
 def exhaustive_block_average(stack: np.ndarray, block: int) -> tuple[np.ndarray, int]:
     """Average of P rho P^T over the whole block group, for each V x V matrix of the stack.
 
@@ -182,7 +162,7 @@ def exhaustive_block_average(stack: np.ndarray, block: int) -> tuple[np.ndarray,
     counts = np.zeros(d * d, dtype=np.int64)
     lane = np.arange(v)
     enumerated = 0
-    for rows in _block_group_rows(v, block):
+    for rows in block_group_chunks(v, block, TWIRL_CHUNK_ROWS):
         # flat index of C's entry (tau(a) V + tau(b), a V + b), split into its a and b parts
         left = rows * (v * d) + lane * v
         right = rows * d + lane
@@ -222,7 +202,7 @@ def criterion_05_twirl(seed: int) -> CriterionResult:
 def _k_subset_rows(universe: int, k: int) -> np.ndarray:
     """Every k-subset of [universe] as a bool incidence row, in lexicographic order."""
     total = math.comb(universe, k)
-    members = _tuple_table(itertools.combinations(range(universe), k), total, k, np.intp)
+    members = tuple_table(itertools.combinations(range(universe), k), total, k, np.intp)
     rows = np.zeros((total, universe), dtype=bool)
     rows[np.arange(total)[:, None], members] = True
     return rows
@@ -284,29 +264,18 @@ def criterion_07_crossover(seed: int) -> CriterionResult:
 
 def _brute_force_stats(rel) -> tuple[int, int, int]:
     """Naive recount of m, m', l_max straight from the pair list."""
-    pair_set = set(rel.pairs)
-    m = min(
-        sum(1 for yi in range(len(rel.y_items)) if (xi, yi) in pair_set)
-        for xi in range(len(rel.x_items))
-    )
-    m_prime = min(
-        sum(1 for xi in range(len(rel.x_items)) if (xi, yi) in pair_set)
-        for yi in range(len(rel.y_items))
-    )
+    pairs = rel.pairs.tolist()
+    pair_set = set(map(tuple, pairs))
+    xs, ys = range(len(rel.x_items)), range(len(rel.y_items))
+    m = min(sum((xi, yi) in pair_set for yi in ys) for xi in xs)
+    m_prime = min(sum((xi, yi) in pair_set for xi in xs) for yi in ys)
     l_max = 0
-    for xi, yi in rel.pairs:
+    for xi, yi in pairs:
         for lab in range(1, rel.universe + 1):
-            if not rel.disagrees(xi, yi, lab):
-                continue
-            l_x = sum(
-                1 for yj in range(len(rel.y_items))
-                if (xi, yj) in pair_set and rel.disagrees(xi, yj, lab)
-            )
-            l_y = sum(
-                1 for xj in range(len(rel.x_items))
-                if (xj, yi) in pair_set and rel.disagrees(xj, yi, lab)
-            )
-            l_max = max(l_max, l_x * l_y)
+            if rel.disagrees(xi, yi, lab):
+                l_x = sum((xi, yj) in pair_set and rel.disagrees(xi, yj, lab) for yj in ys)
+                l_y = sum((xj, yi) in pair_set and rel.disagrees(xj, yi, lab) for xj in xs)
+                l_max = max(l_max, l_x * l_y)
     return m, m_prime, l_max
 
 
@@ -329,7 +298,7 @@ def criterion_08_adversary_stats(seed: int) -> CriterionResult:
             nu / len(sx) for lab, nu in counts.items() if lab != 1
         )
         cap = len(sx) * len(sy) * fraction
-        for xi, yi in rel.pairs:
+        for xi, yi in rel.pairs.tolist():
             s_x, s_y = rel.x_items[xi], rel.y_items[yi]
             for lab in s_x.difference(s_y).members:
                 prod = stats.per_input_l["l_x"][xi, lab - 1] * stats.per_input_l["l_y"][yi, lab - 1]
@@ -344,35 +313,33 @@ def criterion_08_adversary_stats(seed: int) -> CriterionResult:
 
 
 def criterion_09_preimage_matching(seed: int) -> CriterionResult:
-    """Every matched pair at n=1 satisfies the three agreement conditions."""
+    """Every matched pair at n=1 satisfies the three agreement conditions.
+
+    Items are 0-based image rows, so an item's preimage set holds the labels its
+    row sends below the block, and each condition is one array test over all pairs.
+    """
     sx = enumerate_family(4, 2, lambda m: all(x % 2 == 0 for x in m))
     sy = enumerate_family(4, 2, lambda m: all(x % 2 == 1 for x in m))
     rel = build_preimage_relation(sx, sy, 2)
     problems = []
     if len(rel.pairs) != 4:
         problems.append(f"expected 4 matched pairs, got {len(rel.pairs)}")
-    if any(p.preimage_set(2).members != (2, 4) for p in rel.x_items):
-        problems.append("an x item has the wrong preimage set")
-    if any(p.preimage_set(2).members != (1, 3) for p in rel.y_items):
-        problems.append("a y item has the wrong preimage set")
-    if len({p.image for p in rel.x_items}) != 4 or len({p.image for p in rel.y_items}) != 4:
-        problems.append("cosets are not fully enumerated")
-    s_x, s_y = sx.sets[0], sy.sets[0]
-    inter = s_x.intersection(s_y)
-    outside = s_x.union(s_y).complement()
-    only_x = s_x.difference(s_y)
-    only_y = s_y.difference(s_x)
-    for xi, yi in rel.pairs:
-        px, py = rel.x_items[xi], rel.y_items[yi]
-        for j in inter.members + outside.members:
-            if px(j) != py(j):
-                problems.append(f"pair ({xi},{yi}) differs at agreed label {j}")
-        for j in only_x.members:
-            if not any(px(j) == py(i) and px(i) == py(j) for i in only_y.members):
-                problems.append(f"pair ({xi},{yi}) lacks a transpose partner for {j}")
-        want = s_x.symmetric_difference(s_y).members
-        if rel.disagreement_labels(xi, yi) != want:
-            problems.append(f"pair ({xi},{yi}) disagreement set is not the symmetric difference")
+    in_x, in_y = sx.incidence[0], sy.incidence[0]
+    for side, items, members in (("x", rel.x_items, in_x), ("y", rel.y_items, in_y)):
+        if np.any((items < 2) != members):
+            problems.append(f"a {side}-side item has the wrong preimage set")
+        if len(set(map(tuple, items.tolist()))) != 4:
+            problems.append(f"the {side}-side coset is not fully enumerated")
+    px, py = rel.x_items[rel.pairs[:, 0]], rel.y_items[rel.pairs[:, 1]]
+    # [pair, j, i]: label i + 1 of y - x is transpose-linked to label j + 1
+    linked = (px[:, :, None] == py[:, None, :]) & (px[:, None, :] == py[:, :, None]) & in_y & ~in_x
+    for bad, message in (
+        ((px != py) & (in_x == in_y), "differs at an agreed label"),
+        (in_x & ~in_y & ~linked.any(axis=-1), "lacks a transpose partner"),
+        ((px != py) != (in_x != in_y), "disagreement set is not the symmetric difference"),
+    ):
+        problems += [f"pair {tuple(rel.pairs[k].tolist())} {message}"
+                     for k in np.flatnonzero(bad.any(axis=-1))]
     return CriterionResult(
         9, "preimage matching", not problems,
         f"4 matched pairs at n=1, all agreement conditions verified exhaustively"

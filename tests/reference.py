@@ -5,6 +5,8 @@ The test files import this module by name: `pyproject.toml` puts `tests/` on
 pytest's import path, whatever the import mode.
 """
 
+import itertools
+
 import numpy as np
 
 from permlab.core import DensityMatrix, Permutation, Subset, random_densities
@@ -62,3 +64,29 @@ def haar_unitary(dim, rng):
 def identity_algorithm(dim_a, dim_b, queries):
     """The identity before every query and at the end."""
     return QueryAlgorithm(dim_a, dim_b, (np.eye(dim_a * dim_b),) * (queries + 1))
+
+
+def as_permutation(row):
+    """A 0-based image row as a `Permutation` on 1-based labels."""
+    return Permutation(len(row), tuple(int(i) + 1 for i in row))
+
+
+def block_permutation_objects(size, block):
+    """Every permutation of [size] preserving the split {1..block, block+1..size},
+    one `Permutation` per element, first block outermost."""
+    out = []
+    for first in itertools.permutations(range(1, block + 1)):
+        for second in itertools.permutations(range(block + 1, size + 1)):
+            out.append(Permutation(size, first + second))
+    return tuple(out)
+
+
+def sample_block_permutation_objects(size, block, count, rng):
+    """Seeded iid-uniform draws from the block-preserving subgroup, one
+    `Permutation` per draw."""
+    out = []
+    for _ in range(count):
+        first = tuple(int(x) + 1 for x in rng.permutation(block))
+        second = tuple(int(x) + block + 1 for x in rng.permutation(size - block))
+        out.append(Permutation(size, first + second))
+    return tuple(out)

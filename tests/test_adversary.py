@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permlab import adversary
+from permlab import adversary, harness
 from permlab.adversary import (
     AdversaryStats,
     OracleRelation,
@@ -14,7 +14,7 @@ from permlab.adversary import (
     build_preimage_relation,
     build_subset_relation,
     end_to_end_bound_check,
-    matched_representatives,
+    matched_rows,
     progress_trace,
     relation_stats,
 )
@@ -27,8 +27,14 @@ from permlab.core import (
     philox_stream,
 )
 from permlab.dilation import QueryAlgorithm, random_query_algorithm
-from permlab.oracles import phase_signs
-from reference import haar_unitary, identity, identity_algorithm, invert
+from permlab.oracles import phase_signs, representative_sigma
+from reference import (
+    as_permutation,
+    block_permutation_objects,
+    haar_unitary,
+    identity_algorithm,
+    invert,
+)
 
 
 def contrapositive_bias_bound(stats, queries):
@@ -43,9 +49,45 @@ def family_of(universe, *member_tuples):
     return SubsetFamily(universe, tuple(Subset(universe, m) for m in member_tuples))
 
 
+def matched_pair(sx, sy):
+    """The package's `matched_rows` for two subsets, as `Permutation`s."""
+    labels = np.arange(1, sx.universe + 1)
+    rows = matched_rows(np.isin(labels, sx.members), np.isin(labels, sy.members))
+    return tuple(as_permutation(row) for row in rows)
+
+
+def reference_matched_pair(sx, sy):
+    """Reference route on `Permutation`s: sigma_x* composed with the involution
+    swapping the i-th smallest labels of sx - sy and sy - sx."""
+    sigma_x = representative_sigma(sx, len(sx))
+    swap = list(range(1, sx.universe + 1))
+    for a, b in zip(sx.difference(sy).members, sy.difference(sx).members):
+        swap[a - 1], swap[b - 1] = b, a
+    return sigma_x, sigma_x.compose(Permutation(sx.universe, tuple(swap)))
+
+
+def reference_coset_relation(sx, sy, block):
+    """The coset relation built one `Permutation` at a time: x items tau o sigma_x*
+    per (x set, tau), y items tau o sigma_y* per (x set, y set, tau), each new
+    image appended once, in order of first appearance."""
+    taus = block_permutation_objects(sx.universe, block)
+    x_items = [tau.compose(representative_sigma(s, block)) for s in sx for tau in taus]
+    y_items, y_index, pairs = [], {}, []
+    for ix, s_x in enumerate(sx):
+        for s_y in sy:
+            sigma_y = reference_matched_pair(s_x, s_y)[1]
+            for it, tau in enumerate(taus):
+                y_perm = tau.compose(sigma_y)
+                if y_perm.image not in y_index:
+                    y_index[y_perm.image] = len(y_items)
+                    y_items.append(y_perm)
+                pairs.append((ix * len(taus) + it, y_index[y_perm.image]))
+    return x_items, y_items, pairs
+
+
 def brute_stats(rel):
     """Naive recount straight from the definition, independent of relation_stats."""
-    related = set(rel.pairs)
+    related = set(map(tuple, rel.pairs.tolist()))
     m = min(
         sum(1 for y in range(len(rel.y_items)) if (x, y) in related)
         for x in range(len(rel.x_items))
@@ -55,7 +97,7 @@ def brute_stats(rel):
         for y in range(len(rel.y_items))
     )
     l_max = 0
-    for x, y in rel.pairs:
+    for x, y in rel.pairs.tolist():
         for lab in range(1, rel.universe + 1):
             if rel.disagrees(x, y, lab):
                 l_x = sum(
@@ -72,7 +114,7 @@ def brute_stats(rel):
 
 def brute_tables(rel):
     """l_x and l_y recounted from `disagrees`, label j in column j - 1."""
-    related = set(rel.pairs)
+    related = set(map(tuple, rel.pairs.tolist()))
     labels = range(1, rel.universe + 1)
     n_x, n_y = len(rel.x_items), len(rel.y_items)
     l_x = [
@@ -90,20 +132,20 @@ def apply_item(state, rel, item):
     """Apply one oracle to the A axis of a (..., V, Q)-shaped state."""
     if rel.kind == "phase":
         return state * phase_signs(item)[:, None]
-    inv = np.argsort(item.zero_based())
+    inv = np.argsort(item)
     return state[..., inv, :]
 
 
 def reference_w_values(rel, alg, initial_aq):
     """W after each query, one oracle at a time, from the whole control Gram matrix."""
     n_x, n_y = len(rel.x_items), len(rel.y_items)
-    items = rel.x_items + rel.y_items
+    items = [*rel.x_items, *rel.y_items]
     weights = np.array([1 / math.sqrt(2 * n_x)] * n_x + [1 / math.sqrt(2 * n_y)] * n_y)
     state = weights[:, None] * initial_aq.amplitudes[None, :]
 
     def w_of(mat):
         rho_c = mat @ mat.conj().T
-        return sum(abs(rho_c[xi, n_x + yi]) for xi, yi in rel.pairs)
+        return sum(abs(rho_c[xi, n_x + yi]) for xi, yi in rel.pairs.tolist())
 
     values = [w_of(state)]
     for u in alg.unitaries[:-1]:
@@ -142,7 +184,7 @@ def direct_relations(draw):
     if kind == "phase":
         item = st.integers(0, 2**v - 1).map(lambda mask: subset_of_mask(v, mask))
     else:
-        item = st.permutations(range(1, v + 1)).map(lambda img: Permutation(v, tuple(img)))
+        item = st.permutations(range(v))
     x_items = tuple(draw(st.lists(item, min_size=1, max_size=4)))
     y_items = tuple(draw(st.lists(item, min_size=1, max_size=4)))
     n_x, n_y = len(x_items), len(y_items)
@@ -193,7 +235,7 @@ class TestSubsetRelation:
 
     def test_singleton_families(self):
         rel = build_subset_relation(family_of(4, (1,)), family_of(4, (2,)))
-        assert rel.pairs == ((0, 0),)
+        assert rel.pairs.tolist() == [[0, 0]]
 
     def test_core_containment_construction(self):
         core = (1,)
@@ -230,6 +272,22 @@ class TestSubsetRelation:
                 assert prod <= cap + 1e-9
 
 
+def spectral_sides(rel):
+    """Both sides of ||Gamma|| / max_j ||Gamma_j|| >= sqrt(m m' / l_max), the
+    left from dense 2-norms: Gamma is the 0/1 pair matrix and Gamma_j its
+    restriction to the pairs whose oracles disagree at label j; the right
+    from relation_stats."""
+    (rx, ry), (px, py) = rel.rows, rel.pair_index
+    gammas = np.zeros((rel.universe + 1, len(rx), len(ry)))
+    gammas[0, px, py] = 1.0
+    gammas[1:, px, py] = (rx[px] != ry[py]).T
+    # ||A||^2 is the top eigenvalue of A A^T, taken on A's shorter side
+    short = gammas if len(rx) <= len(ry) else gammas.mT
+    norms = np.sqrt(np.linalg.eigvalsh(short @ short.mT)[:, -1])
+    stats = relation_stats(rel)
+    return norms[0] / norms[1:].max(), math.sqrt(stats.m * stats.m_prime / stats.l_max)
+
+
 class TestStatsMatchReference:
     @given(direct_relations())
     @settings(max_examples=60, deadline=None)
@@ -249,10 +307,63 @@ class TestStatsMatchReference:
         a, b = relation_stats(materialized), relation_stats(analytic)
         assert (a.m, a.m_prime, a.l_max) == (b.m, b.m_prime, b.l_max)
         # every coset element carries the l table of its preimage set
-        x_of = [sx.sets.index(p.preimage_set(block)) for p in materialized.x_items]
-        y_of = [sy.sets.index(p.preimage_set(block)) for p in materialized.y_items]
+        x_of = [sx.sets.index(as_permutation(p).preimage_set(block)) for p in materialized.x_items]
+        y_of = [sy.sets.index(as_permutation(p).preimage_set(block)) for p in materialized.y_items]
         assert np.array_equal(a.per_input_l["l_x"], b.per_input_l["l_x"][x_of])
         assert np.array_equal(a.per_input_l["l_y"], b.per_input_l["l_y"][y_of])
+
+
+class TestSpectralReference:
+    """An independent reference for m, m' and l_max: the spectral form of the
+    adversary bound, ||Gamma|| >= sqrt(m m') and ||Gamma_j||^2 <= the largest
+    l_x l_y over Gamma_j's pairs, so the spectral ratio bounds the bound."""
+
+    @given(direct_relations())
+    @settings(max_examples=60, deadline=None)
+    def test_spectral_ratio_bounds_the_statistics(self, rel):
+        if relation_stats(rel).l_max == 0:
+            return  # no disagreement anywhere: both sides are undefined
+        spectral, bound = spectral_sides(rel)
+        assert spectral >= bound * (1 - 1e-12)
+
+    @pytest.mark.parametrize("overrides,want", [
+        (dict(V=6, kx=2, ky=3), 1.767767),
+        (dict(V=16, kx=3, ky=4), 2.401922),
+        (dict(kind="preimage", n=1), 1.0),
+        (dict(kind="preimage", n=2), 1.745743),
+    ])
+    def test_golden_relations_meet_it_with_equality(self, monkeypatch, overrides, want):
+        relations = []
+        original = harness.relation_stats
+
+        def capture(rel):
+            relations.append(rel)
+            return original(rel)
+
+        monkeypatch.setattr(harness, "relation_stats", capture)
+        harness.execute(harness.ExperimentConfig(subcommand="relation", **overrides))
+        spectral, bound = spectral_sides(relations[0])
+        assert spectral == pytest.approx(bound, rel=1e-12)
+        assert bound == pytest.approx(want, abs=5e-7)
+
+
+class TestCosetRelationMatchesReference:
+    @given(preimage_families())
+    @settings(max_examples=25, deadline=None)
+    def test_items_and_pairs_equal_the_per_permutation_build_in_order(self, families):
+        sx, sy, block = families
+        rel = build_preimage_relation(sx, sy, block, materialize_cosets=True)
+        x_items, y_items, pairs = reference_coset_relation(sx, sy, block)
+        assert np.array_equal(rel.x_items, np.stack([p.zero_based() for p in x_items]))
+        assert np.array_equal(rel.y_items, np.stack([p.zero_based() for p in y_items]))
+        assert rel.pairs.tolist() == [list(pair) for pair in pairs]
+
+    def test_n1_relation_equals_the_reference(self):
+        rel = build_preimage_relation(N1_X, N1_Y, 2)
+        x_items, y_items, pairs = reference_coset_relation(N1_X, N1_Y, 2)
+        assert rel.x_items.tolist() == [list(p.zero_based()) for p in x_items]
+        assert rel.y_items.tolist() == [list(p.zero_based()) for p in y_items]
+        assert rel.pairs.tolist() == [list(pair) for pair in pairs]
 
 
 class TestBatchedMatchesPerItem:
@@ -317,9 +428,7 @@ class TestTrialStacks:
         assert len(progress_trace(rel, stack)) == 6
         assert len(calls) == 1
         # the swap detector of TestEndToEnd, three times: every trial carries a bound
-        swap = OracleRelation(
-            "in_place", 2, (identity(2),), (Permutation(2, (2, 1)),), ((0, 0),)
-        )
+        swap = OracleRelation("in_place", 2, [[0, 1]], [[1, 0]], ((0, 0),))
         reports = end_to_end_bound_check(
             swap, QueryAlgorithm(2, 1, np.tile(np.eye(2), (3, 2, 1, 1))), np.diag([1.0, 0.0])
         )
@@ -340,7 +449,7 @@ class TestTrialStacks:
 class TestMatchedRepresentatives:
     def test_agreement_conditions_nonvacuous(self):
         sx, sy = Subset(6, (1, 2, 3)), Subset(6, (1, 4, 5))
-        px, py = matched_representatives(sx, sy, 3)
+        px, py = matched_pair(sx, sy)
         assert px.preimage_set(3) == sx
         assert py.preimage_set(3) == sy
         assert px(1) == py(1)  # shared member
@@ -351,13 +460,24 @@ class TestMatchedRepresentatives:
 
     def test_disagreement_is_symmetric_difference(self):
         sx, sy = Subset(6, (1, 2, 3)), Subset(6, (1, 4, 5))
-        px, py = matched_representatives(sx, sy, 3)
+        px, py = matched_pair(sx, sy)
         diff = tuple(j for j in range(1, 7) if px(j) != py(j))
         assert diff == sx.symmetric_difference(sy).members
 
+    @pytest.mark.parametrize("v,block", [(4, 2), (6, 3), (7, 2)])
+    def test_broadcast_rows_equal_the_reference_permutations(self, v, block):
+        family = enumerate_family(v, block)
+        sigma_x, sigma_y = matched_rows(family.incidence[:, None], family.incidence[None])
+        assert sigma_x.shape == sigma_y.shape == (len(family), len(family), v)
+        for i, sx in enumerate(family.sets):
+            for j, sy in enumerate(family.sets):
+                px, py = reference_matched_pair(sx, sy)
+                assert np.array_equal(sigma_x[i, j], px.zero_based())
+                assert np.array_equal(sigma_y[i, j], py.zero_based())
+
     def test_identical_subsets_give_identical_permutations(self):
         s = Subset(6, (1, 2, 3))
-        px, py = matched_representatives(s, s, 3)
+        px, py = matched_pair(s, s)
         assert px == py
 
 
@@ -402,7 +522,7 @@ class TestPreimageRelation:
         sy = family_of(6, (1, 3), (3, 5))
         rel = build_preimage_relation(sx, sy, 2, materialize_cosets=True)
         for xi, yi in rel.pairs:
-            px, py = rel.x_items[xi], rel.y_items[yi]
+            px, py = as_permutation(rel.x_items[xi]), as_permutation(rel.y_items[yi])
             s_x = px.preimage_set(2)
             s_y = py.preimage_set(2)
             inter = s_x.intersection(s_y)
@@ -552,11 +672,7 @@ class TestProgressTrace:
 
 class TestEndToEnd:
     def test_swap_detector_saturates_bound(self):
-        rel = OracleRelation(
-            "in_place", 2,
-            (identity(2),), (Permutation(2, (2, 1)),),
-            ((0, 0),),
-        )
+        rel = OracleRelation("in_place", 2, [[0, 1]], [[1, 0]], ((0, 0),))
         eye = np.eye(2, dtype=complex)
         alg = QueryAlgorithm(2, 1, (eye, eye))  # one query, trivial unitaries
         accept = np.diag([1.0, 0.0]).astype(complex)  # accept when A stays on label 1
@@ -604,6 +720,21 @@ class TestRelationValidation:
     def test_empty_pairs(self):
         with pytest.raises(ValueError, match="pairs"):
             OracleRelation("phase", 2, (Subset(2, (1,)),), (Subset(2, (2,)),), ())
+
+    def test_in_place_items_must_be_permutation_rows(self):
+        for x_items in ([[0, 0]], [[1, 2]], [[0.0, 1.0]], (Permutation(2, (1, 2)),)):
+            with pytest.raises(ValueError, match="in-place x_items must be rows permuting"):
+                OracleRelation("in_place", 2, x_items, [[1, 0]], ((0, 0),))
+
+    def test_pairs_must_be_index_pairs(self):
+        with pytest.raises(ValueError, match=r"expected \(P, 2\)"):
+            OracleRelation("phase", 2, (Subset(2, (1,)),), (Subset(2, (2,)),), ((0, 0, 0),))
+
+    def test_items_and_pairs_are_read_only(self):
+        rel = build_preimage_relation(N1_X, N1_Y, 2)
+        for arr in (rel.x_items, rel.y_items, rel.pairs):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1
 
     def test_pair_index_out_of_range(self):
         with pytest.raises(ValueError, match="missing item"):

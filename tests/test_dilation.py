@@ -36,7 +36,13 @@ from permlab.oracles import (
     random_representative,
     representative_sigma,
 )
-from reference import haar_unitary, identity, identity_algorithm, random_density
+from reference import (
+    as_permutation,
+    block_permutation_objects,
+    haar_unitary,
+    identity_algorithm,
+    random_density,
+)
 
 TAUS = block_permutations(4, 2)
 S_EVEN = Subset(4, (2, 4))
@@ -57,16 +63,16 @@ def random_product_initial(dim, seed):
 
 
 def build_control_permutation(taus):
-    """|i>|j> -> |i>|tau_i(j)> as a dense unitary on control (x) A."""
-    if not taus:
+    """|i>|j> -> |i>|tau_i(j)> as a dense unitary on control (x) A, from 0-based image rows."""
+    if not len(taus):
         raise ValueError("need at least one permutation")
-    v = taus[0].size
-    if any(t.size != v for t in taus):
+    v = len(taus[0])
+    if any(len(t) != v for t in taus):
         raise ValueError("all permutations must share one size")
     c = len(taus)
     out = np.zeros((c * v, c * v))
     for i, tau in enumerate(taus):
-        out[i * v : (i + 1) * v, i * v : (i + 1) * v] = tau.matrix()
+        out[i * v : (i + 1) * v, i * v : (i + 1) * v] = as_permutation(tau).matrix()
     return out
 
 
@@ -96,7 +102,7 @@ def reference_dilated_picture(alg, sigma, taus, initial):
     for _ in range(t):
         psi = np.kron(chi, psi)
     inv_sigma = np.argsort(sigma.zero_based())
-    gather = np.stack([inv_sigma[np.argsort(tau.zero_based())] for tau in taus])
+    gather = np.stack([inv_sigma[np.argsort(tau)] for tau in taus])
     states = [PureState(full, psi)]
     for k in range(1, t + 1):
         mat = psi.reshape(c**t, d_ab) @ alg.unitaries[:-1][k - 1].T
@@ -137,7 +143,7 @@ def dense_dilated_picture(alg, sigma, taus, initial):
     for _ in range(t):
         psi = np.kron(chi, psi)
     inv_sigma = np.argsort(sigma.zero_based())
-    inv_taus = [np.argsort(tau.zero_based()) for tau in taus]
+    inv_taus = [np.argsort(tau) for tau in taus]
 
     snapshots = [DensityMatrix.from_pure(PureState(full, psi))]
     for k in range(1, t + 1):
@@ -225,7 +231,7 @@ class TestChiAndControl:
             assert abs(np.linalg.norm(chi_state(count).amplitudes) - 1) < 1e-12
 
     def test_single_identity_tau(self):
-        mat = build_control_permutation([identity(3)])
+        mat = build_control_permutation([np.arange(3)])
         np.testing.assert_allclose(mat, np.eye(3), atol=1e-15)
 
     def test_four_block_permutations(self):
@@ -246,7 +252,7 @@ class TestChiAndControl:
 
     def test_mismatched_sizes_rejected(self):
         with pytest.raises(ValueError, match="share"):
-            build_control_permutation([identity(3), identity(4)])
+            build_control_permutation([np.arange(3), np.arange(4)])
 
 
 class TestChannelPicture:
@@ -311,6 +317,25 @@ class TestDilatedPicture:
         sigma = representative_sigma(S_EVEN, 2)
         with pytest.raises(ValueError, match="cap"):
             run_dilated_picture(alg, sigma, TAUS, initial)
+
+    def test_tau_rows_must_permute_register_a(self):
+        alg = identity_algorithm(4, 2, 1)
+        initial = random_product_initial(8, 12)
+        sigma = representative_sigma(S_EVEN, 2)
+        bad_taus = (
+            np.array([[0, 1, 2, 2]]),  # not a bijection
+            TAUS + 1,  # 1-based labels
+            TAUS[:, :3],  # the wrong length
+            TAUS.astype(float),  # not integers
+            block_permutation_objects(4, 2),  # Permutation objects, not rows
+        )
+        for taus in bad_taus:
+            with pytest.raises(ValueError, match="every tau must be rows permuting the 4 labels"):
+                run_dilated_picture(alg, sigma, taus, initial)
+            with pytest.raises(ValueError, match="every tau must be rows permuting the 4 labels"):
+                check_dilation(alg, S_EVEN, sigma, taus, initial)
+        with pytest.raises(ValueError, match="sigma must be rows permuting the 4 labels"):
+            run_dilated_picture(alg, representative_sigma(Subset(6, (2, 4)), 2), TAUS, initial)
 
     def test_identity_algorithm_zero_distance_each_step(self):
         alg = identity_algorithm(4, 2, 3)
@@ -498,7 +523,7 @@ class TestTrialStacks:
         ]
         initials = [random_product_initial(4 * dim_b, seed + 2) for _, _, seed in trials]
         per_trial_taus = [[TAUS[(row + k) % 4] for row in tau_rows] for k in range(len(trials))]
-        taus = per_trial_taus[0] if shared_taus else list(zip(*per_trial_taus))
+        taus = per_trial_taus[0] if shared_taus else np.stack(per_trial_taus, axis=1)
         runs = check_dilation(
             stack, subsets, sigmas, taus, np.stack([psi.amplitudes for psi in initials])
         )

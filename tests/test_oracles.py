@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from permlab import suite
+from permlab import oracles, suite
 from permlab.core import (
     DensityMatrix,
     Permutation,
@@ -29,12 +29,14 @@ from permlab.oracles import (
     sample_block_permutations,
 )
 from reference import (
+    block_permutation_objects,
     diagonal,
     identity,
     maximally_mixed,
     permutation_from_text,
     random_density,
     random_permutation,
+    sample_block_permutation_objects,
     subset_from_text,
 )
 
@@ -268,7 +270,7 @@ class TestBlockTwirl:
 
     def test_matches_exhaustive_four_term_average(self):
         rho = random_density(4, philox_stream(4))
-        taus = block_permutations(4, 2)
+        taus = block_permutation_objects(4, 2)
         assert len(taus) == 4
         acc = sum(t.matrix() @ rho.entries @ t.matrix().T for t in taus) / 4
         np.testing.assert_allclose(block_twirl(rho, 2).entries, acc, atol=1e-13)
@@ -287,7 +289,7 @@ class TestBlockTwirl:
             for block in range(1, v + 1):
                 rng = philox_stream(100 + v * 8 + block)
                 rho = random_density(v, rng)
-                group = block_permutations(v, block)
+                group = block_permutation_objects(v, block)
                 acc = sum(t.matrix() @ rho.entries @ t.matrix().T for t in group)
                 acc /= len(group)
                 np.testing.assert_allclose(
@@ -350,7 +352,7 @@ def permutation_loop_block_average(stack, block):
     """Reference for criterion 5: one fancy-indexed gather per group element."""
     v = stack.shape[-1]
     acc = np.zeros_like(stack)
-    group = block_permutations(v, block)
+    group = block_permutation_objects(v, block)
     for tau in group:
         inv = np.argsort(tau.zero_based())
         acc += stack[:, inv, :][:, :, inv]
@@ -382,7 +384,7 @@ class TestCountMatrixAverage:
     @pytest.mark.parametrize("v", range(1, 9))
     def test_group_rows_are_every_block_permutation_once(self, v):
         for block in range(1, v + 1):
-            chunks = list(suite._block_group_rows(v, block))
+            chunks = list(oracles.block_group_chunks(v, block, suite.TWIRL_CHUNK_ROWS))
             assert all(len(c) <= suite.TWIRL_CHUNK_ROWS for c in chunks)
             assert all(c.dtype == np.intp for c in chunks)
             rows = np.concatenate(chunks)
@@ -393,11 +395,44 @@ class TestCountMatrixAverage:
                                   np.broadcast_to(np.arange(block), (len(rows), block)))
 
     def test_short_enumeration_raises(self, monkeypatch):
-        rows = suite._block_group_rows
-        monkeypatch.setattr(suite, "_block_group_rows", lambda v, b: (r[1:] for r in rows(v, b)))
+        rows = oracles.block_group_chunks
+        monkeypatch.setattr(suite, "block_group_chunks", lambda *args: (r[1:] for r in rows(*args)))
         stack = random_density(4, philox_stream(3)).entries[None]
         with pytest.raises(RuntimeError, match="enumerated 3 block-group elements"):
             suite.exhaustive_block_average(stack, 2)
+
+
+class TestBlockGroupRows:
+    """The package's one enumeration and sampler against the per-`Permutation` reference."""
+
+    @pytest.mark.parametrize("v", range(1, 9))
+    def test_rows_equal_the_reference_in_order(self, v):
+        for block in range(1, v + 1):
+            rows = block_permutations(v, block)
+            want = [tau.zero_based() for tau in block_permutation_objects(v, block)]
+            assert rows.dtype == np.intp and not rows.flags.writeable
+            assert np.array_equal(rows, np.stack(want))
+
+    @pytest.mark.parametrize("size,block,count", [(4, 2, 8), (6, 1, 5), (9, 3, 20), (16, 4, 8)])
+    def test_sampler_matches_the_reference_bit_for_bit(self, size, block, count):
+        for seed in range(4):
+            rng, ref_rng = philox_stream(seed, size), philox_stream(seed, size)
+            rows = sample_block_permutations(size, block, count, rng)
+            want = sample_block_permutation_objects(size, block, count, ref_rng)
+            assert rows.shape == (count, size) and rows.dtype == np.intp
+            assert np.array_equal(rows, np.stack([tau.zero_based() for tau in want]))
+            assert rng.random() == ref_rng.random()  # same stream position afterwards
+
+    @pytest.mark.parametrize("block", [0, 5, -1])
+    def test_block_out_of_range_raises(self, block):
+        with pytest.raises(ValueError, match="out of range"):
+            block_permutations(4, block)
+        with pytest.raises(ValueError, match="out of range"):
+            sample_block_permutations(4, block, 3, philox_stream(1))
+
+    def test_enumeration_cap(self):
+        with pytest.raises(ValueError, match="above the cap"):
+            block_permutations(10, 1)
 
 
 class TestRepresentative:
@@ -532,6 +567,6 @@ class TestOracleChannel:
 
     def test_sampled_block_permutations_preserve_blocks(self):
         taus = sample_block_permutations(9, 3, 20, philox_stream(12))
-        assert len(taus) == 20
+        assert taus.shape == (20, 9)
         for tau in taus:
-            assert tau.preimage_set(3).members == (1, 2, 3)
+            assert tuple(np.flatnonzero(tau < 3) + 1) == (1, 2, 3)
