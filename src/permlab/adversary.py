@@ -6,13 +6,16 @@ oracles through a one-to-one matching of the two cosets, built so that two
 matched permutations agree everywhere except on the symmetric difference of
 their preimage sets, where they are transpose-linked.
 
-Every oracle of a relation has one row, chosen so that the two oracles of a
-pair disagree at a label exactly where their rows differ; an in-place
-oracle's row is its 0-based image, and the cosets are one gather of the
-block group's rows. The statistics m, m' and l_max are one array formula
-over the rows and the (P, 2) pair array; W and the end-to-end check apply
-all the oracles at once, as one sign multiply or one gather per query, and
-run a stack of algorithms with one `relation_stats` call per stack.
+Families arrive as incidence rows, and each side of a relation is one
+(count, V) row array: the two oracles of a pair disagree at a label exactly
+where their rows differ. Phase relations and analytic preimage relations
+hold the sets' sign rows, since matched permutations disagree exactly on
+the symmetric difference of their preimage sets; a materialized coset
+relation holds 0-based image rows, one gather of the block group's rows.
+The statistics m, m' and l_max are one array formula over the rows and the
+(P, 2) pair array; W and the end-to-end check apply all the oracles at
+once, as one sign multiply or one gather per query, and run a stack of
+algorithms with one `relation_stats` call per stack.
 
 The progress measure W sums the absolute control-register coherences across
 related pairs; each oracle query can lower it by at most sqrt(l_max), which
@@ -23,13 +26,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .core import PureState, Subset, SubsetFamily
+from .core import PureState, SubsetFamily
 from .dilation import QueryAlgorithm
-from .oracles import block_permutations, permutation_rows, phase_signs, representative_rows
+from .oracles import (
+    block_permutations, permutation_rows, phase_signs, representative_rows, sign_rows,
+)
 
 # progress_trace materializes a control register per oracle; cap its size
 MAX_CONTROL_ITEMS = 4096
@@ -40,26 +44,22 @@ BOUND_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class OracleRelation:
-    """Pairs of YES/NO oracles, with one row per oracle for the statistics.
+    """Pairs of YES/NO oracles, each side one read-only (count, V) row array.
 
-    kind 'phase' stores Subsets as items; kind 'in_place' stores each side as
-    one read-only (count, V) array of 0-based image rows, checked to permute.
-    `pairs` is a read-only (P, 2) array of (x item, y item) indices. The two
-    oracles of a pair disagree at label j exactly where their rows differ in
-    column j - 1: a phase oracle's row is its sign vector, an in-place
-    oracle's row its image. Analytic relations keep one representative row
-    per preimage set and take their rows from the sets' sign vectors, since
-    matched permutations disagree exactly on the symmetric difference of
-    their preimage sets.
+    The two oracles of a pair disagree at label j exactly where their rows
+    differ in column j - 1. A phase relation, and an analytic in-place
+    relation, hold sign rows (`phase_signs` of the oracle's set, checked to
+    be +-1): matched permutations disagree exactly on the symmetric
+    difference of their preimage sets. A materialized coset relation holds
+    0-based image rows, checked to permute. `pairs` is a read-only (P, 2)
+    array of (x item, y item) indices.
     """
 
     kind: str
     universe: int
-    x_items: tuple | np.ndarray
-    y_items: tuple | np.ndarray
+    x_items: np.ndarray
+    y_items: np.ndarray
     pairs: np.ndarray
-    x_sets: tuple[Subset, ...] | None = None
-    y_sets: tuple[Subset, ...] | None = None
     analytic: bool = False
 
     def __post_init__(self) -> None:
@@ -72,9 +72,10 @@ class OracleRelation:
             raise ValueError(f"pairs have shape {pairs.shape}, expected (P, 2)")
         pairs.setflags(write=False)
         object.__setattr__(self, "pairs", pairs)
-        for side in ("x_items", "y_items") if self.kind == "in_place" else ():
-            rows = permutation_rows(getattr(self, side), self.universe, f"in-place {side}")
-            object.__setattr__(self, side, rows)
+        check = permutation_rows if self.kind == "in_place" and not self.analytic else sign_rows
+        for side in ("x_items", "y_items"):
+            what = f"{self.kind.replace('_', '-')} {side}"
+            object.__setattr__(self, side, check(getattr(self, side), self.universe, what))
         px, py = self.pair_index
         bad = (px < 0) | (px >= len(self.x_items)) | (py < 0) | (py >= len(self.y_items))
         if bad.any():
@@ -86,20 +87,14 @@ class OracleRelation:
         """The pairs as two index arrays: into x_items and into y_items."""
         return self.pairs[:, 0], self.pairs[:, 1]
 
-    @cached_property
+    @property
     def rows(self) -> tuple[np.ndarray, np.ndarray]:
         """The (items, V) row arrays of the x side and the y side."""
-        if self.kind == "in_place" and not self.analytic:
-            return self.x_items, self.y_items
-        sides = (self.x_sets, self.y_sets) if self.analytic else (self.x_items, self.y_items)
-        return tuple(np.stack([phase_signs(item) for item in side]) for side in sides)
+        return self.x_items, self.y_items
 
     def disagrees(self, xi: int, yi: int, label: int) -> bool:
         """Do the two oracles of a pair act differently on this input label?"""
-        x, y = self.x_items[xi], self.y_items[yi]
-        if self.kind == "phase":
-            return (label in x) != (label in y)
-        return bool(x[label - 1] != y[label - 1])
+        return bool(self.x_items[xi, label - 1] != self.y_items[yi, label - 1])
 
 
 def _check_families(sx: SubsetFamily, sy: SubsetFamily) -> None:
@@ -107,23 +102,25 @@ def _check_families(sx: SubsetFamily, sy: SubsetFamily) -> None:
         raise ValueError("families must share a universe")
     if len(sx) == 0 or len(sy) == 0:
         raise ValueError("both families must be nonempty")
-    members_x = {s.members for s in sx}
-    if any(s.members in members_x for s in sy):
-        raise ValueError("families overlap; YES and NO oracle classes must be disjoint")
+    try:
+        SubsetFamily(sx.universe, np.concatenate([sx.incidence, sy.incidence]))
+    except ValueError as exc:
+        raise ValueError(
+            f"families overlap ({exc}); YES and NO oracle classes must be disjoint") from exc
 
 
-def _complete_relation(kind: str, sx: SubsetFamily, sy: SubsetFamily, x_items, y_items,
+def _complete_relation(kind: str, sx: SubsetFamily, sy: SubsetFamily,
                        analytic: bool = False) -> OracleRelation:
-    """Every (x, y) item pair related, x-major, with the families as the sets."""
+    """Every (x, y) set pair related, x-major, each set's oracle its sign row."""
     pairs = np.stack(np.divmod(np.arange(len(sx) * len(sy)), len(sy)), axis=1)
-    return OracleRelation(kind, sx.universe, x_items, y_items, pairs, tuple(sx.sets),
-                          tuple(sy.sets), analytic)
+    return OracleRelation(kind, sx.universe, phase_signs(sx.incidence),
+                          phase_signs(sy.incidence), pairs, analytic)
 
 
 def build_subset_relation(sx: SubsetFamily, sy: SubsetFamily) -> OracleRelation:
     """Complete bipartite relation between two disjoint phase-oracle families."""
     _check_families(sx, sy)
-    return _complete_relation("phase", sx, sy, tuple(sx.sets), tuple(sy.sets))
+    return _complete_relation("phase", sx, sy)
 
 
 def matched_rows(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -153,21 +150,19 @@ def build_preimage_relation(
     matched element by element (pair (tau o sigma_x*, tau o sigma_y*) for
     every block permutation tau): tau o sigma is the gather taus[:, sigma]
     over the group's image rows, and equal y candidates become one item,
-    ranked by first appearance. Otherwise the relation is analytic: one
-    representative per subset, every subset pair related, and the rows of
-    the statistics taken from the preimage sets.
+    ranked by first appearance. Otherwise the relation is analytic: each
+    subset is one item, held as its sign row, and every subset pair is
+    related.
     """
     _check_families(sx, sy)
-    if any(len(s) != block for s in sx) or any(len(s) != block for s in sy):
+    if (sx.incidence.sum(axis=1) != block).any() or (sy.incidence.sum(axis=1) != block).any():
         raise ValueError(f"every subset must have exactly {block} members")
     v = sx.universe
     group_size = math.factorial(block) * math.factorial(v - block)
     if materialize_cosets is None:
         materialize_cosets = group_size <= MAX_COSET_ITEMS
     if not materialize_cosets:
-        y_items = matched_rows(sx.incidence[:1], sy.incidence)[1]
-        return _complete_relation(
-            "in_place", sx, sy, representative_rows(sx.incidence), y_items, analytic=True)
+        return _complete_relation("in_place", sx, sy, analytic=True)
     if group_size > MAX_COSET_ITEMS:
         raise ValueError(
             f"block group has {group_size} elements, above the cap {MAX_COSET_ITEMS}; "
@@ -184,8 +179,7 @@ def build_preimage_relation(
     # candidate (x set, y set, tau) pairs x item (x set, tau) with its first-ranked y item
     c, t = np.arange(len(candidates)), len(taus)
     pairs = np.stack([c // (len(sy) * t) * t + c % t, np.argsort(order)[inverse.reshape(-1)]], 1)
-    return OracleRelation(
-        "in_place", v, x_items, y_items[order], pairs, tuple(sx.sets), tuple(sy.sets))
+    return OracleRelation("in_place", v, x_items, y_items[order], pairs)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,11 @@ Labels are 1-based everywhere: a permutation on [V] maps labels 1..V, a
 subset holds labels from 1..V, and the amplitude slot of label i is index
 i-1. All values are immutable after construction and all operations are
 pure functions.
+
+A set family is one (count, V) bool incidence array (`SubsetFamily`), and a
+family predicate is a row mask over a chunk of such rows. `Subset` is the
+type of one set, such as an instance's preimage set or a fixed core; a
+family builds its `Subset`s only when its `sets` view is read.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ import numpy as np
 MAX_DIM = 4096
 # enumerate_family refuses above this many subsets; use sample_family instead.
 ENUMERATION_CAP = 10**7
+# enumerate_family builds and filters this many incidence rows at a time.
+ENUMERATION_CHUNK_ROWS = 2**14
 
 NORM_TOL = 1e-10
 HERMITIAN_TOL = 1e-12
@@ -118,30 +125,9 @@ class Subset:
         k_even = sum(1 for m in self.members if m % 2 == 0)
         return k_even, len(self.members) - k_even
 
-    def intersection(self, other: "Subset") -> "Subset":
-        self._check_same_universe(other)
-        return Subset(self.universe, tuple(m for m in self.members if m in other))
-
-    def union(self, other: "Subset") -> "Subset":
-        self._check_same_universe(other)
-        return Subset(self.universe, tuple(sorted(set(self.members) | set(other.members))))
-
-    def difference(self, other: "Subset") -> "Subset":
-        self._check_same_universe(other)
-        return Subset(self.universe, tuple(m for m in self.members if m not in other))
-
-    def symmetric_difference(self, other: "Subset") -> "Subset":
-        self._check_same_universe(other)
-        sym = set(self.members) ^ set(other.members)
-        return Subset(self.universe, tuple(sorted(sym)))
-
     def complement(self) -> "Subset":
         inside = self._member_set  # type: ignore[attr-defined]
         return Subset(self.universe, tuple(m for m in range(1, self.universe + 1) if m not in inside))
-
-    def _check_same_universe(self, other: "Subset") -> None:
-        if self.universe != other.universe:
-            raise ValueError(f"universe mismatch: {self.universe} vs {other.universe}")
 
 
 class SubsetFamily:
@@ -152,27 +138,11 @@ class SubsetFamily:
     use. Counting, restriction and the Fixing Procedure work on the rows.
     """
 
-    def __init__(self, universe: int, sets: Sequence[Subset]) -> None:
-        sets = tuple(sets)
-        rows = np.zeros((len(sets), universe), dtype=bool)
-        for r, s in enumerate(sets):
-            if s.universe != universe:
-                raise ValueError("all member subsets must share the family universe")
-            rows[r, [m - 1 for m in s.members]] = True
-        self._set_rows(universe, rows)
-        self._sets: tuple[Subset, ...] | None = sets
-
-    @classmethod
-    def from_incidence(cls, universe: int, rows: np.ndarray) -> "SubsetFamily":
+    def __init__(self, universe: int, rows: np.ndarray) -> None:
         """The family whose set r has the labels i with rows[r, i-1] set."""
-        family = cls.__new__(cls)
-        family._set_rows(universe, np.array(rows, dtype=bool))
-        family._sets = None
-        return family
-
-    def _set_rows(self, universe: int, rows: np.ndarray) -> None:
         if universe < 1:
             raise ValueError("universe must be positive")
+        rows = np.array(rows, dtype=bool)
         if rows.ndim != 2 or rows.shape[1] != universe:
             raise ValueError(
                 f"incidence has shape {rows.shape}, expected (count, {universe})"
@@ -190,6 +160,7 @@ class SubsetFamily:
         rows.setflags(write=False)
         self.universe = universe
         self.incidence = rows
+        self._sets: tuple[Subset, ...] | None = None
 
     @property
     def sets(self) -> tuple[Subset, ...]:
@@ -219,9 +190,7 @@ class SubsetFamily:
         """The member sets that contain `label`."""
         if not 1 <= label <= self.universe:
             raise ValueError(f"label {label} outside 1..{self.universe}")
-        return SubsetFamily.from_incidence(
-            self.universe, self.incidence[self.incidence[:, label - 1]]
-        )
+        return SubsetFamily(self.universe, self.incidence[self.incidence[:, label - 1]])
 
 
 @dataclass(frozen=True)
@@ -331,10 +300,15 @@ def subset_state(subset: Subset, dim: int) -> PureState:
 def enumerate_family(
     universe: int,
     k: int,
-    predicate: Callable[[tuple[int, ...]], bool] | None = None,
+    predicate: Callable[[np.ndarray], np.ndarray] | None = None,
     cap: int = ENUMERATION_CAP,
 ) -> SubsetFamily:
-    """All k-subsets of [universe] passing the predicate, in lexicographic order."""
+    """All k-subsets of [universe] passing the predicate, in lexicographic order.
+
+    The subsets are built as incidence rows, `ENUMERATION_CHUNK_ROWS` at a time;
+    the predicate maps each (count, universe) bool chunk to a (count,) bool mask
+    of the rows to keep.
+    """
     if k > universe:
         raise ValueError(f"k={k} exceeds universe {universe}")
     total = math.comb(universe, k)
@@ -343,11 +317,20 @@ def enumerate_family(
             f"C({universe},{k}) = {total} exceeds the enumeration cap {cap}; "
             "use sample_family for seeded uniform sampling instead"
         )
-    sets = []
-    for combo in itertools.combinations(range(1, universe + 1), k):
-        if predicate is None or predicate(combo):
-            sets.append(Subset(universe, combo))
-    return SubsetFamily(universe, tuple(sets))
+    combos = itertools.combinations(range(universe), k)
+    kept = []
+    for start in range(0, total, ENUMERATION_CHUNK_ROWS):
+        count = min(ENUMERATION_CHUNK_ROWS, total - start)
+        members = tuple_table(itertools.islice(combos, count), count, k, np.intp)
+        rows = np.zeros((count, universe), dtype=bool)
+        rows[np.arange(count)[:, None], members] = True
+        if predicate is not None:
+            mask = np.asarray(predicate(rows))
+            if mask.shape != (count,) or mask.dtype != bool:
+                raise ValueError("predicate must map (count, V) rows to a (count,) bool mask")
+            rows = rows[mask]
+        kept.append(rows)
+    return SubsetFamily(universe, np.concatenate(kept))
 
 
 def sample_family(
@@ -373,7 +356,7 @@ def sample_family(
             seen.add(key)
     rows = np.zeros((count, universe), dtype=bool)
     rows[np.arange(count)[:, None], drawn] = True
-    return SubsetFamily.from_incidence(universe, rows)
+    return SubsetFamily(universe, rows)
 
 
 def partial_trace(

@@ -180,7 +180,6 @@ def run_dilated_picture(
     sigma: Permutation | Sequence[Permutation],
     taus: np.ndarray,
     initial: PureState | np.ndarray,
-    max_dim: int = MAX_DIM,
 ) -> np.ndarray:
     """Pure states psi~_0..psi~_t on C^t (x) A (x) B, query k touching control k.
 
@@ -203,9 +202,9 @@ def run_dilated_picture(
     inv_sigma = np.argsort(permutation_rows([p.zero_based() for p in sigmas], alg.dim_a, "sigma"))
     amps = alg.initial_rows(initial)
     full = (c**t) * d_ab
-    if full > max_dim:
+    if full > MAX_DIM:
         raise ValueError(
-            f"dilated dimension {c}^{t} * {d_ab} = {full} exceeds the cap {max_dim}; "
+            f"dilated dimension {c}^{t} * {d_ab} = {full} exceeds the cap {MAX_DIM}; "
             "each query consumes a fresh control register"
         )
     # (1 or trials, c, V): inv_sigma after control value i's inverse tau, per trial
@@ -250,7 +249,6 @@ def check_dilation(
     sigma: Permutation | Sequence[Permutation],
     taus: np.ndarray,
     initial: PureState | np.ndarray,
-    max_dim: int = MAX_DIM,
 ) -> DilationRun | tuple[DilationRun, ...]:
     """Run both pictures and compare tr_C(psi~_k) against rho_k for every k.
 
@@ -271,7 +269,7 @@ def check_dilation(
         chunk_initial = initial if isinstance(initial, PureState) else initial[part]
         chunk_taus = taus[:, part] if taus.ndim == 3 else taus
         rhos = run_channel_picture(chunk, subsets[part], chunk_initial)
-        states = run_dilated_picture(chunk, sigmas[part], chunk_taus, chunk_initial, max_dim)
+        states = run_dilated_picture(chunk, sigmas[part], chunk_taus, chunk_initial)
         mats = states.reshape(*rhos.shape[:2], -1, d_ab)
         reduced = validated_densities(mats.mT @ mats.conj())
         runs += [

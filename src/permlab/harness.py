@@ -28,12 +28,7 @@ from .adversary import (
     progress_trace,
     relation_stats,
 )
-from .core import (
-    SubsetFamily,
-    enumerate_family,
-    philox_stream,
-    sample_family,
-)
+from .core import enumerate_family, philox_stream, sample_family
 from .dilation import DILATION_TOL, QueryAlgorithm, check_dilation, haar_stack, trial_stacks
 from .oracles import block_permutations, random_representative, sample_block_permutations
 from .structure import (
@@ -47,6 +42,7 @@ from .verifier import (
     THRESHOLD_LO,
     enumerate_instances,
     meets_threshold,
+    parity_class,
     random_instance,
     sweep_honest,
     sweep_lambda,
@@ -278,17 +274,17 @@ def run_crossover(cfg: ExperimentConfig) -> tuple[bool, list[str], list[list]]:
 
 def run_relation(cfg: ExperimentConfig) -> tuple[bool, list[str], list[list]]:
     if cfg.kind == "subset":
-        core = tuple(int(t) for t in cfg.fixed.split())
-        pred = lambda members: all(c in members for c in core)
+        core = [int(t) for t in cfg.fixed.split()]
+        for label in core:
+            if not 1 <= label <= cfg.V:
+                raise ValueError(f"fixed label {label} lies outside 1..{cfg.V}")
+        pred = lambda rows: rows[:, [label - 1 for label in core]].all(axis=1)
         rel = build_subset_relation(
             enumerate_family(cfg.V, cfg.kx, pred), enumerate_family(cfg.V, cfg.ky, pred)
         )
     elif cfg.kind == "preimage":
-        sx = [i.subset for i in enumerate_instances(cfg.n, "YES")]
-        sy = [i.subset for i in enumerate_instances(cfg.n, "NO")]
         rel = build_preimage_relation(
-            SubsetFamily(4**cfg.n, tuple(sx)), SubsetFamily(4**cfg.n, tuple(sy)), 2**cfg.n
-        )
+            parity_class(cfg.n, "YES"), parity_class(cfg.n, "NO"), 2**cfg.n)
     else:
         raise ValueError(f"unknown relation kind {cfg.kind!r}")
     stats = relation_stats(rel)
@@ -298,9 +294,7 @@ def run_relation(cfg: ExperimentConfig) -> tuple[bool, list[str], list[list]]:
 
 
 def run_wtrace(cfg: ExperimentConfig) -> tuple[bool, list[str], list[list]]:
-    sx = enumerate_family(4, 2, lambda m: all(x % 2 == 0 for x in m))
-    sy = enumerate_family(4, 2, lambda m: all(x % 2 == 1 for x in m))
-    rel = build_preimage_relation(sx, sy, 2)
+    rel = build_preimage_relation(parity_class(1, "YES"), parity_class(1, "NO"), 2)
     traces = []
     for part in trial_stacks(cfg.trials, (cfg.queries + 1) * 8 * 8):
         rngs = [philox_stream(cfg.seed, trial) for trial in range(cfg.trials)[part]]

@@ -50,6 +50,17 @@ def permutation_rows(rows, size: int, what: str) -> np.ndarray:
     return out
 
 
+def sign_rows(rows, size: int, what: str) -> np.ndarray:
+    """A read-only float copy of `rows`, checked to be (count, size) signs +-1."""
+    out = np.asarray(rows)
+    if not (np.issubdtype(out.dtype, np.number) and out.ndim == 2 and out.shape[1] == size
+            and (np.abs(out) == 1).all()):
+        raise ValueError(f"{what} must be rows of {size} signs +-1")
+    out = out.astype(float)
+    out.setflags(write=False)
+    return out
+
+
 def representative_rows(incidence: np.ndarray) -> np.ndarray:
     """The canonical representative of each set of a (..., V) incidence array, as
     0-based image rows: the i-th smallest member goes to i - 1 and the other
@@ -122,11 +133,10 @@ def sample_block_permutations(
     return rows
 
 
-def phase_signs(subset: Subset) -> np.ndarray:
-    """The phase oracle's diagonal: -1 at the members of the subset, +1 elsewhere."""
-    signs = np.ones(subset.universe)
-    signs[[m - 1 for m in subset.members]] = -1.0
-    return signs
+def phase_signs(incidence: np.ndarray) -> np.ndarray:
+    """The phase oracles' diagonals of a (..., V) incidence array: -1 at the
+    members of each set, +1 elsewhere."""
+    return 1.0 - 2.0 * np.asarray(incidence, dtype=bool)
 
 
 def block_average(mat: np.ndarray, block: int) -> np.ndarray:

@@ -8,7 +8,6 @@ force a verdict.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 import traceback
@@ -30,7 +29,6 @@ from .core import (
     enumerate_family,
     philox_stream,
     random_densities,
-    tuple_table,
     validated_densities,
 )
 from .dilation import DILATION_TOL, QueryAlgorithm, check_dilation, haar_stack, trial_stacks
@@ -48,6 +46,7 @@ from .verifier import (
     enumerate_instances,
     majority_count,
     meets_threshold,
+    parity_class,
     random_instance,
     sweep_honest,
     sweep_lambda,
@@ -199,15 +198,6 @@ def criterion_05_twirl(seed: int) -> CriterionResult:
     )
 
 
-def _k_subset_rows(universe: int, k: int) -> np.ndarray:
-    """Every k-subset of [universe] as a bool incidence row, in lexicographic order."""
-    total = math.comb(universe, k)
-    members = tuple_table(itertools.combinations(range(universe), k), total, k, np.intp)
-    rows = np.zeros((total, universe), dtype=bool)
-    rows[np.arange(total)[:, None], members] = True
-    return rows
-
-
 def criterion_06_fixing(seed: int) -> CriterionResult:
     """Fixing Procedure terminates quickly and certifies on random families.
 
@@ -215,7 +205,7 @@ def criterion_06_fixing(seed: int) -> CriterionResult:
     rows of C(16,4): distinct sets, uniformly at random and in random order,
     the distribution `sample_family` draws from one set at a time.
     """
-    table = _k_subset_rows(16, 4)
+    table = enumerate_family(16, 4).incidence
     total = len(table)
     target = TargetClass.fixed_size(16, 3)
     failures = []
@@ -224,9 +214,7 @@ def criterion_06_fixing(seed: int) -> CriterionResult:
         size = witness_pigeonhole(total, p_bits)
         for s in range(100):
             rng = philox_stream(seed, 600 + 1000 * p_bits + s)
-            family = SubsetFamily.from_incidence(
-                16, table[rng.choice(total, size=size, replace=False)]
-            )
+            family = SubsetFamily(16, table[rng.choice(total, size=size, replace=False)])
             cert = fixing_procedure(family, 0.25, 4, target=target)
             max_iter = max(max_iter, cert.iterations)
             ok, _ = check_distributed(cert.family_prime, cert.s_fixed, 0.25, target, 4)
@@ -281,8 +269,8 @@ def _brute_force_stats(rel) -> tuple[int, int, int]:
 
 def criterion_08_adversary_stats(seed: int) -> CriterionResult:
     """Stats match a brute-force recount and obey the distributed-fraction bound."""
-    def contains_one(members: tuple[int, ...]) -> bool:
-        return 1 in members
+    def contains_one(rows: np.ndarray) -> np.ndarray:
+        return rows[:, 0]
 
     problems = []
     for v in (6, 8):
@@ -298,12 +286,11 @@ def criterion_08_adversary_stats(seed: int) -> CriterionResult:
             nu / len(sx) for lab, nu in counts.items() if lab != 1
         )
         cap = len(sx) * len(sy) * fraction
-        for xi, yi in rel.pairs.tolist():
-            s_x, s_y = rel.x_items[xi], rel.y_items[yi]
-            for lab in s_x.difference(s_y).members:
-                prod = stats.per_input_l["l_x"][xi, lab - 1] * stats.per_input_l["l_y"][yi, lab - 1]
-                if prod > cap + 1e-9:
-                    problems.append(f"V={v}: l_x*l_y = {prod} > {cap} at label {lab}")
+        (rx, ry), (px, py) = rel.rows, rel.pair_index
+        prods = stats.per_input_l["l_x"][px] * stats.per_input_l["l_y"][py]
+        # sign -1 marks a member: the one-sided difference points of x \ y
+        for k, j in zip(*np.nonzero((rx[px] < ry[py]) & (prods > cap + 1e-9))):
+            problems.append(f"V={v}: l_x*l_y = {prods[k, j]} > {cap} at label {j + 1}")
     return CriterionResult(
         8, "adversary statistics", not problems,
         "V=6 and V=8 subset relations: exact recount agreement and "
@@ -318,8 +305,7 @@ def criterion_09_preimage_matching(seed: int) -> CriterionResult:
     Items are 0-based image rows, so an item's preimage set holds the labels its
     row sends below the block, and each condition is one array test over all pairs.
     """
-    sx = enumerate_family(4, 2, lambda m: all(x % 2 == 0 for x in m))
-    sy = enumerate_family(4, 2, lambda m: all(x % 2 == 1 for x in m))
+    sx, sy = parity_class(1, "YES"), parity_class(1, "NO")
     rel = build_preimage_relation(sx, sy, 2)
     problems = []
     if len(rel.pairs) != 4:
@@ -349,9 +335,7 @@ def criterion_09_preimage_matching(seed: int) -> CriterionResult:
 
 def criterion_10_progress_measure(seed: int) -> CriterionResult:
     """Per-step W drop bound, the exact initial W, and no bound violations."""
-    sx = enumerate_family(4, 2, lambda m: all(x % 2 == 0 for x in m))
-    sy = enumerate_family(4, 2, lambda m: all(x % 2 == 1 for x in m))
-    rel = build_preimage_relation(sx, sy, 2)
+    rel = build_preimage_relation(parity_class(1, "YES"), parity_class(1, "NO"), 2)
     stats = relation_stats(rel)
     w0_expected = len(rel.pairs) / (2.0 * math.sqrt(len(rel.x_items) * len(rel.y_items)))
     problems = []

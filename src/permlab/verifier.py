@@ -34,7 +34,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DensityMatrix, PureState, Subset, enumerate_family, subset_state, validated_states
+from .core import (
+    DensityMatrix, PureState, Subset, SubsetFamily, enumerate_family, subset_state,
+    validated_states,
+)
 from .oracles import apply_randomized_preimage
 
 PROBABILITY_TOL = 1e-10
@@ -110,17 +113,19 @@ class PreimageInstance:
         return cls(None, n_labels, subset, _label_for(subset, n_labels))
 
 
-def enumerate_instances(n: int, label: str) -> tuple[PreimageInstance, ...]:
-    """Every instance at size N = 2^n with the requested label, lexicographic."""
+def parity_class(n: int, label: str) -> SubsetFamily:
+    """The preimage sets of every instance at size N = 2^n with the requested
+    label, lexicographic: the N-subsets of [N^2] with the label's number of
+    even members (columns 1, 3, ... of the incidence rows)."""
     big_n = 2**n
     want = majority_count(big_n)
     k_even = want if label == "YES" else big_n - want
+    return enumerate_family(big_n**2, big_n, lambda rows: rows[:, 1::2].sum(axis=1) == k_even)
 
-    def pred(members: tuple[int, ...]) -> bool:
-        return sum(1 for m in members if m % 2 == 0) == k_even
 
-    family = enumerate_family(big_n**2, big_n, pred)
-    return tuple(PreimageInstance.power_of_two(n, s) for s in family)
+def enumerate_instances(n: int, label: str) -> tuple[PreimageInstance, ...]:
+    """Every instance at size N = 2^n with the requested label, lexicographic."""
+    return tuple(PreimageInstance.power_of_two(n, s) for s in parity_class(n, label))
 
 
 def random_instance(

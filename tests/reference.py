@@ -9,7 +9,7 @@ import itertools
 
 import numpy as np
 
-from permlab.core import DensityMatrix, Permutation, Subset, random_densities
+from permlab.core import DensityMatrix, Permutation, Subset, SubsetFamily, random_densities
 from permlab.dilation import QueryAlgorithm, haar_stack
 
 
@@ -90,3 +90,27 @@ def sample_block_permutation_objects(size, block, count, rng):
         second = tuple(int(x) + block + 1 for x in rng.permutation(size - block))
         out.append(Permutation(size, first + second))
     return tuple(out)
+
+
+def incidence_rows(universe, sets):
+    """`Subset`s of [universe] as a (count, universe) bool incidence array,
+    label i in column i - 1."""
+    if any(s.universe != universe for s in sets):
+        raise ValueError("all member subsets must share the family universe")
+    rows = [np.isin(np.arange(1, universe + 1), s.members) for s in sets]
+    return np.array(rows, dtype=bool).reshape(-1, universe)
+
+
+def family_of_sets(universe, sets):
+    """The `SubsetFamily` whose rows are `sets`, in order."""
+    return SubsetFamily(universe, incidence_rows(universe, sets))
+
+
+def reference_enumerate_family(universe, k, predicate=None):
+    """Every k-subset of [universe] whose member tuple passes `predicate`, one
+    `Subset` per combination, in lexicographic order."""
+    return tuple(
+        Subset(universe, combo)
+        for combo in itertools.combinations(range(1, universe + 1), k)
+        if predicate is None or predicate(combo)
+    )

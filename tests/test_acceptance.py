@@ -28,6 +28,7 @@ import pytest
 
 from permlab import harness, suite
 from permlab.core import enumerate_family
+from reference import incidence_rows, reference_enumerate_family
 
 SEED = 42
 GOLDEN = Path(__file__).parent / "golden" / "suite_seed42.csv"
@@ -135,9 +136,9 @@ def test_soundness_criterion_failure_is_the_documented_gap(results):
 
 @pytest.mark.parametrize("universe, k", [(16, 4), (6, 0), (6, 6), (7, 3)])
 def test_criterion_06_table_is_the_enumerated_family(universe, k):
-    table = suite._k_subset_rows(universe, k)
+    table = enumerate_family(universe, k).incidence
     assert table.dtype == bool
-    assert np.array_equal(table, enumerate_family(universe, k).incidence)
+    assert np.array_equal(table, incidence_rows(universe, reference_enumerate_family(universe, k)))
 
 
 def test_criterion_06_certifies_every_family(monkeypatch):

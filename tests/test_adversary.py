@@ -28,9 +28,11 @@ from permlab.core import (
 )
 from permlab.dilation import QueryAlgorithm, random_query_algorithm
 from permlab.oracles import phase_signs, representative_sigma
+from permlab.verifier import parity_class
 from reference import (
     as_permutation,
     block_permutation_objects,
+    family_of_sets,
     haar_unitary,
     identity_algorithm,
     invert,
@@ -46,7 +48,7 @@ def contrapositive_bias_bound(stats, queries):
 
 
 def family_of(universe, *member_tuples):
-    return SubsetFamily(universe, tuple(Subset(universe, m) for m in member_tuples))
+    return family_of_sets(universe, tuple(Subset(universe, m) for m in member_tuples))
 
 
 def matched_pair(sx, sy):
@@ -61,7 +63,8 @@ def reference_matched_pair(sx, sy):
     swapping the i-th smallest labels of sx - sy and sy - sx."""
     sigma_x = representative_sigma(sx, len(sx))
     swap = list(range(1, sx.universe + 1))
-    for a, b in zip(sx.difference(sy).members, sy.difference(sx).members):
+    only_x, only_y = set(sx.members) - set(sy.members), set(sy.members) - set(sx.members)
+    for a, b in zip(sorted(only_x), sorted(only_y)):
         swap[a - 1], swap[b - 1] = b, a
     return sigma_x, sigma_x.compose(Permutation(sx.universe, tuple(swap)))
 
@@ -129,9 +132,10 @@ def brute_tables(rel):
 
 
 def apply_item(state, rel, item):
-    """Apply one oracle to the A axis of a (..., V, Q)-shaped state."""
+    """Apply one oracle, a sign row or an image row, to the A axis of a
+    (..., V, Q)-shaped state."""
     if rel.kind == "phase":
-        return state * phase_signs(item)[:, None]
+        return state * item[:, None]
     inv = np.argsort(item)
     return state[..., inv, :]
 
@@ -178,11 +182,13 @@ def subset_of_mask(v, mask):
 
 @st.composite
 def direct_relations(draw):
-    """Phase or in-place relations over V <= 6 with arbitrary pairs, every item paired."""
+    """Phase or in-place relations over V <= 6 with arbitrary pairs, every item
+    paired: phase items are the sign rows of subsets, in-place items image rows."""
     v = draw(st.integers(2, 6))
     kind = draw(st.sampled_from(["phase", "in_place"]))
     if kind == "phase":
-        item = st.integers(0, 2**v - 1).map(lambda mask: subset_of_mask(v, mask))
+        item = st.integers(0, 2**v - 1).map(
+            lambda mask: phase_signs([mask >> j & 1 for j in range(v)]))
     else:
         item = st.permutations(range(v))
     x_items = tuple(draw(st.lists(item, min_size=1, max_size=4)))
@@ -203,7 +209,7 @@ def preimage_families(draw):
     subsets = [Subset(6, c) for c in itertools.combinations(range(1, 7), block)]
     chosen = draw(st.lists(st.sampled_from(subsets), min_size=2, max_size=5, unique=True))
     split = draw(st.integers(1, len(chosen) - 1))
-    return SubsetFamily(6, tuple(chosen[:split])), SubsetFamily(6, tuple(chosen[split:])), block
+    return family_of_sets(6, chosen[:split]), family_of_sets(6, chosen[split:]), block
 
 
 @st.composite
@@ -214,11 +220,15 @@ def traced_relations(draw):
         masks = draw(st.lists(st.integers(0, 2**v - 1), min_size=2, max_size=6, unique=True))
         split = draw(st.integers(1, len(masks) - 1))
         return build_subset_relation(
-            SubsetFamily(v, tuple(subset_of_mask(v, m) for m in masks[:split])),
-            SubsetFamily(v, tuple(subset_of_mask(v, m) for m in masks[split:])),
+            family_of_sets(v, [subset_of_mask(v, m) for m in masks[:split]]),
+            family_of_sets(v, [subset_of_mask(v, m) for m in masks[split:]]),
         )
     sx, sy, block = draw(preimage_families())
     return build_preimage_relation(sx, sy, block, materialize_cosets=True)
+
+
+def contains_one(rows):
+    return rows[:, 0]
 
 
 N1_X = family_of(4, (2, 4))
@@ -239,7 +249,7 @@ class TestSubsetRelation:
 
     def test_core_containment_construction(self):
         core = (1,)
-        sy = enumerate_family(6, 3, lambda m: all(c in m for c in core))
+        sy = enumerate_family(6, 3, lambda rows: rows[:, [c - 1 for c in core]].all(axis=1))
         assert all(1 in s for s in sy)
         assert len(sy) == 10
 
@@ -248,15 +258,15 @@ class TestSubsetRelation:
             build_subset_relation(family_of(4, (1, 2)), family_of(4, (1, 2)))
 
     def test_stats_match_brute_force_v6(self):
-        sx = enumerate_family(6, 2, lambda m: 1 in m)
-        sy = enumerate_family(6, 3, lambda m: 1 in m)
+        sx = enumerate_family(6, 2, contains_one)
+        sy = enumerate_family(6, 3, contains_one)
         rel = build_subset_relation(sx, sy)
         stats = relation_stats(rel)
         assert (stats.m, stats.m_prime, stats.l_max) == brute_stats(rel)
 
     def test_distributed_fraction_bound_one_sided(self):
-        sx = enumerate_family(6, 2, lambda m: 1 in m)
-        sy = enumerate_family(6, 3, lambda m: 1 in m)
+        sx = enumerate_family(6, 2, contains_one)
+        sy = enumerate_family(6, 3, contains_one)
         rel = build_subset_relation(sx, sy)
         stats = relation_stats(rel)
         fraction = max(
@@ -264,7 +274,7 @@ class TestSubsetRelation:
         )
         cap = len(sx) * len(sy) * fraction
         for xi, yi in rel.pairs:
-            for lab in rel.x_items[xi].difference(rel.y_items[yi]).members:
+            for lab in set(sx.sets[xi].members) - set(sy.sets[yi].members):
                 prod = (
                     stats.per_input_l["l_x"][xi, lab - 1]
                     * stats.per_input_l["l_y"][yi, lab - 1]
@@ -289,14 +299,37 @@ def spectral_sides(rel):
 
 
 class TestStatsMatchReference:
-    @given(direct_relations())
-    @settings(max_examples=60, deadline=None)
-    def test_direct_relations_match_brute_force(self, rel):
+    @staticmethod
+    def assert_stats_match_brute_force(rel):
         stats = relation_stats(rel)
         assert (stats.m, stats.m_prime, stats.l_max) == brute_stats(rel)
         l_x, l_y = brute_tables(rel)
         assert np.array_equal(stats.per_input_l["l_x"], l_x)
         assert np.array_equal(stats.per_input_l["l_y"], l_y)
+
+    @given(direct_relations())
+    @settings(max_examples=60, deadline=None)
+    def test_direct_relations_match_brute_force(self, rel):
+        self.assert_stats_match_brute_force(rel)
+
+    @given(preimage_families())
+    @settings(max_examples=25, deadline=None)
+    def test_analytic_relations_match_brute_force(self, families):
+        sx, sy, block = families
+        rel = build_preimage_relation(sx, sy, block, materialize_cosets=False)
+        assert rel.analytic
+        self.assert_stats_match_brute_force(rel)
+
+    def test_n2_analytic_parity_relations_match_brute_force(self):
+        # random 5 x 5 relations between the n = 2 parity classes
+        yes, no = parity_class(2, "YES"), parity_class(2, "NO")
+        for seed in range(4):
+            rng = philox_stream(seed)
+            rel = build_preimage_relation(
+                SubsetFamily(16, yes.incidence[rng.choice(len(yes), 5, replace=False)]),
+                SubsetFamily(16, no.incidence[rng.choice(len(no), 5, replace=False)]), 4)
+            assert rel.analytic
+            self.assert_stats_match_brute_force(rel)
 
     @given(preimage_families())
     @settings(max_examples=25, deadline=None)
@@ -462,7 +495,7 @@ class TestMatchedRepresentatives:
         sx, sy = Subset(6, (1, 2, 3)), Subset(6, (1, 4, 5))
         px, py = matched_pair(sx, sy)
         diff = tuple(j for j in range(1, 7) if px(j) != py(j))
-        assert diff == sx.symmetric_difference(sy).members
+        assert diff == tuple(sorted(set(sx.members) ^ set(sy.members)))
 
     @pytest.mark.parametrize("v,block", [(4, 2), (6, 3), (7, 2)])
     def test_broadcast_rows_equal_the_reference_permutations(self, v, block):
@@ -523,20 +556,28 @@ class TestPreimageRelation:
         rel = build_preimage_relation(sx, sy, 2, materialize_cosets=True)
         for xi, yi in rel.pairs:
             px, py = as_permutation(rel.x_items[xi]), as_permutation(rel.y_items[yi])
-            s_x = px.preimage_set(2)
-            s_y = py.preimage_set(2)
-            inter = s_x.intersection(s_y)
-            outside = s_x.union(s_y).complement()
-            for j in inter.members + outside.members:
+            s_x = set(px.preimage_set(2).members)
+            s_y = set(py.preimage_set(2).members)
+            for j in (s_x & s_y) | (set(range(1, 7)) - (s_x | s_y)):
                 assert px(j) == py(j)
-            only_x = s_x.difference(s_y).members
-            only_y = s_y.difference(s_x).members
+            only_x, only_y = s_x - s_y, s_y - s_x
             for j in only_x:
                 assert any(px(j) == py(i) and px(i) == py(j) for i in only_y)
 
     def test_overlap_rejected(self):
         with pytest.raises(ValueError, match="disjoint"):
             build_preimage_relation(N1_X, N1_X, 2)
+
+    def test_families_and_relations_build_no_subset(self, monkeypatch):
+        def refuse(subset):
+            raise AssertionError(f"built {subset.members}")
+
+        monkeypatch.setattr(Subset, "__post_init__", refuse)
+        sx, sy = enumerate_family(6, 2, contains_one), enumerate_family(6, 3, contains_one)
+        relation_stats(build_subset_relation(sx, sy))
+        for materialize in (True, False):
+            relation_stats(build_preimage_relation(
+                parity_class(1, "YES"), parity_class(1, "NO"), 2, materialize_cosets=materialize))
 
 
 class TestCancellationIdentity:
@@ -646,8 +687,8 @@ class TestProgressTrace:
             assert trace.max_drop <= trace.sqrt_lmax + 1e-9
 
     def test_drop_bound_on_subset_relation(self):
-        sx = enumerate_family(4, 2, lambda m: 1 in m)
-        sy = enumerate_family(4, 1, lambda m: 1 not in m)
+        sx = enumerate_family(4, 2, contains_one)
+        sy = enumerate_family(4, 1, lambda rows: ~contains_one(rows))
         rel = build_subset_relation(sx, sy)
         sqrt_lmax = math.sqrt(relation_stats(rel).l_max)
         for seed in range(30):
@@ -715,11 +756,18 @@ class TestEndToEnd:
 class TestRelationValidation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
-            OracleRelation("weird", 2, (Subset(2, (1,)),), (Subset(2, (2,)),), ((0, 0),))
+            OracleRelation("weird", 2, [[-1.0, 1.0]], [[1.0, -1.0]], ((0, 0),))
 
     def test_empty_pairs(self):
         with pytest.raises(ValueError, match="pairs"):
-            OracleRelation("phase", 2, (Subset(2, (1,)),), (Subset(2, (2,)),), ())
+            OracleRelation("phase", 2, [[-1.0, 1.0]], [[1.0, -1.0]], ())
+
+    def test_phase_and_analytic_items_must_be_sign_rows(self):
+        for x_items in ([[0, 1]], [[-1, 1, 1]], [[True, False]], [-1, 1], (Subset(2, (1,)),)):
+            with pytest.raises(ValueError, match="phase x_items must be rows of 2 signs"):
+                OracleRelation("phase", 2, x_items, [[1.0, -1.0]], ((0, 0),))
+            with pytest.raises(ValueError, match="in-place x_items must be rows of 2 signs"):
+                OracleRelation("in_place", 2, x_items, [[1.0, -1.0]], ((0, 0),), analytic=True)
 
     def test_in_place_items_must_be_permutation_rows(self):
         for x_items in ([[0, 0]], [[1, 2]], [[0.0, 1.0]], (Permutation(2, (1, 2)),)):
@@ -728,14 +776,16 @@ class TestRelationValidation:
 
     def test_pairs_must_be_index_pairs(self):
         with pytest.raises(ValueError, match=r"expected \(P, 2\)"):
-            OracleRelation("phase", 2, (Subset(2, (1,)),), (Subset(2, (2,)),), ((0, 0, 0),))
+            OracleRelation("phase", 2, [[-1.0, 1.0]], [[1.0, -1.0]], ((0, 0, 0),))
 
     def test_items_and_pairs_are_read_only(self):
-        rel = build_preimage_relation(N1_X, N1_Y, 2)
-        for arr in (rel.x_items, rel.y_items, rel.pairs):
-            with pytest.raises(ValueError):
-                arr[0, 0] = 1
+        for rel in (build_preimage_relation(N1_X, N1_Y, 2),
+                    build_preimage_relation(N1_X, N1_Y, 2, materialize_cosets=False),
+                    build_subset_relation(N1_X, N1_Y)):
+            for arr in (rel.x_items, rel.y_items, rel.pairs):
+                with pytest.raises(ValueError):
+                    arr[0, 0] = 1
 
     def test_pair_index_out_of_range(self):
         with pytest.raises(ValueError, match="missing item"):
-            OracleRelation("phase", 2, (Subset(2, (1,)),), (Subset(2, (2,)),), ((0, 1),))
+            OracleRelation("phase", 2, [[-1.0, 1.0]], [[1.0, -1.0]], ((0, 1),))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from permlab import core
 from permlab.core import (
     DensityMatrix,
     Permutation,
@@ -22,13 +23,16 @@ from permlab.core import (
     validated_states,
 )
 from reference import (
+    family_of_sets,
     identity,
+    incidence_rows,
     invert,
     issubset,
     maximally_mixed,
     permutation_from_text,
     random_density,
     random_permutation,
+    reference_enumerate_family,
     subset_from_text,
 )
 
@@ -136,12 +140,8 @@ class TestSubset:
 
     def test_set_algebra(self):
         a = Subset(6, (1, 2, 3))
-        b = Subset(6, (1, 4, 5))
-        assert a.intersection(b).members == (1,)
-        assert a.union(b).members == (1, 2, 3, 4, 5)
-        assert a.difference(b).members == (2, 3)
-        assert a.symmetric_difference(b).members == (2, 3, 4, 5)
-        assert a.union(b).complement().members == (6,)
+        assert a.complement().members == (4, 5, 6)
+        assert Subset(6, ()).complement().members == (1, 2, 3, 4, 5, 6)
         assert issubset(Subset(6, (1, 2)), a)
 
     def test_empty_subset_allowed(self):
@@ -159,40 +159,43 @@ class TestSubsetFamily:
     def test_duplicate_rejected(self):
         s = Subset(4, (1, 2))
         with pytest.raises(ValueError):
-            SubsetFamily(4, (s, Subset(4, (1, 2))))
+            family_of_sets(4, (s, Subset(4, (1, 2))))
 
     def test_universe_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            SubsetFamily(4, (Subset(5, (1,)),))
+        with pytest.raises(ValueError, match="shape"):
+            SubsetFamily(4, incidence_rows(5, (Subset(5, (1,)),)))
 
     def test_element_counts(self):
-        fam = SubsetFamily(4, (Subset(4, (1, 2)), Subset(4, (1, 3))))
+        fam = family_of_sets(4, (Subset(4, (1, 2)), Subset(4, (1, 3))))
         assert fam.element_counts() == {1: 2, 2: 1, 3: 1}
         assert len(fam.restrict_to(2)) == 1
 
     def test_incidence_rows_and_sets_agree(self):
         sets = (Subset(5, (2, 4)), Subset(5, ()), Subset(5, (1, 2, 5)))
-        fam = SubsetFamily(5, sets)
+        fam = family_of_sets(5, sets)
         rows = [[0, 1, 0, 1, 0], [0, 0, 0, 0, 0], [1, 1, 0, 0, 1]]
         assert fam.incidence.tolist() == np.array(rows, dtype=bool).tolist()
         assert not fam.incidence.flags.writeable
-        from_rows = SubsetFamily.from_incidence(5, np.array(rows))
+        from_rows = SubsetFamily(5, np.array(rows))
         assert from_rows.sets == sets
         assert from_rows.restrict_to(2).sets == (sets[0], sets[2])
         with pytest.raises(ValueError, match="outside"):
             fam.restrict_to(0)
 
-    def test_from_incidence_validates_like_the_constructor(self):
+    def test_rows_are_copied_and_validated(self):
         rows = np.zeros((3, 70), dtype=bool)
         rows[[0, 2], 64] = True
         rows[1, 3] = True
         with pytest.raises(ValueError, match=r"duplicate subset \(65,\)"):
-            SubsetFamily.from_incidence(70, rows)
+            SubsetFamily(70, rows)
         with pytest.raises(ValueError, match="shape"):
-            SubsetFamily.from_incidence(4, np.zeros((2, 5), dtype=bool))
+            SubsetFamily(4, np.zeros((2, 5), dtype=bool))
         with pytest.raises(ValueError, match=r"duplicate subset \(1, 3\)"):
-            SubsetFamily(4, (Subset(4, (1, 3)), Subset(4, (2,)), Subset(4, (1, 3))))
-        assert len(SubsetFamily.from_incidence(4, np.zeros((0, 4), dtype=bool))) == 0
+            family_of_sets(4, (Subset(4, (1, 3)), Subset(4, (2,)), Subset(4, (1, 3))))
+        assert len(SubsetFamily(4, np.zeros((0, 4), dtype=bool))) == 0
+        fam = SubsetFamily(70, rows[:2])
+        rows[0, 0] = True
+        assert not fam.incidence[0, 0] and rows.flags.writeable
 
 
 class TestStates:
@@ -310,17 +313,60 @@ class TestStackValidation:
             validated_states(np.zeros((2, 4097), dtype=np.complex128))
 
 
+@st.composite
+def masked_enumerations(draw):
+    """(V, k, row mask, the same rule as a member-tuple predicate) over V <= 10,
+    every k from 0 to V; a None pair keeps every subset."""
+    v = draw(st.integers(1, 10))
+    k = draw(st.integers(0, v))
+    kind = draw(st.sampled_from(["all", "parity", "core", "even", "odd"]))
+    if kind == "parity":
+        j = draw(st.integers(0, k))
+        return v, k, (lambda rows: rows[:, 1::2].sum(axis=1) == j), (
+            lambda m: sum(x % 2 == 0 for x in m) == j)
+    if kind == "core":
+        fixed = sorted(draw(st.sets(st.integers(1, v), max_size=3)))
+        return v, k, (lambda rows: rows[:, [c - 1 for c in fixed]].all(axis=1)), (
+            lambda m: all(c in m for c in fixed))
+    if kind == "even":
+        return v, k, (lambda rows: ~rows[:, 0::2].any(axis=1)), (
+            lambda m: all(x % 2 == 0 for x in m))
+    if kind == "odd":
+        return v, k, (lambda rows: ~rows[:, 1::2].any(axis=1)), (
+            lambda m: all(x % 2 == 1 for x in m))
+    return v, k, None, None
+
+
 class TestEnumerateAndSample:
     def test_enumerate_counts(self):
         assert len(enumerate_family(4, 2)) == 6
-        fam = enumerate_family(4, 2, lambda m: all(x % 2 == 0 for x in m))
+        fam = enumerate_family(4, 2, lambda rows: ~rows[:, 0::2].any(axis=1))
         assert [s.members for s in fam] == [(2, 4)]
 
     def test_enumerate_parity_split_count(self):
-        fam = enumerate_family(
-            16, 4, lambda m: sum(1 for x in m if x % 2 == 0) == 3
-        )
+        fam = enumerate_family(16, 4, lambda rows: rows[:, 1::2].sum(axis=1) == 3)
         assert len(fam) == 448  # C(8,3) * C(8,1)
+
+    @given(masked_enumerations())
+    def test_rows_equal_the_per_combination_reference_in_order(self, case):
+        v, k, mask, pred = case
+        fam = enumerate_family(v, k, mask)
+        want = incidence_rows(v, reference_enumerate_family(v, k, pred))
+        assert fam.incidence.dtype == bool
+        assert np.array_equal(fam.incidence, want)
+
+    @pytest.mark.parametrize("v,k,chunk", [(10, 4, 7), (10, 4, 1), (9, 9, 1), (6, 0, 3)])
+    def test_rows_cross_chunk_boundaries(self, monkeypatch, v, k, chunk):
+        monkeypatch.setattr(core, "ENUMERATION_CHUNK_ROWS", chunk)
+        for mask, pred in ((None, None), (lambda rows: rows[:, 1::2].sum(axis=1) == 2,
+                                          lambda m: sum(x % 2 == 0 for x in m) == 2)):
+            want = incidence_rows(v, reference_enumerate_family(v, k, pred))
+            assert np.array_equal(enumerate_family(v, k, mask).incidence, want)
+
+    def test_predicate_must_return_a_row_mask(self):
+        for pred in (lambda m: 1 in m, lambda rows: rows.sum(axis=1), lambda rows: rows[:, 0][:2]):
+            with pytest.raises(ValueError, match="bool mask"):
+                enumerate_family(5, 2, pred)
 
     def test_enumeration_cap(self):
         with pytest.raises(ValueError, match="sample_family"):

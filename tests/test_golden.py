@@ -34,8 +34,8 @@ VERIFY_CASES = {
 # The README CLI examples, one deeper dilation (four queries, c^t*d_AB = 2048),
 # one dilation over a sampled tau group (n = 2, eight taus, not exact),
 # two small `fix` families that the Fixing Procedure does shrink, and the relation
-# statistics on each path: in-place cosets (n = 1), analytic (n = 2) and a larger
-# subset relation.
+# statistics on each path: in-place cosets (n = 1), analytic (n = 2), a larger
+# subset relation and one whose families share a two-label core.
 EXAMPLE_CASES = {
     "dilate_n1_q3_seed7.csv": (dict(subcommand="dilate", n=1, queries=3, trials=20, seed=7), 0),
     "dilate_n1_q4_seed1.csv": (dict(subcommand="dilate", n=1, queries=4, trials=2, seed=1), 0),
@@ -54,6 +54,9 @@ EXAMPLE_CASES = {
     ),
     "relation_V6.csv": (dict(subcommand="relation", V=6, kx=2, ky=3), 0),
     "relation_V16_kx3_ky4.csv": (dict(subcommand="relation", V=16, kx=3, ky=4), 0),
+    "relation_V8_kx3_ky4_fixed12.csv": (
+        dict(subcommand="relation", V=8, kx=3, ky=4, fixed="1 2"), 0,
+    ),
     "relation_preimage_n1.csv": (dict(subcommand="relation", kind="preimage", n=1), 0),
     "relation_preimage_n2.csv": (dict(subcommand="relation", kind="preimage", n=2), 0),
     "wtrace_q5_seed3.csv": (dict(subcommand="wtrace", queries=5, seed=3), 0),

@@ -197,6 +197,14 @@ class TestCli:
         assert code == 2
         assert "nope" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("label", ["0", "9", "-1"])
+    def test_main_rejects_fixed_labels_outside_the_universe(self, label, capsys):
+        argv = ["relation", "--V", "6", "--kx", "2", "--ky", "3", "--fixed", f"1 {label}"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: fixed label {label} lies outside 1..6\n"
+
     @pytest.mark.parametrize("argv", [["fix", "--V", "4", "--k", "5"], ["fix", "--p", "-1"]])
     def test_main_rejects_impossible_fix_sizes(self, argv, capsys):
         assert main(argv) == 2

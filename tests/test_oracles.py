@@ -32,6 +32,7 @@ from reference import (
     block_permutation_objects,
     diagonal,
     identity,
+    incidence_rows,
     maximally_mixed,
     permutation_from_text,
     random_density,
@@ -76,7 +77,8 @@ def apply_phase(subset, psi):
     """Flip the sign of every amplitude whose label lies in the subset."""
     if psi.dim != subset.universe:
         raise ValueError(f"state dim {psi.dim} does not match universe {subset.universe}")
-    return PureState(psi.dim, psi.amplitudes * phase_signs(subset))
+    signs = phase_signs(incidence_rows(subset.universe, [subset])[0])
+    return PureState(psi.dim, psi.amplitudes * signs)
 
 
 # The tagged oracle wrapper: the package never runs it, so it lives with its tests.
@@ -127,7 +129,7 @@ class OracleChannel:
         if self.kind == "randomized_preimage":
             return apply_randomized_preimage(self.subset, rho)
         if self.kind == "phase":
-            s = phase_signs(self.subset)
+            s = phase_signs(incidence_rows(self.dim, [self.subset])[0])
             return DensityMatrix(self.dim, rho.entries * np.outer(s, s))
         if self.kind == "in_place":
             p = self.perm.matrix()

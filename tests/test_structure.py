@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,11 +25,11 @@ from permlab.structure import (
     witness_pigeonhole,
     _log2_binomial,
 )
-from reference import issubset
+from reference import family_of_sets, issubset
 
 
 def family_of(universe, *member_tuples):
-    return SubsetFamily(universe, tuple(Subset(universe, m) for m in member_tuples))
+    return family_of_sets(universe, tuple(Subset(universe, m) for m in member_tuples))
 
 
 class TestTargetClass:
@@ -106,7 +107,7 @@ class TestFixingProcedure:
 
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            fixing_procedure(SubsetFamily(4, ()), 0.25, 4)
+            fixing_procedure(SubsetFamily(4, np.zeros((0, 4), dtype=bool)), 0.25, 4)
 
     def test_alpha_range(self):
         fam = enumerate_family(4, 2)
@@ -259,7 +260,7 @@ class TestIncidenceMatchesReference:
     @settings(max_examples=150, deadline=None)
     def test_fixing_and_check_match_reference(self, fam, alpha, n_ref, data):
         v, sets = fam
-        family = SubsetFamily(v, sets)
+        family = family_of_sets(v, sets)
         target = TargetClass.fixed_size(v, data.draw(st.integers(0, v)))
         assert family.element_counts() == reference_element_counts(sets)
         label = data.draw(st.integers(1, v))
@@ -289,7 +290,7 @@ class TestIncidenceMatchesReference:
     def test_three_shrinks_match_reference(self):
         sets = tuple(Subset(5, m) for m in ((1, 2), (1, 2, 3), (1, 4), (2, 5), (3,)))
         target = TargetClass.fixed_size(5, 2)
-        cert = fixing_procedure(SubsetFamily(5, sets), 0.25, 16, target)
+        cert = fixing_procedure(family_of_sets(5, sets), 0.25, 16, target)
         assert cert.shrink_log == ((1, 3, 5), (2, 2, 3), (3, 1, 2))
         assert cert.shrink_log == reference_fixing_procedure(5, sets, 0.25, 16, target)[5]
 
