@@ -150,7 +150,9 @@ class SubsetFamily:
         # Duplicates sit next to each other once the rows, packed into uint64
         # words, are sorted; the stable sort keeps the earlier copy first.
         packed = np.packbits(rows, axis=1)
-        words = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64)
+        words = np.zeros((len(rows), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+        words[:, :packed.shape[1]] = packed
+        words = words.view(np.uint64)
         order = np.lexsort(words.T[::-1])
         ranked = words[order]
         repeats = order[1:][(ranked[1:] == ranked[:-1]).all(axis=1)]

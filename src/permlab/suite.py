@@ -8,9 +8,11 @@ force a verdict.
 
 from __future__ import annotations
 
+import io
 import math
 import time
 import traceback
+from contextlib import redirect_stderr
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -372,12 +374,16 @@ def criterion_10_progress_measure(seed: int) -> CriterionResult:
 
 
 def criterion_11_determinism(seed: int) -> CriterionResult:
-    """Identical configurations render byte-identical CSV outputs."""
+    """Identical configurations render byte-identical CSV outputs and diagnostics."""
     from . import harness  # deferred: harness imports this module
 
-    def render(cfg) -> str:
-        _, header, rows = harness.execute(cfg)
-        return harness.render_csv(header, rows)
+    def render(cfg) -> tuple[str, str]:
+        # The runners' stderr diagnostics are captured, so they stay out of the
+        # suite's report and must repeat along with the CSV bytes.
+        diagnostics = io.StringIO()
+        with redirect_stderr(diagnostics):
+            _, header, rows = harness.execute(cfg)
+        return harness.render_csv(header, rows), diagnostics.getvalue()
 
     checks = []
     verify_cfg = harness.ExperimentConfig(

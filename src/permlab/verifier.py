@@ -19,7 +19,7 @@ the weight of w on the even members of S, and the acceptance operator is
 
 `sweep_honest` verifies the honest witness of instances of one dimension as one
 (count, V) array of subset states, reduced row by row; `sweep_lambda` takes
-their lambda_max from (count, V, V) stacks of M, one batched `eigh` each. A
+their lambda_max from (count, V, V) stacks of M, one batched `eigvalsh` each. A
 caller runs only the sweep it reads. The one-instance functions remain for
 arbitrary witnesses; `acceptance_operator` builds M as a stack of one.
 """
@@ -45,8 +45,9 @@ PROBABILITY_TOL = 1e-10
 THRESHOLD_LO = 2.0 / 3.0
 # An optimal acceptance at most this far above the mark still counts as sound.
 SOUNDNESS_SLACK = 1e-9
-# Float64 entries of one acceptance-operator stack in `sweep_lambda` (8 MB): 4,096
-# instances at V = 16, 16 at V = 256 and one from V = 1024 on.
+# Float64 entries of one acceptance-operator stack in `sweep_lambda` (8 MB), the
+# input of one batched `eigvalsh`: 4,096 instances at V = 16, 16 at V = 256 and
+# one from V = 1024 on.
 SWEEP_CHUNK_ENTRIES = 2**20
 
 
@@ -219,9 +220,12 @@ def acceptance_operator(inst: PreimageInstance) -> np.ndarray:
 
 
 def optimal_witness_prob(inst: PreimageInstance) -> tuple[float, PureState]:
-    """Largest eigenvalue of the acceptance operator and a maximizing witness."""
-    vals, vecs = np.linalg.eigh(acceptance_operator(inst))
-    return float(vals[-1]), PureState(inst.dim, vecs[:, -1])
+    """Largest eigenvalue of the acceptance operator and a maximizing witness.
+
+    The eigenvalue is `sweep_lambda`'s; `eigh` runs only for the witness.
+    """
+    vecs = np.linalg.eigh(acceptance_operator(inst))[1]
+    return float(sweep_lambda([inst])[0]), PureState(inst.dim, vecs[:, -1])
 
 
 def _sweep_dim(instances: Sequence[PreimageInstance]) -> int | None:
@@ -254,14 +258,15 @@ def sweep_lambda(instances: Sequence[PreimageInstance]) -> np.ndarray:
     """lambda_max of each instance's acceptance operator, as a float64 array.
 
     The instances share one dimension V; each chunk of at most SWEEP_CHUNK_ENTRIES
-    entries of M is one stack and one batched `eigh`.
+    entries of M is one stack and one batched `eigvalsh`, which computes no
+    eigenvectors.
     """
     dim = _sweep_dim(instances)
     if dim is None:
         return np.zeros(0)
     rows = max(1, SWEEP_CHUNK_ENTRIES // dim**2)
     return np.concatenate([
-        np.linalg.eigh(_acceptance_stack(*_subset_rows(instances[start:start + rows])))[0][:, -1]
+        np.linalg.eigvalsh(_acceptance_stack(*_subset_rows(instances[start:start + rows])))[:, -1]
         for start in range(0, len(instances), rows)
     ])
 

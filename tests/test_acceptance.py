@@ -20,7 +20,10 @@ relative 1e-12, or are both round-off (at most 1e-12 in absolute value).
 import csv
 import io
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +107,22 @@ def test_criterion_11_determinism_suite_twice(tmp_path, results, suite_csv):
     assert code == 1  # criterion 2 fails, as the golden records
     assert out.read_bytes() == suite_csv.encode("utf-8")
     assert b"determinism" in out.read_bytes()
+
+
+def test_suite_cli_reports_one_stderr_line_per_criterion(suite_csv):
+    # criterion 11 captures the diagnostics of its verify and wtrace runs
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "permlab", "suite", "--seed", str(SEED)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1  # criterion 2 fails, as the golden records
+    assert proc.stdout == suite_csv
+    lines = proc.stderr.splitlines()
+    assert len(lines) == len(suite.ALL_CRITERIA) + 1, proc.stderr
+    assert lines[-1] == "10/11 criteria passed"
+    assert not any("lambda_max" in line or "W trace" in line for line in lines)
 
 
 def _numbers_match(got: str, want: str) -> bool:

@@ -412,23 +412,40 @@ class TestSweep:
             for a, b in zip(whole, (*sweep_honest(instances), sweep_lambda(instances))):
                 assert np.array_equal(a, b)
 
+    @given(
+        st.sampled_from(((1, 2), (2, 4), (3, 8), (4, 16), (None, 6), (None, 9), (None, 12))),
+        st.lists(st.sampled_from(("YES", "NO")), min_size=1, max_size=8),
+        st.integers(0, 10_000),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_lambda_is_the_closed_form(self, size, labels, seed):
+        n, big_n = size
+        rng = philox_stream(seed)
+        instances = [random_instance(big_n, label, rng, n=n) for label in labels]
+        closed = [analytic_optimum(inst) for inst in instances]
+        assert np.max(np.abs(sweep_lambda(instances) - closed)) <= 1e-12
+
     def test_chunk_rows_follow_the_entry_cap(self, monkeypatch):
-        calls = []
-        original = np.linalg.eigh
+        calls = {"eigh": [], "eigvalsh": []}
 
-        def counted(m):
-            calls.append(m.shape)
-            return original(m)
+        def counting(name):
+            original = getattr(np.linalg, name)
 
-        monkeypatch.setattr(np.linalg, "eigh", counted)
+            def counted(m):
+                calls[name].append(m.shape)
+                return original(m)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counting(name))
         instances = enumerate_instances(2, "NO")
         sweep_honest(instances)
-        assert calls == []  # the honest columns need no eigensolve
+        assert calls == {"eigh": [], "eigvalsh": []}  # the honest columns need no eigensolve
         sweep_lambda(instances)
-        assert calls == [(448, 16, 16)]
-        calls.clear()
+        assert calls == {"eigh": [], "eigvalsh": [(448, 16, 16)]}
+        calls["eigvalsh"].clear()
         sweep_lambda([random_instance(16, "YES", philox_stream(1, t), n=4) for t in range(20)])
-        assert calls == [(16, 256, 256), (4, 256, 256)]
+        assert calls == {"eigh": [], "eigvalsh": [(16, 256, 256), (4, 256, 256)]}
 
     def test_mixed_dimensions_raise_value_error(self):
         for run_sweep in (sweep_honest, sweep_lambda):
