@@ -13,10 +13,15 @@ import argparse
 
 import numpy as np
 
-from permlab.core import PureState, philox_stream, subset_state
+from permlab.core import PureState, philox_stream
 from permlab.dilation import QueryAlgorithm, check_dilation, random_query_algorithm
-from permlab.oracles import block_permutations, representative_sigma
-from permlab.verifier import random_instance
+from permlab.oracles import block_permutations, representative_rows
+from permlab.verifier import random_instance_row
+
+
+def text(row) -> str:
+    """A 0-based image row in the 1-based text form ("3 4 1 2" maps 1 to 3)."""
+    return " ".join(str(i + 1) for i in row.tolist())
 
 
 def main() -> None:
@@ -26,21 +31,22 @@ def main() -> None:
     args = parser.parse_args()
 
     rng = philox_stream(args.seed)
-    inst = random_instance(2, "YES", rng, n=1)
+    subset = random_instance_row(2, "YES", rng)
     taus = block_permutations(4, 2)
     alg = random_query_algorithm(4, 2, args.queries, rng)
-    initial = PureState(8, np.kron(subset_state(inst.subset, 4).amplitudes, np.eye(2)[0]))
+    initial = PureState(8, np.kron(subset / np.sqrt(2), np.eye(2)[0]))
 
-    sigma = representative_sigma(inst.subset, 2)
-    wrong = representative_sigma(inst.subset.complement(), 2)
+    # the matched sigma, then the complement's: a wrong preimage set
+    sigmas = representative_rows(np.stack([subset, ~subset]))
     pair = QueryAlgorithm(4, 2, np.stack([alg.unitaries] * 2))
-    run, control = check_dilation(pair, inst.subset, [sigma, wrong], taus, initial)
-    print(f"instance S = {inst.subset.members}, sigma = {sigma.to_text()}")
+    run, control = check_dilation(pair, subset, sigmas, taus, initial)
+    members = tuple((np.flatnonzero(subset) + 1).tolist())
+    print(f"instance S = {members}, sigma = {text(sigmas[0])}")
     print(f"consistent = {run.consistent}")
     for k, d in enumerate(run.trace_distances):
         print(f"  after query {k}: trace distance {d:.3e}")
 
-    print(f"negative control with sigma = {wrong.to_text()}: "
+    print(f"negative control with sigma = {text(sigmas[1])}: "
           f"consistent = {control.consistent}, "
           f"max distance {control.max_trace_distance:.3e}")
 

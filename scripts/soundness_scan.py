@@ -9,24 +9,29 @@ the 2/3 soundness target: everywhere the instance has even members.
 
 import argparse
 
+import numpy as np
+
 from permlab.core import philox_stream
 from permlab.verifier import (
     analytic_optimum,
-    enumerate_instances,
-    random_instance,
+    parity_class,
+    promise_labels,
+    random_instance_row,
     sweep_honest,
     sweep_lambda,
 )
 
 
-def show(instances) -> None:
-    """Print one line per instance; they share one size, so one sweep of each kind covers them."""
-    honest, lams = sweep_honest(instances)[2], sweep_lambda(instances)
-    for inst, p, lam in zip(instances, honest, lams):
-        flag = "" if inst.label == "YES" or lam <= 2 / 3 + 1e-9 else "  <-- above 2/3"
+def show(rows) -> None:
+    """Print one line per instance row; the rows share one size, so one sweep of
+    each kind covers them."""
+    (k_even, labels), block = promise_labels(rows), int(np.sqrt(rows.shape[1]))
+    honest, lams, closed = sweep_honest(rows)[2], sweep_lambda(rows), analytic_optimum(rows)
+    for label, k, p, lam, c in zip(labels, k_even, honest, lams, closed):
+        flag = "" if label == "YES" or lam <= 2 / 3 + 1e-9 else "  <-- above 2/3"
         print(
-            f"  N={inst.block:3d} {inst.label:3s} k_even={inst.k_even:2d}  "
-            f"honest={p:.6f}  optimal={lam:.6f}  closed-form={analytic_optimum(inst):.6f}{flag}"
+            f"  N={block:3d} {label:3s} k_even={k:2d}  "
+            f"honest={p:.6f}  optimal={lam:.6f}  closed-form={c:.6f}{flag}"
         )
 
 
@@ -37,15 +42,17 @@ def main() -> None:
 
     print("power-of-two instances")
     for n in (1, 2):
-        show([enumerate_instances(n, label)[0] for label in ("YES", "NO")])
-    show([random_instance(8, label, philox_stream(args.seed), n=3) for label in ("YES", "NO")])
+        show(np.stack([parity_class(n, label).incidence[0] for label in ("YES", "NO")]))
+    show(np.stack([
+        random_instance_row(8, label, philox_stream(args.seed)) for label in ("YES", "NO")
+    ]))
 
     print("fractional instances (N divisible by 3, exact two-thirds split)")
     for big_n in (6, 9, 12):
-        show([
-            random_instance(big_n, label, philox_stream(args.seed + big_n))
+        show(np.stack([
+            random_instance_row(big_n, label, philox_stream(args.seed + big_n))
             for label in ("YES", "NO")
-        ])
+        ]))
 
 
 if __name__ == "__main__":

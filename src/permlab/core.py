@@ -7,7 +7,7 @@ pure functions.
 
 A set family is one (count, V) bool incidence array (`SubsetFamily`), and a
 family predicate is a row mask over a chunk of such rows. `Subset` is the
-type of one set, such as an instance's preimage set or a fixed core; a
+type of one set, such as a fixed core, and its `incidence` is its row; a
 family builds its `Subset`s only when its `sets` view is read.
 """
 
@@ -66,19 +66,6 @@ class Permutation:
     def __call__(self, label: int) -> int:
         return self.image[label - 1]
 
-    def compose(self, other: "Permutation") -> "Permutation":
-        """Return the permutation mapping j to self(other(j))."""
-        if self.size != other.size:
-            raise ValueError(f"size mismatch: {self.size} vs {other.size}")
-        return Permutation(self.size, tuple(self.image[i - 1] for i in other.image))
-
-    def preimage_set(self, block: int) -> "Subset":
-        """Labels mapped into the first `block` positions; always has `block` members."""
-        if block > self.size:
-            raise ValueError(f"block size {block} exceeds permutation size {self.size}")
-        members = tuple(j for j in range(1, self.size + 1) if self.image[j - 1] <= block)
-        return Subset(self.size, members)
-
     def matrix(self) -> np.ndarray:
         """V x V zero-one matrix sending basis vector j-1 to image[j]-1."""
         mat = np.zeros((self.size, self.size))
@@ -117,13 +104,12 @@ class Subset:
     def __contains__(self, label: int) -> bool:
         return label in self._member_set  # type: ignore[attr-defined]
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.members)
-
-    def parity_counts(self) -> tuple[int, int]:
-        """(number of even labels, number of odd labels)."""
-        k_even = sum(1 for m in self.members if m % 2 == 0)
-        return k_even, len(self.members) - k_even
+    @property
+    def incidence(self) -> np.ndarray:
+        """The set as a (V,) bool incidence row, label i in column i-1."""
+        row = np.zeros(self.universe, dtype=bool)
+        row[np.array(self.members, dtype=np.intp) - 1] = True
+        return row
 
     def complement(self) -> "Subset":
         inside = self._member_set  # type: ignore[attr-defined]

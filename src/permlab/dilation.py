@@ -12,9 +12,11 @@ M^T conj(M) with M a state reshaped to (c^t, d_AB), batched over the stack.
 Every layer has a trial axis: a `QueryAlgorithm` may hold a stack of
 algorithms with one query count, validated once, and both pictures then run
 every trial at once, with one subset, sigma and initial state per trial (or
-one shared). `check_dilation` takes such a stack in chunks of at most
-TRIAL_STACK_ENTRIES dilated amplitudes; per chunk, each query is one
-batched matmul and one gather, and one eigensolve gives every distance. One
+one shared): a (trials, V) array of bool incidence rows and one of 0-based
+image rows (one `Subset` and one `Permutation` are rows converted at the
+entry). `check_dilation` takes such a stack in chunks of at most
+TRIAL_STACK_ENTRIES dilated amplitudes; per chunk, each query is one batched
+matmul and one gather, and one eigensolve gives every distance. One
 algorithm is a stack of one on the same path.
 """
 
@@ -144,25 +146,33 @@ def chi_state(count: int) -> PureState:
     return PureState(count, np.full(count, 1.0 / math.sqrt(count), dtype=np.complex128))
 
 
+def _subset_rows(alg: QueryAlgorithm, subset: Subset | np.ndarray) -> tuple[np.ndarray, int]:
+    """One `Subset`, or bool incidence rows (one (V,) row shared by every trial, or
+    one per trial), as (1 or trials, V) rows, with their one member count."""
+    rows = np.asarray(subset.incidence if isinstance(subset, Subset) else subset)
+    sizes = rows.sum(axis=-1).reshape(-1)
+    if rows.dtype != bool or rows.shape[-1:] != (alg.dim_a,) or (sizes != sizes[:1]).any():
+        raise ValueError(f"subsets must be bool rows over register A's [{alg.dim_a}], "
+                         "all of one size")
+    return rows.reshape(-1, alg.dim_a), int(sizes.max(initial=0))
+
+
 def run_channel_picture(
-    alg: QueryAlgorithm, subset: Subset | Sequence[Subset], initial: PureState | np.ndarray
+    alg: QueryAlgorithm, subset: Subset | np.ndarray, initial: PureState | np.ndarray
 ) -> np.ndarray:
     """States rho_0..rho_t with the randomized preimage channel applied on A.
 
     Returned as one validated, read-only (t+1, d_AB, d_AB) stack, or
-    (trials, t+1, d_AB, d_AB) for a stacked algorithm, which takes one subset
-    per trial. The fixed permutation sigma acts as an index gather on both axes
-    of rho; each query is one batched matmul over the trials.
+    (trials, t+1, d_AB, d_AB) for a stacked algorithm, which takes one
+    incidence row per trial (or one shared). The fixed permutation sigma acts
+    as an index gather on both axes of rho; each query is one batched matmul
+    over the trials.
     """
-    subsets = [subset] if isinstance(subset, Subset) else list(subset)
-    block = len(subsets[0])
-    if any(s.universe != alg.dim_a or len(s) != block for s in subsets):
-        raise ValueError(f"every subset needs {block} members of register A's [{alg.dim_a}]")
+    rows, block = _subset_rows(alg, subset)
     amps, stack = alg.initial_rows(initial), alg.stack
     trials, d = len(stack), amps.shape[1]
-    # the inverse of each subset's representative_sigma: its members, then the rest, in order
-    inv_sigma = np.argsort([[j not in s for j in range(1, alg.dim_a + 1)] for s in subsets],
-                           axis=-1, kind="stable")
+    # the inverse of each set's representative sigma: its members, then the rest, in order
+    inv_sigma = np.argsort(~rows, axis=-1, kind="stable")
     source = (inv_sigma[:, :, None] * alg.dim_b + np.arange(alg.dim_b)).reshape(-1, d, 1)
     # entry (i, j) of a trial's rho after the gather reads entry (source_i, source_j)
     flat = np.arange(trials)[:, None, None] * d * d + source * d + source.mT
@@ -177,7 +187,7 @@ def run_channel_picture(
 
 def run_dilated_picture(
     alg: QueryAlgorithm,
-    sigma: Permutation | Sequence[Permutation],
+    sigma: Permutation | np.ndarray,
     taus: np.ndarray,
     initial: PureState | np.ndarray,
 ) -> np.ndarray:
@@ -187,19 +197,20 @@ def run_dilated_picture(
     (trials, t+1, c^t * d_AB) for a stacked algorithm; control 1 is the most
     significant digit. Control value i's permutation is the 0-based image row
     taus[i] of a (c, V) array shared by every trial, or of a (c, trials, V)
-    array with one per trial; sigma is shared, or a stack's sequence of one per
-    trial. Each query is one batched matmul of the (trials, c^t, d_AB) state
-    matrices by the algorithm unitaries, then one flat gather for the fixed
-    in-place permutation on A and the control permutation between C_k and A:
-    A index j of a row whose control k holds i reads from inv_sigma[inv_tau_i[j]].
+    array with one per trial; sigma is one 0-based image row (or `Permutation`)
+    shared by every trial, or a (trials, V) array of one per trial. Each query
+    is one batched matmul of the (trials, c^t, d_AB) state matrices by the
+    algorithm unitaries, then one flat gather for the fixed in-place
+    permutation on A and the control permutation between C_k and A: A index j
+    of a row whose control k holds i reads from inv_sigma[inv_tau_i[j]].
     """
     tau_rows, stack = permutation_rows(taus, alg.dim_a, "every tau"), alg.stack
     t, c, trials = alg.queries, len(tau_rows), len(stack)
     d_ab = alg.dim_a * alg.dim_b
     # chi applied t times in kron's order, so psi~_0 is the t-fold kron bit for bit.
     chi = chi_state(c).amplitudes[0]
-    sigmas = [sigma] if isinstance(sigma, Permutation) else sigma
-    inv_sigma = np.argsort(permutation_rows([p.zero_based() for p in sigmas], alg.dim_a, "sigma"))
+    sigma = sigma.zero_based() if isinstance(sigma, Permutation) else sigma
+    inv_sigma = np.argsort(permutation_rows(sigma, alg.dim_a, "sigma").reshape(-1, alg.dim_a))
     amps = alg.initial_rows(initial)
     full = (c**t) * d_ab
     if full > MAX_DIM:
@@ -225,10 +236,9 @@ def run_dilated_picture(
 @dataclass(frozen=True)
 class DilationRun:
     """Channel and reduced dilated states of one trial as read-only (t+1, d_AB, d_AB)
-    stacks, and the trace distance between them after each query."""
+    stacks, the trace distance between them after each query, and whether
+    sigma's preimage set is the subset."""
 
-    subset: Subset
-    sigma: Permutation
     rhos: np.ndarray
     reduced: np.ndarray
     trace_distances: tuple[float, ...]
@@ -245,15 +255,16 @@ class DilationRun:
 
 def check_dilation(
     alg: QueryAlgorithm,
-    subset: Subset | Sequence[Subset],
-    sigma: Permutation | Sequence[Permutation],
+    subset: Subset | np.ndarray,
+    sigma: Permutation | np.ndarray,
     taus: np.ndarray,
     initial: PureState | np.ndarray,
 ) -> DilationRun | tuple[DilationRun, ...]:
     """Run both pictures and compare tr_C(psi~_k) against rho_k for every k.
 
     A stacked algorithm takes the pictures' per-trial arguments and gives one
-    run per trial. Its trials go through in chunks whose dilated states hold
+    run per trial. The subset and sigma become (trials, V) incidence and image
+    rows once, here. The trials go through in chunks whose dilated states hold
     at most TRIAL_STACK_ENTRIES amplitudes; per chunk, the reductions are one
     batched M^T conj(M) and the distances one stacked eigensolve. A sigma whose
     preimage set differs from the subset is reported through the `consistent`
@@ -261,21 +272,22 @@ def check_dilation(
     mismatches can serve as negative controls.
     """
     trials, d_ab = len(alg.stack), alg.dim_a * alg.dim_b
-    subsets = [subset] * trials if isinstance(subset, Subset) else list(subset)
-    sigmas = [sigma] * trials if isinstance(sigma, Permutation) else list(sigma)
+    rows, block = _subset_rows(alg, subset)
+    rows = np.broadcast_to(rows, (trials, alg.dim_a))
+    sigma = sigma.zero_based() if isinstance(sigma, Permutation) else sigma
+    sigmas = np.broadcast_to(permutation_rows(sigma, alg.dim_a, "sigma"), (trials, alg.dim_a))
+    consistent = ((sigmas < block) == rows).all(axis=-1).tolist()
     taus, runs = np.asarray(taus), []
     for part in trial_stacks(trials, (alg.queries + 1) * len(taus) ** alg.queries * d_ab):
         chunk = alg.trial_slice(part)
         chunk_initial = initial if isinstance(initial, PureState) else initial[part]
         chunk_taus = taus[:, part] if taus.ndim == 3 else taus
-        rhos = run_channel_picture(chunk, subsets[part], chunk_initial)
+        rhos = run_channel_picture(chunk, rows[part], chunk_initial)
         states = run_dilated_picture(chunk, sigmas[part], chunk_taus, chunk_initial)
         mats = states.reshape(*rhos.shape[:2], -1, d_ab)
         reduced = validated_densities(mats.mT @ mats.conj())
         runs += [
-            DilationRun(s, sg, r, m, tuple(dist), sg.preimage_set(len(s)) == s)
-            for s, sg, r, m, dist in zip(
-                subsets[part], sigmas[part], rhos, reduced, trace_distance(reduced, rhos).tolist()
-            )
+            DilationRun(r, m, tuple(dist), ok) for r, m, dist, ok in zip(
+                rhos, reduced, trace_distance(reduced, rhos).tolist(), consistent[part])
         ]
     return tuple(runs) if alg.stacked else runs[0]

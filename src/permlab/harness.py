@@ -40,15 +40,19 @@ from .structure import (
 )
 from .verifier import (
     THRESHOLD_LO,
-    enumerate_instances,
     meets_threshold,
     parity_class,
-    random_instance,
+    promise_labels,
+    random_instance_row,
     sweep_honest,
     sweep_lambda,
 )
 
 SUBCOMMANDS = ("verify", "dilate", "fix", "crossover", "relation", "wtrace", "suite")
+
+
+# The least value of each integer field that has one; every config is checked.
+MINIMUMS = {"n": 1, "N": 2, "dim_b": 1, "queries": 0, "tau_samples": 1, "trials": 0}
 
 
 @dataclass(frozen=True)
@@ -84,6 +88,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown subcommand {self.subcommand!r}")
         if self.p_coeffs is not None:
             object.__setattr__(self, "p_coeffs", tuple(float(c) for c in self.p_coeffs))
+        for name, low in MINIMUMS.items():
+            value = getattr(self, name)
+            if value is not None and value < low:
+                raise ValueError(f"field '{name}' must be at least {low}, got {value}")
 
     def canonical_json(self) -> str:
         data = {}
@@ -174,28 +182,26 @@ def run_verify(cfg: ExperimentConfig) -> tuple[bool, list[str], list[list]]:
         "instance_id", "n_or_N", "k_even", "label",
         "p_honest_i", "p_honest_ii", "p_honest", "lambda_max",
     ]
-    if cfg.exhaustive_no:
-        if cfg.n is None:
-            raise ValueError("subcommand 'verify' needs the field 'n'")
-        instances = list(enumerate_instances(cfg.n, "NO"))
-    elif cfg.n is not None or cfg.N is not None:
-        big_n = 2**cfg.n if cfg.n is not None else cfg.N
-        instances = [
-            random_instance(big_n, ("YES", "NO")[t % 2], philox_stream(cfg.seed, t), n=cfg.n)
-            for t in range(cfg.trials)
-        ]
-    else:
-        raise ValueError("subcommand 'verify' needs either n or N")
+    if cfg.n is not None and cfg.N is not None:
+        raise ValueError("subcommand 'verify' takes the field 'n' or the field 'N', not both")
+    if cfg.n is None and (cfg.exhaustive_no or cfg.N is None):
+        raise ValueError("subcommand 'verify' needs the field 'n'"
+                         + ("" if cfg.exhaustive_no else " or the field 'N'"))
+    big_n = 2**cfg.n if cfg.n is not None else cfg.N
+    instances = parity_class(cfg.n, "NO").incidence if cfg.exhaustive_no else np.array([
+        random_instance_row(big_n, ("YES", "NO")[t % 2], philox_stream(cfg.seed, t))
+        for t in range(cfg.trials)
+    ], dtype=bool).reshape(cfg.trials, big_n**2)
+    k_even, labels = promise_labels(instances)
     columns = (*sweep_honest(instances), sweep_lambda(instances))
+    members = np.nonzero(instances)[1].reshape(len(instances), big_n) + 1
+    size = cfg.n if cfg.n is not None else cfg.N
     rows = [
-        [
-            "-".join(str(m) for m in inst.subset.members),
-            inst.n if inst.n is not None else inst.block, inst.k_even, inst.label, *values,
-        ]
-        for inst, *values in zip(instances, *(column.tolist() for column in columns))
+        ["-".join(map(str, ids)), size, *values]
+        for ids, *values in zip(members.tolist(), k_even.tolist(), labels.tolist(),
+                                *(column.tolist() for column in columns))
     ]
     lams = columns[-1]
-    labels = np.array([inst.label for inst in instances], dtype=str)
     picked = {label: lams[labels == label] for label in ("YES", "NO")}
     slack = [
         f"{label} {word} {pick(picked[label]) - THRESHOLD_LO:+.3g} (of {picked[label].size})"
@@ -219,19 +225,19 @@ def run_dilate(cfg: ExperimentConfig) -> tuple[bool, list[str], list[list]]:
     for part in trial_stacks(cfg.trials, (queries + 2) * d * d):
         trials = range(cfg.trials)[part]
         rngs = [philox_stream(cfg.seed, trial) for trial in trials]
-        insts = [
-            random_instance(big_n, "YES" if trial % 2 == 0 else "NO", rng, n=n)
+        subsets = np.stack([
+            random_instance_row(big_n, "YES" if trial % 2 == 0 else "NO", rng)
             for trial, rng in zip(trials, rngs)
-        ]
-        sigmas = [random_representative(inst.subset, big_n, rng) for inst, rng in zip(insts, rngs)]
+        ])
+        sigmas = np.stack([random_representative(row, rng) for row, rng in zip(subsets, rngs)])
         # row i holds control value i's permutation: the whole group, or a sample per trial
         taus = block_permutations(v, big_n) if exact else np.stack(
             [sample_block_permutations(v, big_n, cfg.tau_samples, rng) for rng in rngs], axis=1)
         # each trial's queries + 1 unitaries, then one whose first column is its initial state
         u = haar_stack(d, queries + 2, rngs)
         runs += check_dilation(
-            QueryAlgorithm(v, dim_b, u[:, : queries + 1]), [inst.subset for inst in insts], sigmas,
-            taus, u[:, queries + 1, :, 0],
+            QueryAlgorithm(v, dim_b, u[:, : queries + 1]), subsets, sigmas, taus,
+            u[:, queries + 1, :, 0],
         )
     rows = [[i, k, x] for i, run in enumerate(runs) for k, x in enumerate(run.trace_distances)]
     per_trial = [run.max_trace_distance for run in runs]

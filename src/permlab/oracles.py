@@ -20,6 +20,7 @@ whole (..., d, d) stack, and a gather writes the means back.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Iterator
@@ -73,21 +74,20 @@ def representative_sigma(subset: Subset, block: int) -> Permutation:
     `representative_rows` of its incidence row, as 1-based labels."""
     if len(subset) != block:
         raise ValueError(f"subset has {len(subset)} members, block size is {block}")
-    row = representative_rows(np.array([j in subset for j in range(1, subset.universe + 1)]))
+    row = representative_rows(subset.incidence)
     return Permutation(subset.universe, tuple((row + 1).tolist()))
 
 
-def random_representative(subset: Subset, block: int, rng: np.random.Generator) -> Permutation:
-    """Uniformly random permutation whose preimage set is `subset`."""
-    if len(subset) != block:
-        raise ValueError(f"subset has {len(subset)} members, block size is {block}")
-    v = subset.universe
-    inside = np.array([j in subset for j in range(1, v + 1)])
-    # members, in increasing order, take each draw from its end, as pops would
-    image = np.empty(v, dtype=np.intp)
-    image[inside] = rng.permutation(block)[::-1] + 1
-    image[~inside] = rng.permutation(v - block)[::-1] + block + 1
-    return Permutation(v, tuple(image.tolist()))
+def random_representative(incidence: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Uniformly random 0-based image row whose preimage set is the incidence row's:
+    members, in increasing order, take one `rng.permutation`'s draws from its
+    end, as pops would, and the other labels a second one's."""
+    inside = np.asarray(incidence, dtype=bool)
+    block = int(inside.sum())
+    image = np.empty(inside.size, dtype=np.intp)
+    image[inside] = rng.permutation(block)[::-1]
+    image[~inside] = rng.permutation(inside.size - block)[::-1] + block
+    return image
 
 
 def block_group_chunks(size: int, block: int, chunk_rows: int) -> Iterator[np.ndarray]:
@@ -105,9 +105,10 @@ def block_group_chunks(size: int, block: int, chunk_rows: int) -> Iterator[np.nd
         yield np.concatenate([first[i], second[j]], axis=1, dtype=np.intp)
 
 
+@functools.cache
 def block_permutations(size: int, block: int) -> np.ndarray:
     """The whole block group of [size] as one read-only (count, size) array of
-    0-based image rows, in `block_group_chunks` order."""
+    0-based image rows, in `block_group_chunks` order; built once per (size, block)."""
     count = block_group_order(size, block)
     if count > GROUP_ENUMERATION_CAP:
         raise ValueError(

@@ -44,12 +44,10 @@ from .structure import (
 )
 from .verifier import (
     THRESHOLD_LO,
-    PreimageInstance,
-    enumerate_instances,
     majority_count,
     meets_threshold,
     parity_class,
-    random_instance,
+    random_instance_row,
     sweep_honest,
     sweep_lambda,
 )
@@ -69,20 +67,17 @@ class CriterionResult:
         return f"criterion {self.index:2d} ({self.name}): {verdict} - {self.summary}"
 
 
-def _yes_instance(n: int | None, n_labels: int, members: tuple[int, ...]) -> PreimageInstance:
-    return PreimageInstance(n, n_labels, Subset(n_labels**2, members), "YES")
-
-
 def criterion_01_completeness(seed: int) -> CriterionResult:
     """Honest-witness acceptance: 5/6 at N=6 and (1 + ceil(2N/3)/N)/2 at n <= 3."""
-    frac = PreimageInstance.fractional(6, Subset(36, (1, 2, 3, 4, 6, 8)))
-    cases = [("N=6", frac, 5.0 / 6.0, 1e-10)]
+    cases = [("N=6", Subset(36, (1, 2, 3, 4, 6, 8)), 5.0 / 6.0, 1e-10)]
     fixed_sets = {1: (2, 4), 2: (1, 2, 4, 6), 3: (1, 2, 3, 4, 6, 8, 10, 12)}
     for n, members in fixed_sets.items():
         expected = 0.5 * (1.0 + majority_count(2**n) / 2**n)
-        cases.append((f"n={n}", _yes_instance(n, 2**n, members), expected, 1e-12))
+        cases.append((f"n={n}", Subset(4**n, members), expected, 1e-12))
     # one sweep per size: every case has its own dimension
-    checks = [(tag, float(sweep_honest([inst])[2][0]), want, t) for tag, inst, want, t in cases]
+    checks = [
+        (tag, float(sweep_honest(s.incidence[None])[2][0]), want, t) for tag, s, want, t in cases
+    ]
     bad = [(tag, got, want) for tag, got, want, tol in checks if abs(got - want) > tol]
     summary = "; ".join(f"{tag}: {got:.12g} (want {want:.12g})" for tag, got, want, _ in checks)
     return CriterionResult(1, "completeness", not bad, summary)
@@ -90,10 +85,9 @@ def criterion_01_completeness(seed: int) -> CriterionResult:
 
 def criterion_02_soundness(seed: int) -> CriterionResult:
     """Optimal-witness acceptance of every NO instance against the 2/3 target."""
-    lam_n1 = float(np.max(sweep_lambda(enumerate_instances(1, "NO"))))
-    lams_n2 = sweep_lambda(enumerate_instances(2, "NO"))
-    frac = PreimageInstance.fractional(6, Subset(36, (1, 2, 3, 4, 5, 7)))
-    lam_frac = float(sweep_lambda([frac])[0])
+    lam_n1 = float(np.max(sweep_lambda(parity_class(1, "NO").incidence)))
+    lams_n2 = sweep_lambda(parity_class(2, "NO").incidence)
+    lam_frac = float(sweep_lambda(Subset(36, (1, 2, 3, 4, 5, 7)).incidence[None])[0])
     above_n2 = int(np.count_nonzero(~meets_threshold("NO", lams_n2)))
     passed = not above_n2 and meets_threshold("NO", lam_n1) and meets_threshold("NO", lam_frac)
     summary = (
@@ -109,8 +103,10 @@ def criterion_03_test_i_perfection(seed: int) -> CriterionResult:
     worst = 0.0
     for n in (1, 2, 3):  # one sweep per size; run i has n = 1 + i % 3
         runs = range(n - 1, 50, 3)
-        insts = [random_instance(2**n, "YES", philox_stream(seed, 300 + i), n=n) for i in runs]
-        worst = max(worst, float(np.max(np.abs(sweep_honest(insts)[0] - 1.0))))
+        rows = np.stack([
+            random_instance_row(2**n, "YES", philox_stream(seed, 300 + i)) for i in runs
+        ])
+        worst = max(worst, float(np.max(np.abs(sweep_honest(rows)[0] - 1.0))))
     return CriterionResult(
         3, "test (i) perfection", worst <= 1e-12, f"max |p-1| = {worst:.3g} over 50 runs"
     )
@@ -128,16 +124,15 @@ def criterion_04_dilation(seed: int) -> CriterionResult:
     for t in (1, 2, 3):
         trials = range(t - 1, 100, 3)
         rngs = [philox_stream(seed, 400 + trial) for trial in trials]
-        insts = [
-            random_instance(2, "YES" if trial % 2 == 0 else "NO", rng, n=1)
+        subsets = np.stack([
+            random_instance_row(2, "YES" if trial % 2 == 0 else "NO", rng)
             for trial, rng in zip(trials, rngs)
-        ]
-        sigmas = [random_representative(inst.subset, 2, rng) for inst, rng in zip(insts, rngs)]
+        ])
+        sigmas = np.stack([random_representative(row, rng) for row, rng in zip(subsets, rngs)])
         # each trial's t + 1 unitaries, then one whose first column is its initial state
         u = haar_stack(8, t + 2, rngs)
         runs = check_dilation(
-            QueryAlgorithm(4, 2, u[:, : t + 1]), [inst.subset for inst in insts], sigmas, taus,
-            u[:, t + 1, :, 0],
+            QueryAlgorithm(4, 2, u[:, : t + 1]), subsets, sigmas, taus, u[:, t + 1, :, 0]
         )
         worst = max([worst, *(run.max_trace_distance for run in runs)])
     return CriterionResult(

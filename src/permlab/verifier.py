@@ -17,20 +17,18 @@ oracle maps S onto [N], so test (i) accepts with |<S|w>|^2, test (ii) with
 the weight of w on the even members of S, and the acceptance operator is
 (|S><S| + P_even)/2. The tests check these against the channel simulation.
 
-`sweep_honest` verifies the honest witness of instances of one dimension as one
-(count, V) array of subset states, reduced row by row; `sweep_lambda` takes
-their lambda_max from (count, V, V) stacks of M, one batched `eigvalsh` each. A
-caller runs only the sweep it reads. The one-instance functions remain for
-arbitrary witnesses; `acceptance_operator` builds M as a stack of one.
+A batch of instances is one (count, V) bool incidence array, label i in
+column i-1; k_even and the label are row sums over the even-label columns 1, 3,
+.... `sweep_honest` reduces the honest states rows / sqrt(N) row by row;
+`sweep_lambda` takes lambda_max from (count, V, V) stacks of M, one batched
+`eigvalsh` each. `PreimageInstance` is one instance, for arbitrary witnesses.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Sequence
 
 import numpy as np
 
@@ -63,17 +61,24 @@ def majority_count(n_labels: int) -> int:
     return -((-2 * n_labels) // 3)
 
 
-def _label_for(subset: Subset, n_labels: int) -> str:
-    k_even, k_odd = subset.parity_counts()
-    want = majority_count(n_labels)
-    if k_even == want:
-        return "YES"
-    if k_odd == want:
-        return "NO"
-    raise ValueError(
-        f"parity split ({k_even} even, {k_odd} odd) matches neither promise "
-        f"class at N={n_labels} (majority count {want})"
-    )
+def promise_labels(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """k_even and the label of each row of a (count, V = N^2) bool incidence array:
+    YES with ceil(2N/3) even labels among its N members, NO with that many odd."""
+    rows = np.asarray(rows)
+    block = math.isqrt(rows.shape[-1]) if rows.ndim == 2 else 0
+    if (rows.dtype != bool or block < 1 or block**2 != rows.shape[1]
+            or (rows.sum(axis=1) != block).any()):
+        raise ValueError(
+            f"instances must be bool incidence rows with N members of [N^2], got {rows.shape}")
+    k_even = rows[:, 1::2].sum(axis=1)
+    want = majority_count(block)
+    yes, no = k_even == want, block - k_even == want
+    bad = np.flatnonzero(~(yes | no))
+    if bad.size:
+        k = int(k_even[bad[0]])
+        raise ValueError(f"parity split ({k} even, {block - k} odd) matches neither promise "
+                         f"class at N={block} (majority count {want})")
+    return k_even, np.where(yes, "YES", "NO")
 
 
 @dataclass(frozen=True)
@@ -94,7 +99,7 @@ class PreimageInstance:
             raise ValueError(f"subset size {len(self.subset)} must equal N = {self.block}")
         if self.n is not None and 2**self.n != self.block:
             raise ValueError(f"N = {self.block} is not 2^n for n = {self.n}")
-        if self.label != _label_for(self.subset, self.block):
+        if self.label != _label_for(self.subset):
             raise ValueError(f"label {self.label} does not match the parity counts")
 
     @property
@@ -103,15 +108,19 @@ class PreimageInstance:
 
     @property
     def k_even(self) -> int:
-        return self.subset.parity_counts()[0]
+        return int(self.subset.incidence[1::2].sum())
 
     @classmethod
     def power_of_two(cls, n: int, subset: Subset) -> "PreimageInstance":
-        return cls(n, 2**n, subset, _label_for(subset, 2**n))
+        return cls(n, 2**n, subset, _label_for(subset))
 
     @classmethod
     def fractional(cls, n_labels: int, subset: Subset) -> "PreimageInstance":
-        return cls(None, n_labels, subset, _label_for(subset, n_labels))
+        return cls(None, n_labels, subset, _label_for(subset))
+
+
+def _label_for(subset: Subset) -> str:
+    return str(promise_labels(subset.incidence[None])[1][0])
 
 
 def parity_class(n: int, label: str) -> SubsetFamily:
@@ -124,28 +133,24 @@ def parity_class(n: int, label: str) -> SubsetFamily:
     return enumerate_family(big_n**2, big_n, lambda rows: rows[:, 1::2].sum(axis=1) == k_even)
 
 
-def enumerate_instances(n: int, label: str) -> tuple[PreimageInstance, ...]:
-    """Every instance at size N = 2^n with the requested label, lexicographic."""
-    return tuple(PreimageInstance.power_of_two(n, s) for s in parity_class(n, label))
+def random_instance_row(n_labels: int, label: str, rng: np.random.Generator) -> np.ndarray:
+    """A uniform promise instance with the requested label, as one (V,) bool
+    incidence row: one `rng.choice` of its even members, then one of its odd ones."""
+    want = majority_count(n_labels)
+    k_even = want if label == "YES" else n_labels - want
+    row = np.zeros(n_labels**2, dtype=bool)
+    evens, odds = row[1::2], row[0::2]  # views: labels 2, 4, ... and 1, 3, ...
+    evens[rng.choice(evens.size, size=k_even, replace=False)] = True
+    odds[rng.choice(odds.size, size=n_labels - k_even, replace=False)] = True
+    return row
 
 
 def random_instance(
     n_labels: int, label: str, rng: np.random.Generator, n: int | None = None
 ) -> PreimageInstance:
-    """Sample a uniform promise instance with the requested label."""
-    want = majority_count(n_labels)
-    k_even = want if label == "YES" else n_labels - want
-    universe = n_labels**2
-    evens = np.arange(2, universe + 1, 2)
-    odds = np.arange(1, universe + 1, 2)
-    members = sorted(
-        int(x) for x in itertools.chain(
-            rng.choice(evens, size=k_even, replace=False),
-            rng.choice(odds, size=n_labels - k_even, replace=False),
-        )
-    )
-    subset = Subset(universe, tuple(members))
-    return PreimageInstance(n, n_labels, subset, label)
+    """`random_instance_row`'s draw as one `PreimageInstance`."""
+    members = np.flatnonzero(random_instance_row(n_labels, label, rng)) + 1
+    return PreimageInstance(n, n_labels, Subset(n_labels**2, tuple(members.tolist())), label)
 
 
 def test_i(inst: PreimageInstance, witness: PureState) -> float:
@@ -190,14 +195,13 @@ def _check_report(p_i, p_ii, p_accept) -> None:
         raise ValueError("p_accept must be the arithmetic mean of the two tests")
 
 
-def _subset_rows(instances: Sequence[PreimageInstance]) -> tuple[np.ndarray, np.ndarray]:
-    """Real subset states of same-dimension instances, (count, V), and their even-member mask."""
-    block = instances[0].block
-    members = np.array([inst.subset.members for inst in instances], dtype=np.intp) - 1
-    states = np.zeros((len(instances), block**2))
-    np.put_along_axis(states, members, 1.0 / math.sqrt(block), axis=1)
-    even = np.zeros(states.shape, dtype=bool)
-    np.put_along_axis(even, members, members % 2 == 1, axis=1)
+def _instance_arrays(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Subset states rows / sqrt(N) of checked instance rows, and their even-member mask."""
+    rows = np.asarray(rows)
+    promise_labels(rows)
+    states = rows / math.sqrt(math.isqrt(rows.shape[1]))
+    even = np.zeros_like(rows)
+    even[:, 1::2] = rows[:, 1::2]
     return validated_states(states), even
 
 
@@ -216,7 +220,7 @@ def acceptance_operator(inst: PreimageInstance) -> np.ndarray:
     M = (|S><S| + P_even)/2, where P_even projects onto the even members of S.
     Both terms are real, so M is built as float64 and its eigensolve is real.
     """
-    return _acceptance_stack(*_subset_rows([inst]))[0]
+    return _acceptance_stack(*_instance_arrays(inst.subset.incidence[None]))[0]
 
 
 def optimal_witness_prob(inst: PreimageInstance) -> tuple[float, PureState]:
@@ -225,27 +229,17 @@ def optimal_witness_prob(inst: PreimageInstance) -> tuple[float, PureState]:
     The eigenvalue is `sweep_lambda`'s; `eigh` runs only for the witness.
     """
     vecs = np.linalg.eigh(acceptance_operator(inst))[1]
-    return float(sweep_lambda([inst])[0]), PureState(inst.dim, vecs[:, -1])
+    return float(sweep_lambda(inst.subset.incidence[None])[0]), PureState(inst.dim, vecs[:, -1])
 
 
-def _sweep_dim(instances: Sequence[PreimageInstance]) -> int | None:
-    """The one dimension V of a sweep's instances; None for an empty sweep."""
-    dims = sorted({inst.dim for inst in instances})
-    if len(dims) > 1:
-        raise ValueError(f"a sweep needs instances of one dimension, got {dims}")
-    return dims[0] if dims else None
-
-
-def sweep_honest(instances: Sequence[PreimageInstance]) -> tuple[np.ndarray, ...]:
+def sweep_honest(rows: np.ndarray) -> tuple[np.ndarray, ...]:
     """Honest-witness tests (i) and (ii) and their mean, as float64 arrays.
 
-    The instances share one dimension V; their subset states are one (count, V)
-    array, reduced as `test_i` (a complex inner product) and `test_ii` reduce,
-    bit for bit.
+    `rows` is a (count, V) bool incidence array of instances; their subset
+    states are one (count, V) array, reduced as `test_i` (a complex inner
+    product) and `test_ii` reduce, bit for bit.
     """
-    if _sweep_dim(instances) is None:
-        return tuple(np.zeros(0) for _ in range(3))
-    states, even = _subset_rows(instances)
+    states, even = _instance_arrays(rows)
     amps = states.astype(np.complex128)
     p_i = _as_probability(np.abs((amps[:, None, :] @ amps[:, :, None])[:, 0, 0]) ** 2)
     p_ii = _as_probability(np.einsum("ij,ij,ij->i", states, states, even))
@@ -254,25 +248,24 @@ def sweep_honest(instances: Sequence[PreimageInstance]) -> tuple[np.ndarray, ...
     return p_i, p_ii, p_accept
 
 
-def sweep_lambda(instances: Sequence[PreimageInstance]) -> np.ndarray:
+def sweep_lambda(rows: np.ndarray) -> np.ndarray:
     """lambda_max of each instance's acceptance operator, as a float64 array.
 
-    The instances share one dimension V; each chunk of at most SWEEP_CHUNK_ENTRIES
-    entries of M is one stack and one batched `eigvalsh`, which computes no
-    eigenvectors.
+    `rows` is a (count, V) bool incidence array of instances; each chunk of at
+    most SWEEP_CHUNK_ENTRIES entries of M is one stack and one batched
+    `eigvalsh`, which computes no eigenvectors.
     """
-    dim = _sweep_dim(instances)
-    if dim is None:
-        return np.zeros(0)
-    rows = max(1, SWEEP_CHUNK_ENTRIES // dim**2)
-    return np.concatenate([
-        np.linalg.eigvalsh(_acceptance_stack(*_subset_rows(instances[start:start + rows])))[:, -1]
-        for start in range(0, len(instances), rows)
+    states, even = _instance_arrays(rows)
+    step = max(1, SWEEP_CHUNK_ENTRIES // states.shape[1] ** 2)
+    return np.concatenate([np.zeros(0)] + [
+        np.linalg.eigvalsh(_acceptance_stack(states[i:i + step], even[i:i + step]))[:, -1]
+        for i in range(0, len(states), step)
     ])
 
 
-def analytic_optimum(inst: PreimageInstance) -> float:
-    """Closed form for the optimal-witness acceptance: (1 + sqrt(k_even/N))/2.
+def analytic_optimum(rows: np.ndarray) -> np.ndarray:
+    """Closed form for the optimal-witness acceptance of each instance row:
+    (1 + sqrt(k_even/N))/2.
 
     The acceptance operator acts as a rank-2 matrix on the span of the
     uniform vectors over the even and odd members of S, where it reads
@@ -280,7 +273,8 @@ def analytic_optimum(inst: PreimageInstance) -> float:
     eigenvalue of that block is (1 + sqrt(k/N))/2 and every other eigenvalue
     is at most 1/2.
     """
-    return 0.5 * (1.0 + math.sqrt(inst.k_even / inst.block))
+    k_even = promise_labels(rows)[0]
+    return 0.5 * (1.0 + np.sqrt(k_even / math.isqrt(np.shape(rows)[1])))
 
 
 def _check_range(p: np.ndarray, what: str) -> None:

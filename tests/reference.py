@@ -24,6 +24,21 @@ def invert(perm):
     return Permutation(perm.size, tuple(inv))
 
 
+def compose(a, b):
+    """The permutation mapping j to a(b(j))."""
+    if a.size != b.size:
+        raise ValueError(f"size mismatch: {a.size} vs {b.size}")
+    return Permutation(a.size, tuple(a.image[i - 1] for i in b.image))
+
+
+def preimage_set(perm, block):
+    """The labels `perm` maps into the first `block` positions, as a `Subset`."""
+    if block > perm.size:
+        raise ValueError(f"block size {block} exceeds permutation size {perm.size}")
+    members = tuple(j for j in range(1, perm.size + 1) if perm.image[j - 1] <= block)
+    return Subset(perm.size, members)
+
+
 def random_permutation(size, rng):
     return Permutation(size, tuple(int(i) + 1 for i in rng.permutation(size)))
 

@@ -32,10 +32,12 @@ from permlab.verifier import parity_class
 from reference import (
     as_permutation,
     block_permutation_objects,
+    compose,
     family_of_sets,
     haar_unitary,
     identity_algorithm,
     invert,
+    preimage_set,
 )
 
 
@@ -66,7 +68,7 @@ def reference_matched_pair(sx, sy):
     only_x, only_y = set(sx.members) - set(sy.members), set(sy.members) - set(sx.members)
     for a, b in zip(sorted(only_x), sorted(only_y)):
         swap[a - 1], swap[b - 1] = b, a
-    return sigma_x, sigma_x.compose(Permutation(sx.universe, tuple(swap)))
+    return sigma_x, compose(sigma_x, Permutation(sx.universe, tuple(swap)))
 
 
 def reference_coset_relation(sx, sy, block):
@@ -74,13 +76,13 @@ def reference_coset_relation(sx, sy, block):
     per (x set, tau), y items tau o sigma_y* per (x set, y set, tau), each new
     image appended once, in order of first appearance."""
     taus = block_permutation_objects(sx.universe, block)
-    x_items = [tau.compose(representative_sigma(s, block)) for s in sx for tau in taus]
+    x_items = [compose(tau, representative_sigma(s, block)) for s in sx for tau in taus]
     y_items, y_index, pairs = [], {}, []
     for ix, s_x in enumerate(sx):
         for s_y in sy:
             sigma_y = reference_matched_pair(s_x, s_y)[1]
             for it, tau in enumerate(taus):
-                y_perm = tau.compose(sigma_y)
+                y_perm = compose(tau, sigma_y)
                 if y_perm.image not in y_index:
                     y_index[y_perm.image] = len(y_items)
                     y_items.append(y_perm)
@@ -340,8 +342,8 @@ class TestStatsMatchReference:
         a, b = relation_stats(materialized), relation_stats(analytic)
         assert (a.m, a.m_prime, a.l_max) == (b.m, b.m_prime, b.l_max)
         # every coset element carries the l table of its preimage set
-        x_of = [sx.sets.index(as_permutation(p).preimage_set(block)) for p in materialized.x_items]
-        y_of = [sy.sets.index(as_permutation(p).preimage_set(block)) for p in materialized.y_items]
+        x_of = [sx.sets.index(preimage_set(as_permutation(p), block)) for p in materialized.x_items]
+        y_of = [sy.sets.index(preimage_set(as_permutation(p), block)) for p in materialized.y_items]
         assert np.array_equal(a.per_input_l["l_x"], b.per_input_l["l_x"][x_of])
         assert np.array_equal(a.per_input_l["l_y"], b.per_input_l["l_y"][y_of])
 
@@ -483,8 +485,8 @@ class TestMatchedRepresentatives:
     def test_agreement_conditions_nonvacuous(self):
         sx, sy = Subset(6, (1, 2, 3)), Subset(6, (1, 4, 5))
         px, py = matched_pair(sx, sy)
-        assert px.preimage_set(3) == sx
-        assert py.preimage_set(3) == sy
+        assert preimage_set(px, 3) == sx
+        assert preimage_set(py, 3) == sy
         assert px(1) == py(1)  # shared member
         assert px(6) == py(6)  # outside the union
         only_x, only_y = (2, 3), (4, 5)
@@ -556,8 +558,8 @@ class TestPreimageRelation:
         rel = build_preimage_relation(sx, sy, 2, materialize_cosets=True)
         for xi, yi in rel.pairs:
             px, py = as_permutation(rel.x_items[xi]), as_permutation(rel.y_items[yi])
-            s_x = set(px.preimage_set(2).members)
-            s_y = set(py.preimage_set(2).members)
+            s_x = set(preimage_set(px, 2).members)
+            s_y = set(preimage_set(py, 2).members)
             for j in (s_x & s_y) | (set(range(1, 7)) - (s_x | s_y)):
                 assert px(j) == py(j)
             only_x, only_y = s_x - s_y, s_y - s_x

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from permlab import dilation, harness
 from permlab.core import (
     DensityMatrix,
+    Permutation,
     PureState,
     Subset,
     partial_trace,
@@ -34,6 +35,7 @@ from permlab.oracles import (
     block_permutations,
     block_twirl,
     random_representative,
+    representative_rows,
     representative_sigma,
 )
 from reference import (
@@ -41,12 +43,18 @@ from reference import (
     block_permutation_objects,
     haar_unitary,
     identity_algorithm,
+    incidence_rows,
     random_density,
 )
 
 TAUS = block_permutations(4, 2)
 S_EVEN = Subset(4, (2, 4))
 S_ODD = Subset(4, (1, 3))
+
+
+def image_row(sigma):
+    """sigma as a 0-based image row: a `Permutation` converted, a row as given."""
+    return sigma.zero_based() if isinstance(sigma, Permutation) else np.asarray(sigma)
 
 
 def reference_haar_unitary(dim, rng):
@@ -101,7 +109,7 @@ def reference_dilated_picture(alg, sigma, taus, initial):
     psi = initial.amplitudes
     for _ in range(t):
         psi = np.kron(chi, psi)
-    inv_sigma = np.argsort(sigma.zero_based())
+    inv_sigma = np.argsort(image_row(sigma))
     gather = np.stack([inv_sigma[np.argsort(tau)] for tau in taus])
     states = [PureState(full, psi)]
     for k in range(1, t + 1):
@@ -117,7 +125,7 @@ def reference_check_dilation(alg, subset, sigma, taus, initial):
 
     Returns the channel states, the reduced states, the distances and the
     consistency flag."""
-    consistent = sigma.preimage_set(len(subset)) == subset
+    consistent = np.array_equal(image_row(sigma) < len(subset), subset.incidence)
     rhos = reference_channel_picture(alg, subset, initial)
     reduced = []
     for psi in reference_dilated_picture(alg, sigma, taus, initial):
@@ -142,7 +150,7 @@ def dense_dilated_picture(alg, sigma, taus, initial):
     psi = initial.amplitudes
     for _ in range(t):
         psi = np.kron(chi, psi)
-    inv_sigma = np.argsort(sigma.zero_based())
+    inv_sigma = np.argsort(image_row(sigma))
     inv_taus = [np.argsort(tau) for tau in taus]
 
     snapshots = [DensityMatrix.from_pure(PureState(full, psi))]
@@ -355,7 +363,7 @@ class TestDilatedPicture:
         alg = random_query_algorithm(4, 2, 2, philox_stream(10))
         initial = random_product_initial(8, 11)
         for k in range(5):
-            sigma = random_representative(S_EVEN, 2, philox_stream(12 + k))
+            sigma = random_representative(S_EVEN.incidence, philox_stream(12 + k))
             run = check_dilation(alg, S_EVEN, sigma, TAUS, initial)
             assert run.max_trace_distance < 1e-10
 
@@ -405,7 +413,8 @@ class TestPureMatchesDenseReference:
         pairs = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
         subset = Subset(4, pairs[subset_index])
         rng = philox_stream(seed)
-        sigma = random_representative(Subset(4, pairs[(subset_index + sigma_offset) % 6]), 2, rng)
+        sigma = random_representative(
+            Subset(4, pairs[(subset_index + sigma_offset) % 6]).incidence, rng)
         taus = [tau for bit, tau in enumerate(TAUS) if tau_mask >> bit & 1]
         alg = random_query_algorithm(4, dim_b, t, rng)
         initial = random_product_initial(4 * dim_b, seed + 1)
@@ -445,7 +454,8 @@ class TestStacksMatchPerStateReference:
         pairs = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
         subset = Subset(4, pairs[subset_index])
         rng = philox_stream(seed)
-        sigma = random_representative(Subset(4, pairs[(subset_index + sigma_offset) % 6]), 2, rng)
+        sigma = random_representative(
+            Subset(4, pairs[(subset_index + sigma_offset) % 6]).incidence, rng)
         taus = [TAUS[i] for i in tau_indices]
         alg = random_query_algorithm(4, dim_b, t, rng)
         initial = random_product_initial(4 * dim_b, seed + 1)
@@ -518,14 +528,16 @@ class TestTrialStacks:
         stack, algs = _trial_stack(t, dim_b, [seed for _, _, seed in trials])
         subsets = [Subset(4, PAIRS[i]) for i, _, _ in trials]
         sigmas = [
-            random_representative(Subset(4, PAIRS[(i + offset) % 6]), 2, philox_stream(seed, 1))
+            random_representative(
+                Subset(4, PAIRS[(i + offset) % 6]).incidence, philox_stream(seed, 1))
             for i, offset, seed in trials
         ]
         initials = [random_product_initial(4 * dim_b, seed + 2) for _, _, seed in trials]
         per_trial_taus = [[TAUS[(row + k) % 4] for row in tau_rows] for k in range(len(trials))]
         taus = per_trial_taus[0] if shared_taus else np.stack(per_trial_taus, axis=1)
         runs = check_dilation(
-            stack, subsets, sigmas, taus, np.stack([psi.amplitudes for psi in initials])
+            stack, incidence_rows(4, subsets), np.stack(sigmas), taus,
+            np.stack([psi.amplitudes for psi in initials]),
         )
         assert len(runs) == len(trials)
         for k, run in enumerate(runs):
@@ -541,9 +553,10 @@ class TestTrialStacks:
 
     def test_mixed_stack_flags_only_the_wrong_sigma(self):
         stack, _ = _trial_stack(3, 2, [1, 2, 3])
-        sigmas = [representative_sigma(S_EVEN, 2)] * 3
-        sigmas[1] = representative_sigma(S_ODD, 2)
-        runs = check_dilation(stack, [S_EVEN] * 3, sigmas, TAUS, random_product_initial(8, 4))
+        # trial 1's sigma has the wrong preimage set
+        wanted = (S_EVEN.incidence, S_ODD.incidence, S_EVEN.incidence)
+        sigmas = representative_rows(np.stack(wanted))
+        runs = check_dilation(stack, S_EVEN.incidence, sigmas, TAUS, random_product_initial(8, 4))
         assert [run.consistent for run in runs] == [True, False, True]
         assert runs[0].max_trace_distance < 1e-12 and runs[2].max_trace_distance < 1e-12
         assert runs[1].max_trace_distance > 0.1
@@ -552,7 +565,10 @@ class TestTrialStacks:
         # 20 three-query trials of 4 * 4^3 * 8 = 2048 dilated amplitudes each
         stack, _ = _trial_stack(3, 2, range(20))
         subsets = [Subset(4, PAIRS[k % 6]) for k in range(20)]
-        sigmas = [random_representative(s, 2, philox_stream(k, 5)) for k, s in enumerate(subsets)]
+        sigmas = np.stack([
+            random_representative(s.incidence, philox_stream(k, 5)) for k, s in enumerate(subsets)
+        ])
+        subsets = incidence_rows(4, subsets)
         initial = np.stack([random_product_initial(8, k).amplitudes for k in range(20)])
         sizes = []
         picture = dilation.run_dilated_picture
@@ -592,7 +608,8 @@ class TestTrialStacks:
         sigma = representative_sigma(S_EVEN, 2)
         one = check_dilation(alg, S_EVEN, sigma, TAUS, initial)
         (stacked,) = check_dilation(
-            QueryAlgorithm(4, 2, alg.unitaries[None]), [S_EVEN], [sigma], TAUS, initial
+            QueryAlgorithm(4, 2, alg.unitaries[None]), S_EVEN.incidence[None],
+            sigma.zero_based()[None], TAUS, initial
         )
         assert one.trace_distances == stacked.trace_distances
         assert np.array_equal(one.rhos, stacked.rhos)

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from permlab import suite
+from permlab.core import Permutation, Subset
 from permlab.harness import (
     ExperimentConfig,
     execute,
@@ -246,6 +248,34 @@ class TestCli:
         )
         assert captured.err == ""
 
+    @pytest.mark.parametrize("argv,message", [
+        (["verify", "--n", "2", "--N", "6"],
+         "subcommand 'verify' takes the field 'n' or the field 'N', not both"),
+        (["verify", "--n", "0"], "field 'n' must be at least 1, got 0"),
+        (["verify", "--n", "0", "--exhaustive-no"], "field 'n' must be at least 1, got 0"),
+        (["verify", "--N", "1"], "field 'N' must be at least 2, got 1"),
+        (["dilate", "--n", "0"], "field 'n' must be at least 1, got 0"),
+        (["dilate", "--dim-b", "0"], "field 'dim_b' must be at least 1, got 0"),
+        (["dilate", "--n", "2", "--tau-samples", "0"],
+         "field 'tau_samples' must be at least 1, got 0"),
+        (["wtrace", "--queries", "-1"], "field 'queries' must be at least 0, got -1"),
+        (["verify", "--n", "2", "--trials", "-1"], "field 'trials' must be at least 0, got -1"),
+        (["fix", "--trials", "-1"], "field 'trials' must be at least 0, got -1"),
+    ])
+    def test_main_rejects_out_of_range_fields_by_name(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_config_file_fields_get_the_same_checks(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"subcommand": "dilate", "trials": -1}')
+        assert main(["dilate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "error: field 'trials' must be at least 0, got -1\n"
+        with pytest.raises(ValueError, match="field 'trials'"):
+            load_config(str(path))
+
     def test_wtrace_reports_its_worst_drop_on_stderr_only(self, capsys):
         code, header, rows = execute(
             ExperimentConfig(subcommand="wtrace", queries=4, trials=3, seed=2)
@@ -269,3 +299,24 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out.startswith("n,log_upper,log_lower")
         assert "crossover at n = 2" in captured.err
+
+
+def test_run_paths_build_no_subset_or_permutation(monkeypatch):
+    """The verifier and the dilation carry instances as incidence rows and sigmas
+    as image rows: building a `Subset` or a `Permutation` on their run paths raises."""
+    def refuse(self):
+        raise RuntimeError(f"a {type(self).__name__} was built on a run path")
+
+    monkeypatch.setattr(Subset, "__post_init__", refuse)
+    monkeypatch.setattr(Permutation, "__post_init__", refuse)
+    configs = (
+        (dict(subcommand="verify", n=2, exhaustive_no=True), 1, 448),
+        (dict(subcommand="verify", n=3, trials=4), 1, 4),
+        (dict(subcommand="dilate", n=1, queries=2, trials=3), 0, 9),
+        (dict(subcommand="dilate", n=2, queries=1, tau_samples=4), 0, 2),
+    )
+    for fields, want_code, want_rows in configs:
+        code, _, rows = execute(ExperimentConfig(**fields))
+        assert (code, len(rows)) == (want_code, want_rows)
+    for criterion in (suite.criterion_03_test_i_perfection, suite.criterion_04_dilation):
+        assert criterion(42).passed

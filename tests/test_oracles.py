@@ -29,17 +29,29 @@ from permlab.oracles import (
     sample_block_permutations,
 )
 from reference import (
+    as_permutation,
     block_permutation_objects,
     diagonal,
     identity,
     incidence_rows,
     maximally_mixed,
     permutation_from_text,
+    preimage_set,
     random_density,
     random_permutation,
     sample_block_permutation_objects,
     subset_from_text,
 )
+
+
+def reference_random_representative(subset, block, rng):
+    """Reference route for `random_representative`: the first block's labels are
+    popped off a shuffled list, one per member in increasing order, and then the
+    rest's labels, one per non-member."""
+    firsts = [int(x) + 1 for x in rng.permutation(block)]
+    rests = [int(x) + block + 1 for x in rng.permutation(subset.universe - block)]
+    image = [firsts.pop() if j in subset else rests.pop() for j in range(1, subset.universe + 1)]
+    return Permutation(subset.universe, tuple(image))
 
 
 # The state maps of the standard, in-place and phase oracles: the package runs
@@ -436,6 +448,16 @@ class TestBlockGroupRows:
         with pytest.raises(ValueError, match="above the cap"):
             block_permutations(10, 1)
 
+    def test_repeat_calls_share_one_read_only_array(self):
+        first = block_permutations(5, 2)
+        assert block_permutations(5, 2) is first and not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0] = 1
+        assert block_permutations(5, 3) is not first
+        for _ in range(2):  # a refused call is not cached
+            with pytest.raises(ValueError, match="above the cap"):
+                block_permutations(10, 1)
+
 
 class TestRepresentative:
     def test_canonical_examples(self):
@@ -454,8 +476,22 @@ class TestRepresentative:
         rng = philox_stream(seed)
         members = tuple(sorted(int(x) + 1 for x in rng.choice(9, size=3, replace=False)))
         s = Subset(9, members)
-        assert representative_sigma(s, 3).preimage_set(3) == s
-        assert random_representative(s, 3, rng).preimage_set(3) == s
+        assert preimage_set(representative_sigma(s, 3), 3) == s
+        row = random_representative(s.incidence, rng)
+        assert row.dtype == np.intp and np.array_equal(row < 3, s.incidence)
+
+    @given(st.integers(1, 9).flatmap(lambda v: st.tuples(st.just(v), st.integers(0, v))),
+           st.integers(0, 10**6))
+    @settings(max_examples=40)
+    def test_random_row_equals_the_pop_reference_bit_for_bit(self, size_block, seed):
+        v, block = size_block
+        rng, ref_rng = philox_stream(seed), philox_stream(seed)
+        members = tuple(sorted(int(x) + 1 for x in rng.choice(v, size=block, replace=False)))
+        ref_rng.choice(v, size=block, replace=False)
+        s = Subset(v, members)
+        row = random_representative(s.incidence, rng)
+        assert as_permutation(row) == reference_random_representative(s, block, ref_rng)
+        assert rng.random() == ref_rng.random()  # same stream position afterwards
 
 
 class TestRandomizedPreimage:
@@ -493,7 +529,7 @@ class TestRandomizedPreimage:
         reference = apply_randomized_preimage(s, rho).entries
         for k in range(10):
             rng = philox_stream(70 + k)
-            p = random_representative(s, 3, rng).matrix()
+            p = as_permutation(random_representative(s.incidence, rng)).matrix()
             alt = block_average(p @ rho.entries @ p.T, 3)
             np.testing.assert_allclose(alt, reference, atol=1e-12)
 
@@ -502,7 +538,7 @@ class TestRandomizedPreimage:
         rho = random_density(9, philox_stream(8))
         out = apply_randomized_preimage(s, rho)
         channel_prob = float(np.sum(diagonal(out)[:3]))
-        p = random_representative(s, 3, philox_stream(9)).matrix()
+        p = as_permutation(random_representative(s.incidence, philox_stream(9))).matrix()
         fixed = p @ rho.entries @ p.T
         fixed_prob = float(np.real(np.trace(fixed[:3, :3])))
         assert abs(channel_prob - fixed_prob) < 1e-12

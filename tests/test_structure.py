@@ -364,6 +364,20 @@ class TestBoundCrossover:
         assert rep.n_star is not None
         assert rep.sign_flips == 1
 
+    def test_parity_count_overstates_the_integer_class_size(self):
+        # the parity variant's count C(N^2/2, 2N/3) C(N^2/2, N/3) is a continuous
+        # log-gamma binomial; the class it stands for has
+        # C(N^2/2, ceil(2N/3)) C(N^2/2, N - ceil(2N/3)) members
+        alpha, f = 0.25, 2.0 / 3.0
+        rep = bound_crossover(alpha, (0.0,), "parity")
+        gaps = []
+        for n, _, lower, _ in rep.rows[:8]:
+            big_n, half = 2**n, 2 ** (2 * n - 1)
+            want = -((-2 * big_n) // 3)
+            exact = math.log2(math.comb(half, want) * math.comb(half, big_n - want))
+            gaps.append(round(lower + alpha * f * big_n * n - exact, 2))
+        assert gaps == [1.79, 0.45, 0.86, 0.36, 0.71, 0.34, 0.68, 0.33]
+
     def test_monotone_in_alpha(self):
         for variant in ("uniform", "parity"):
             stars = [

@@ -20,11 +20,13 @@ from permlab.verifier import (
     PreimageInstance,
     acceptance_operator,
     analytic_optimum,
-    enumerate_instances,
     majority_count,
     meets_threshold,
     optimal_witness_prob,
+    parity_class,
+    promise_labels,
     random_instance,
+    random_instance_row,
     sweep_honest,
     sweep_lambda,
 )
@@ -49,6 +51,33 @@ def random_witness(dim, seed):
 
 def honest_witness(inst):
     return subset_state(inst.subset, inst.dim)
+
+
+def rows_of(instances):
+    """The instances' preimage sets as one (count, V) incidence array."""
+    return np.stack([inst.subset.incidence for inst in instances])
+
+
+def reference_instance_arrays(rows):
+    """Reference route for the sweeps' arrays: each row's members as 0-based
+    indices, scattered as 1/sqrt(N) into a state and, where odd, into the mask."""
+    block = int(rows[0].sum())
+    members = np.stack([np.flatnonzero(row) for row in rows])
+    states = np.zeros(rows.shape)
+    np.put_along_axis(states, members, 1.0 / math.sqrt(block), axis=1)
+    even = np.zeros(rows.shape, dtype=bool)
+    np.put_along_axis(even, members, members % 2 == 1, axis=1)
+    return states, even
+
+
+def reference_random_members(n_labels, label, rng):
+    """Reference route for `random_instance_row`: choices over the even and the
+    odd labels themselves, merged into sorted members."""
+    k_even = majority_count(n_labels) if label == "YES" else n_labels - majority_count(n_labels)
+    universe = n_labels**2
+    evens = rng.choice(np.arange(2, universe + 1, 2), size=k_even, replace=False)
+    odds = rng.choice(np.arange(1, universe + 1, 2), size=n_labels - k_even, replace=False)
+    return tuple(sorted(int(x) for x in np.concatenate([evens, odds])))
 
 
 @dataclass(frozen=True)
@@ -174,16 +203,31 @@ class TestInstances:
             PreimageInstance(2, 6, Subset(36, (1, 2, 3, 4, 6, 8)), "YES")
 
     def test_enumeration_counts(self):
-        assert len(enumerate_instances(1, "YES")) == 1
-        assert len(enumerate_instances(1, "NO")) == 1
-        assert len(enumerate_instances(2, "NO")) == 448
+        assert len(parity_class(1, "YES")) == 1
+        assert len(parity_class(1, "NO")) == 1
+        assert len(parity_class(2, "NO")) == 448
+        k_even, labels = promise_labels(parity_class(2, "NO").incidence)
+        assert (k_even == 1).all() and (labels == "NO").all()
 
     def test_random_instances_respect_label(self):
         for seed in range(5):
             inst = random_instance(4, "NO", philox_stream(seed), n=2)
             assert inst.label == "NO"
-            k_even, k_odd = inst.subset.parity_counts()
-            assert k_odd == 3 and k_even == 1
+            k_even = sum(1 for m in inst.subset.members if m % 2 == 0)
+            assert k_even == inst.k_even == 1 and len(inst.subset) - k_even == 3
+
+    @pytest.mark.parametrize("n_labels", [2, 3, 4, 6, 8, 9])
+    def test_random_rows_equal_the_label_choices_bit_for_bit(self, n_labels):
+        for seed in range(4):
+            for label in ("YES", "NO"):
+                rng, ref_rng = philox_stream(seed, n_labels), philox_stream(seed, n_labels)
+                row = random_instance_row(n_labels, label, rng)
+                want = reference_random_members(n_labels, label, ref_rng)
+                assert row.dtype == bool and row.shape == (n_labels**2,)
+                assert tuple((np.flatnonzero(row) + 1).tolist()) == want
+                assert rng.random() == ref_rng.random()  # same stream position afterwards
+                inst = random_instance(n_labels, label, philox_stream(seed, n_labels))
+                assert inst.subset.members == want and inst.label == label
 
 
 class TestTestI:
@@ -276,7 +320,7 @@ class TestOptimalWitness:
     def test_matches_closed_form(self):
         for inst in (YES_N2, NO_N2, NO_N1, YES_N6, NO_N6):
             lam, vec = optimal_witness_prob(inst)
-            assert abs(lam - analytic_optimum(inst)) < 1e-12
+            assert abs(lam - analytic_optimum(inst.subset.incidence[None])[0]) < 1e-12
             achieved = run_verifier(inst, vec).p_accept
             assert abs(achieved - lam) < 1e-10
 
@@ -381,8 +425,8 @@ class TestSweep:
         n, big_n = size
         rng = philox_stream(seed)
         instances = [random_instance(big_n, label, rng, n=n) for label in labels]
-        p_i, p_ii, p_accept = sweep_honest(instances)
-        lams = sweep_lambda(instances)
+        p_i, p_ii, p_accept = sweep_honest(rows_of(instances))
+        lams = sweep_lambda(rows_of(instances))
         for k, inst in enumerate(instances):
             w = honest_witness(inst)
             assert abs(p_i[k] - channel_test_i(inst, w)) <= 1e-12
@@ -393,8 +437,8 @@ class TestSweep:
     def test_equals_single_instance_calls_bit_for_bit(self):
         labels = ("YES", "NO") * 10
         instances = [random_instance(9, lab, philox_stream(5, t)) for t, lab in enumerate(labels)]
-        p_i, p_ii, p_accept = sweep_honest(instances)
-        lams = sweep_lambda(instances)
+        p_i, p_ii, p_accept = sweep_honest(rows_of(instances))
+        lams = sweep_lambda(rows_of(instances))
         for k, inst in enumerate(instances):
             report = run_verifier(inst, honest_witness(inst))
             assert (p_i[k], p_ii[k], p_accept[k]) == (
@@ -402,8 +446,17 @@ class TestSweep:
             )
             assert lams[k] == optimal_witness_prob(inst)[0]
 
+    @pytest.mark.parametrize("n,label", [(1, "YES"), (1, "NO"), (2, "YES"), (2, "NO")])
+    def test_instance_arrays_equal_the_member_route_bit_for_bit(self, n, label):
+        rows = parity_class(n, label).incidence
+        states, even = verifier._instance_arrays(rows)
+        want_states, want_even = reference_instance_arrays(rows)
+        assert np.array_equal(states, want_states) and np.array_equal(even, want_even)
+        k_even, labels = promise_labels(rows)
+        assert np.array_equal(k_even, want_even.sum(axis=1)) and (labels == label).all()
+
     def test_chunk_split_is_bit_for_bit(self, monkeypatch):
-        instances = enumerate_instances(2, "NO")
+        instances = parity_class(2, "NO").incidence
         whole = (*sweep_honest(instances), sweep_lambda(instances))
         assert len(whole[0]) == len(whole[3]) == 448
         # one instance per chunk, then three per chunk with one left over
@@ -421,8 +474,9 @@ class TestSweep:
     def test_lambda_is_the_closed_form(self, size, labels, seed):
         n, big_n = size
         rng = philox_stream(seed)
-        instances = [random_instance(big_n, label, rng, n=n) for label in labels]
-        closed = [analytic_optimum(inst) for inst in instances]
+        instances = rows_of([random_instance(big_n, label, rng, n=n) for label in labels])
+        closed = [0.5 * (1 + math.sqrt(k / big_n)) for k in promise_labels(instances)[0]]
+        assert np.array_equal(analytic_optimum(instances), closed)
         assert np.max(np.abs(sweep_lambda(instances) - closed)) <= 1e-12
 
     def test_chunk_rows_follow_the_entry_cap(self, monkeypatch):
@@ -438,31 +492,45 @@ class TestSweep:
 
         for name in calls:
             monkeypatch.setattr(np.linalg, name, counting(name))
-        instances = enumerate_instances(2, "NO")
+        instances = parity_class(2, "NO").incidence
         sweep_honest(instances)
         assert calls == {"eigh": [], "eigvalsh": []}  # the honest columns need no eigensolve
         sweep_lambda(instances)
         assert calls == {"eigh": [], "eigvalsh": [(448, 16, 16)]}
         calls["eigvalsh"].clear()
-        sweep_lambda([random_instance(16, "YES", philox_stream(1, t), n=4) for t in range(20)])
+        sweep_lambda(np.stack([
+            random_instance_row(16, "YES", philox_stream(1, t)) for t in range(20)
+        ]))
         assert calls == {"eigh": [], "eigvalsh": [(16, 256, 256), (4, 256, 256)]}
 
-    def test_mixed_dimensions_raise_value_error(self):
-        for run_sweep in (sweep_honest, sweep_lambda):
-            with pytest.raises(ValueError, match="one dimension"):
-                run_sweep([YES_N2, NO_N1])
-            with pytest.raises(ValueError, match="one dimension"):
-                run_sweep([YES_N6, NO_N6, YES_N2])
+    def test_rows_off_the_promise_raise_value_error(self):
+        good = rows_of([YES_N2, NO_N2])
+        off_promise = rows_of([YES_N2])
+        off_promise[0, [1, 2]] = off_promise[0, [2, 1]]  # labels 2 and 3 trade places
+        bad = {
+            "incidence rows": (good[:, :15], good.astype(int), good[0], np.zeros((2, 0), bool)),
+            "parity split": (off_promise,),
+        }
+        wrong_size = good.copy()
+        wrong_size[0, 15] = True
+        bad["incidence rows"] += (wrong_size,)
+        for run_sweep in (sweep_honest, sweep_lambda, promise_labels, analytic_optimum):
+            for match, cases in bad.items():
+                for rows in cases:
+                    with pytest.raises(ValueError, match=match):
+                        run_sweep(rows)
 
     def test_empty_sweep_returns_empty_arrays(self):
-        for column in (*sweep_honest([]), sweep_lambda([])):
+        empty = np.zeros((0, 16), dtype=bool)
+        for column in (*sweep_honest(empty), sweep_lambda(empty)):
             assert column.shape == (0,) and column.dtype == np.float64
 
     def test_probability_checks_run_on_the_stack(self, monkeypatch):
-        states, even = verifier._subset_rows([YES_N2, NO_N2])
-        monkeypatch.setattr(verifier, "_subset_rows", lambda insts: (1.5 * states, even))
+        rows = rows_of([YES_N2, NO_N2])
+        states, even = verifier._instance_arrays(rows)
+        monkeypatch.setattr(verifier, "_instance_arrays", lambda rows: (1.5 * states, even))
         with pytest.raises(ValueError, match="computed probability"):
-            sweep_honest([YES_N2, NO_N2])
+            sweep_honest(rows)
         with pytest.raises(ValueError, match="mean"):
             verifier._check_report(np.ones(2), np.full(2, 0.5), np.array([0.75, 0.8]))
 
