@@ -26,6 +26,8 @@ MAX_DIM = 4096
 ENUMERATION_CAP = 10**7
 # enumerate_family builds and filters this many incidence rows at a time.
 ENUMERATION_CHUNK_ROWS = 2**14
+# Sums of float32 zeros and ones are exact integers below this.
+FLOAT32_EXACT_COUNT = 2**24
 
 NORM_TOL = 1e-10
 HERMITIAN_TOL = 1e-12
@@ -116,12 +118,36 @@ class Subset:
         return Subset(self.universe, tuple(m for m in range(1, self.universe + 1) if m not in inside))
 
 
+def first_repeats(rows: np.ndarray) -> np.ndarray:
+    """For each family of a (..., count, V) bool incidence stack, the index of its
+    first row that repeats an earlier row of the family, or -1 if its rows are
+    distinct. Rows are packed into bytes; once a family's rows are sorted, stably,
+    by their bytes, its duplicates sit next to each other, the earliest copy
+    first, and neighbours are compared as uint64 words."""
+    count, universe = rows.shape[-2:]
+    families = math.prod(rows.shape[:-2])
+    nbytes = -(-universe // 8)
+    # each row padded to whole bytes, so one flat packbits packs the rows apart
+    pad = np.zeros(rows.shape[:-1] + (8 * nbytes - universe,), dtype=bool)
+    packed = np.packbits(np.concatenate([rows, pad], axis=-1)).reshape(families, count, nbytes)
+    # one uint8 key per byte, last byte first: radix sorts, far faster than uint64 keys
+    order = np.lexsort(packed.transpose(2, 0, 1)[::-1], axis=-1)
+    width = -(-nbytes // 8)
+    words = np.zeros((families, count, 8 * width), dtype=np.uint8)
+    words[..., :nbytes] = packed
+    words = words.view(np.uint64).reshape(families * count, width)
+    ranked = words[order + count * np.arange(families)[:, None]]
+    repeats = (ranked[:, 1:] == ranked[:, :-1]).all(axis=-1)
+    first = np.where(repeats, order[:, 1:], count).min(axis=-1, initial=count)
+    return np.where(first < count, first, -1).reshape(rows.shape[:-2])
+
+
 class SubsetFamily:
     """Distinct subsets of one universe, held as a (count, V) 0/1 incidence array.
 
     Row r of `incidence` marks the members of set r, label i in column i-1.
     `sets` gives the same sets as `Subset`s in row order, built once on first
-    use. Counting, restriction and the Fixing Procedure work on the rows.
+    use. Counting and the Fixing Procedure work on the rows.
     """
 
     def __init__(self, universe: int, rows: np.ndarray) -> None:
@@ -133,17 +159,9 @@ class SubsetFamily:
             raise ValueError(
                 f"incidence has shape {rows.shape}, expected (count, {universe})"
             )
-        # Duplicates sit next to each other once the rows, packed into uint64
-        # words, are sorted; the stable sort keeps the earlier copy first.
-        packed = np.packbits(rows, axis=1)
-        words = np.zeros((len(rows), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
-        words[:, :packed.shape[1]] = packed
-        words = words.view(np.uint64)
-        order = np.lexsort(words.T[::-1])
-        ranked = words[order]
-        repeats = order[1:][(ranked[1:] == ranked[:-1]).all(axis=1)]
-        if repeats.size:
-            members = tuple(int(i) + 1 for i in np.flatnonzero(rows[repeats.min()]))
+        repeat = int(first_repeats(rows))
+        if repeat >= 0:
+            members = tuple(int(i) + 1 for i in np.flatnonzero(rows[repeat]))
             raise ValueError(f"duplicate subset {members}")
         rows.setflags(write=False)
         self.universe = universe
@@ -173,12 +191,6 @@ class SubsetFamily:
         """nu(i): for each label, the number of member sets containing it."""
         counts = self.incidence.sum(axis=0)
         return {int(i) + 1: int(counts[i]) for i in np.flatnonzero(counts)}
-
-    def restrict_to(self, label: int) -> "SubsetFamily":
-        """The member sets that contain `label`."""
-        if not 1 <= label <= self.universe:
-            raise ValueError(f"label {label} outside 1..{self.universe}")
-        return SubsetFamily(self.universe, self.incidence[self.incidence[:, label - 1]])
 
 
 @dataclass(frozen=True)

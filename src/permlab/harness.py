@@ -52,7 +52,7 @@ SUBCOMMANDS = ("verify", "dilate", "fix", "crossover", "relation", "wtrace", "su
 
 
 # The least value of each integer field that has one; every config is checked.
-MINIMUMS = {"n": 1, "N": 2, "dim_b": 1, "queries": 0, "tau_samples": 1, "trials": 0}
+MINIMUMS = {"n": 1, "N": 2, "V": 1, "dim_b": 1, "queries": 0, "tau_samples": 1, "trials": 0}
 
 
 @dataclass(frozen=True)
@@ -254,6 +254,11 @@ def run_dilate(cfg: ExperimentConfig) -> tuple[bool, list[str], list[list]]:
 
 def run_fix(cfg: ExperimentConfig) -> tuple[bool, list[str], list[list]]:
     v, k, alpha, nref = cfg.V, cfg.k, cfg.alpha, cfg.nref
+    for name in ("k", "target_k"):
+        if not 0 <= getattr(cfg, name) <= v:
+            raise ValueError(f"field '{name}' must lie in 0..V = {v}, got {getattr(cfg, name)}")
+    if nref <= 1:
+        raise ValueError(f"field 'nref' must exceed 1, got {nref} (nref defaults to k)")
     target = TargetClass.fixed_size(v, cfg.target_k)
     size = max(1, witness_pigeonhole(math.comb(v, k), cfg.p))
     rows = []

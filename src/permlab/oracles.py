@@ -6,6 +6,9 @@ P_sigma rho P_sigma† over every sigma with preimage set S. The package runs
 the oracles' rows (their state maps are references in tests/test_oracles.py):
 a permutation is a 0-based intp image row, and the block group has one
 enumeration, `block_group_chunks`, which `block_permutations` holds whole.
+Its rows join the two blocks' `permutation_table`s, numpy int8 tables in
+`itertools.permutations` order; that order fixes which control value holds
+which group element in a dilation.
 
 The randomized channel is never sampled: the permutations with preimage set
 S form the coset {tau o sigma* : tau block-preserving}, so the channel equals
@@ -21,13 +24,12 @@ whole (..., d, d) stack, and a gather writes the means back.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from typing import Iterator
 
 import numpy as np
 
-from .core import DensityMatrix, Permutation, Subset, tuple_table
+from .core import DensityMatrix, Permutation, Subset
 
 # Refuse to enumerate block groups larger than this (use sampling instead).
 GROUP_ENUMERATION_CAP = 50_000
@@ -90,16 +92,27 @@ def random_representative(incidence: np.ndarray, rng: np.random.Generator) -> np
     return image
 
 
+def permutation_table(size: int) -> np.ndarray:
+    """Every permutation of 0..size-1 as one (size!, size) int8 array, in
+    `itertools.permutations(range(size))` order. Rows are built first label
+    first: the table for m labels puts each first label i in front of the
+    table for m - 1 labels, whose labels from i up shift by one, so each
+    block of rows stays in lexicographic order."""
+    table = np.zeros((1, 0), dtype=np.int8)
+    for m in range(1, size + 1):
+        first = np.repeat(np.arange(m, dtype=np.int8), len(table))[:, None]
+        rest = np.tile(table, (m, 1))
+        table = np.concatenate([first, rest + (rest >= first)], axis=1)
+    return table
+
+
 def block_group_chunks(size: int, block: int, chunk_rows: int) -> Iterator[np.ndarray]:
     """Every permutation preserving {0..block-1, block..size-1}, as chunks of at
     most `chunk_rows` 0-based intp image rows. Element i joins row i // |second|
-    of the first block's int8 permutation table (`itertools.permutations`
-    order) to row i % |second| of the second's, so the group is never held whole."""
+    of the first block's `permutation_table` to row i % |second| of the
+    second's, so the group is never held whole."""
     total = block_group_order(size, block)
-    first, second = (
-        tuple_table(itertools.permutations(side), math.factorial(len(side)), len(side), np.int8)
-        for side in (range(block), range(block, size))
-    )
+    first, second = permutation_table(block), permutation_table(size - block) + block
     for start in range(0, total, chunk_rows):
         i, j = np.divmod(np.arange(start, min(start + chunk_rows, total)), len(second))
         yield np.concatenate([first[i], second[j]], axis=1, dtype=np.intp)

@@ -5,26 +5,32 @@ N^(-alpha) fraction (but not all) of the working family, shrinking the family
 to the sets containing it, until no such element remains. Elements occurring
 in every member are absorbed into the fixed core without shrinking, since a
 distributed certificate cannot leave a full-frequency element outside the
-core. Both the procedure and the distributedness check run on the family's
-0/1 incidence rows: label frequencies are column sums, a shrink is a row
-mask, and "the core lies in every member" is one `all` over the core columns.
+core. Both the procedure and the distributedness check run on a stack of
+families' 0/1 incidence rows, (families, rows, V): label frequencies are
+column counts over each family's alive rows, a shrink clears rows of its
+alive mask, and "the core lies in every member" is one `all` over the core
+columns. Each step counts only the families still running, and the
+one-family `fixing_procedure` and `check_distributed` are stacks of one.
 Counting comparisons are carried out in log2 space with high-precision
 log-gamma binomials; float64 loses the sign of the difference near n = 60.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import mpmath
 import numpy as np
 
-from .core import Subset, SubsetFamily
+from .core import FLOAT32_EXACT_COUNT, Subset, SubsetFamily, first_repeats
 
 CROSSOVER_PRECISION_DPS = 50
 FRACTION_TOL = 1e-12
+# Label counts convert at most this many incidence entries to float32 at a time.
+COUNT_CHUNK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -69,24 +75,24 @@ class TargetClass:
 
     def feasible_extension(self, s_fixed: Subset) -> bool:
         """Can the fixed core be completed to some member of this class?"""
-        if s_fixed.universe != self.universe:
-            return False
+        return s_fixed.universe == self.universe and bool(self.feasible_cores(s_fixed.incidence))
+
+    def feasible_cores(self, cores: np.ndarray) -> np.ndarray:
+        """`feasible_extension` for each (..., V) bool core row over this universe."""
+        size = cores.sum(axis=-1)
         if self.kind == "fixed_size":
-            return len(s_fixed) <= self.size
-        k_even = int(s_fixed.incidence[1::2].sum())
-        k_odd = len(s_fixed) - k_even
-        maj, minr = (k_odd, k_even) if self.majority == "odd" else (k_even, k_odd)
+            return size <= self.size
+        k_even = cores[..., 1::2].sum(axis=-1)
+        k_odd = size - k_even
+        evens_free = self.universe // 2 - k_even
+        odds_free = self.universe - self.universe // 2 - k_odd
+        if self.majority == "odd":
+            maj, minr, free_maj, free_min = k_odd, k_even, odds_free, evens_free
+        else:
+            maj, minr, free_maj, free_min = k_even, k_odd, evens_free, odds_free
         need_maj = self.majority_count - maj
         need_min = (self.block - self.majority_count) - minr
-        if need_maj < 0 or need_min < 0:
-            return False
-        evens_total = self.universe // 2
-        odds_total = self.universe - evens_total
-        free_odd = odds_total - k_odd
-        free_even = evens_total - k_even
-        if self.majority == "odd":
-            return need_maj <= free_odd and need_min <= free_even
-        return need_maj <= free_even and need_min <= free_odd
+        return (need_maj >= 0) & (need_min >= 0) & (need_maj <= free_maj) & (need_min <= free_min)
 
 
 @dataclass(frozen=True)
@@ -102,60 +108,143 @@ class DistributedCertificate:
     shrink_log: tuple[tuple[int, int, int], ...]  # (element, nu, size before)
 
 
+@dataclass(frozen=True)
+class FixingStack:
+    """The Fixing Procedure on each family of a (families, rows, V) incidence
+    stack: the rows each family keeps (its family_prime), its fixed core, and
+    the diagnostics of a `DistributedCertificate`, one entry per family."""
+
+    alive: np.ndarray  # (families, rows) bool
+    fixed: np.ndarray  # (families, V) bool
+    max_offfixed_fraction: np.ndarray  # (families,) float
+    iterations: np.ndarray  # (families,) int
+    shrink_logs: tuple[tuple[tuple[int, int, int], ...], ...]  # (element, nu, size before)
+
+
+def fixing_procedure_stack(incidence: np.ndarray, alpha: float, n_ref: float) -> FixingStack:
+    """Run the Fixing Procedure on every family of a (families, rows, V) bool
+    stack at once. A shrink clears rows of a family's alive mask, and each step
+    takes one column count of the alive rows of the families still running."""
+    stack = np.asarray(incidence)
+    if stack.dtype != bool or stack.ndim != 3:
+        raise ValueError(f"incidence must be a (families, rows, V) bool stack, got {stack.shape}")
+    families, count, universe = stack.shape
+    if count == 0:
+        raise ValueError("empty family")
+    if not 0.0 < alpha < 0.5:
+        raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
+    if n_ref <= 1:
+        raise ValueError(f"reference size must exceed 1, got {n_ref}")
+    repeats = first_repeats(stack)
+    if (repeats >= 0).any():
+        family = int(np.argmax(repeats >= 0))
+        members = tuple(int(i) + 1 for i in np.flatnonzero(stack[family, repeats[family]]))
+        raise ValueError(f"family {family}: duplicate subset {members}")
+    threshold_factor = n_ref ** (-alpha)
+    alive = np.ones((families, count), dtype=bool)
+    fixed = np.zeros((families, universe), dtype=bool)
+    fraction = np.zeros(families)
+    iterations = np.zeros(families, dtype=np.int64)
+    logs: list[list[tuple[int, int, int]]] = [[] for _ in range(families)]
+    running = np.arange(families)
+    sizes = np.full(families, count)
+    while running.size:
+        counts = _column_counts(stack, alive, running).astype(np.int64)
+        size = sizes[running]
+        free = ~fixed[running]
+        # a label in every member joins the core without a shrink, one iteration each
+        full = free & (counts == size[:, None])
+        fixed[running] |= full
+        iterations[running] += full.sum(axis=1)
+        free &= ~full
+        cut = size * threshold_factor
+        eligible = free & (counts < size[:, None]) & (counts >= cut[:, None])
+        shrinks = eligible.any(axis=1)
+        stop = ~shrinks
+        top = np.where(free[stop], counts[stop], 0).max(axis=1, initial=0)
+        fraction[running[stop]] = top / size[stop]
+        running, counts, size, cut = running[shrinks], counts[shrinks], size[shrinks], cut[shrinks]
+        element = eligible[shrinks].argmax(axis=1)
+        nu = counts[np.arange(len(running)), element]
+        alive[running] &= stack[running, :, element]
+        fixed[running, element] = True
+        iterations[running] += 1
+        sizes[running] = alive[running].sum(axis=1)
+        for family, label, kept, before, least in zip(
+            running.tolist(), element.tolist(), nu.tolist(), size.tolist(), cut.tolist()
+        ):
+            logs[family].append((label + 1, kept, before))
+            # each shrink keeps at least an N^(-alpha) fraction
+            if sizes[family] != kept or kept < least - FRACTION_TOL:
+                raise RuntimeError(
+                    f"shrinking on element {label + 1} kept {sizes[family]} of {before} sets, "
+                    f"expected {kept} >= {least:.6g}"
+                )
+    return FixingStack(alive, fixed, fraction, iterations, tuple(map(tuple, logs)))
+
+
+def _column_counts(stack: np.ndarray, alive: np.ndarray, families: np.ndarray) -> np.ndarray:
+    """(len(families), V) label counts over the alive rows of the listed families
+    of a (families, rows, V) stack, as float32 matmuls over a few families at a
+    time, so that their float32 copies stay small."""
+    count, universe = stack.shape[1:]
+    if count >= FLOAT32_EXACT_COUNT:
+        raise ValueError(f"families of {count} sets are too large to count in float32")
+    step = max(1, COUNT_CHUNK_ENTRIES // max(1, count * universe))
+    out = np.empty((len(families), universe), dtype=np.float32)
+    for start in range(0, len(families), step):
+        part = families[start:start + step]
+        rows = alive[part, None].astype(np.float32)
+        out[start:start + step] = np.matmul(rows, stack[part].astype(np.float32))[:, 0]
+    return out
+
+
 def fixing_procedure(
     family: SubsetFamily,
     alpha: float,
     n_ref: float,
     target: TargetClass | None = None,
 ) -> DistributedCertificate:
-    """Extract frequent elements until every residual frequency drops below N^(-alpha)."""
-    if len(family) == 0:
-        raise ValueError("empty family")
-    if not 0.0 < alpha < 0.5:
-        raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
-    if n_ref <= 1:
-        raise ValueError(f"reference size must exceed 1, got {n_ref}")
-    threshold_factor = n_ref ** (-alpha)
-    current = family
-    fixed = np.zeros(family.universe, dtype=bool)
-    log: list[tuple[int, int, int]] = []
-    iterations = 0
-    while True:
-        size = len(current)
-        counts = current.incidence.sum(axis=0)
-        full = np.flatnonzero((counts == size) & ~fixed)
-        if full.size:
-            fixed[full[0]] = True
-            iterations += 1
-            continue
-        cut = size * threshold_factor
-        eligible = np.flatnonzero(~fixed & (counts < size) & (counts >= cut))
-        if not eligible.size:
-            break
-        element = int(eligible[0]) + 1
-        nu = int(counts[element - 1])
-        log.append((element, nu, size))
-        current = current.restrict_to(element)
-        fixed[element - 1] = True
-        iterations += 1
-        # each shrink keeps at least an N^(-alpha) fraction
-        if len(current) != nu or nu < cut - FRACTION_TOL:
-            raise RuntimeError(
-                f"shrinking on element {element} kept {len(current)} of {size} sets, "
-                f"expected {nu} >= {cut:.6g}"
-            )
-    s_fixed = Subset(family.universe, tuple(int(i) + 1 for i in np.flatnonzero(fixed)))
+    """Extract frequent elements until every residual frequency drops below N^(-alpha):
+    `fixing_procedure_stack` on a stack of one family."""
+    run = fixing_procedure_stack(family.incidence[None], alpha, n_ref)
+    s_fixed = Subset(family.universe, tuple((np.flatnonzero(run.fixed[0]) + 1).tolist()))
     feasible = target.feasible_extension(s_fixed) if target is not None else None
     return DistributedCertificate(
-        current, s_fixed, alpha, _max_off_core_fraction(current, fixed), feasible,
-        iterations, tuple(log),
+        SubsetFamily(family.universe, family.incidence[run.alive[0]]), s_fixed, alpha,
+        float(run.max_offfixed_fraction[0]), feasible, int(run.iterations[0]),
+        run.shrink_logs[0],
     )
 
 
-def _max_off_core_fraction(family: SubsetFamily, core: np.ndarray) -> float:
-    """Largest share of member sets holding one label outside the boolean core mask."""
-    top = int(family.incidence[:, ~core].sum(axis=0).max(initial=0))
-    return top / len(family) if top else 0.0
+def check_distributed_stack(
+    incidence: np.ndarray,
+    alive: np.ndarray,
+    cores: np.ndarray,
+    beta: float,
+    target: TargetClass,
+    n_ref: float,
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Verify the three distributedness points for each family of a (families,
+    rows, V) stack, family f being its rows marked in alive[f] and its core the
+    bool row cores[f]; returns (ok, diagnostics), one entry per family."""
+    stack = np.asarray(incidence, dtype=bool)
+    cores = np.asarray(cores, dtype=bool)
+    counts = _column_counts(stack, alive, np.arange(len(stack)))
+    size = alive.sum(axis=1)
+    core_in_all = ((counts == size[:, None]) | ~cores).all(axis=1)
+    feasible = target.feasible_cores(cores)
+    top = np.where(cores, 0.0, counts).max(axis=1, initial=0.0)
+    max_fraction = np.divide(top, size, out=np.zeros(len(stack)), where=top > 0)
+    bound = n_ref ** (-beta)
+    fraction_ok = max_fraction <= bound + FRACTION_TOL
+    return core_in_all & feasible & fraction_ok, {
+        "core_in_all_members": core_in_all,
+        "target_feasible": feasible,
+        "max_offfixed_fraction": max_fraction,
+        "fraction_bound": np.full(len(stack), bound),
+        "fraction_ok": fraction_ok,
+    }
 
 
 def check_distributed(
@@ -165,23 +254,15 @@ def check_distributed(
     target: TargetClass,
     n_ref: float,
 ) -> tuple[bool, dict]:
-    """Verify the three distributedness points; returns (ok, diagnostics)."""
+    """Verify the three distributedness points; returns (ok, diagnostics):
+    `check_distributed_stack` on a stack of one family."""
     if s_fixed.universe != family.universe:
         raise ValueError(f"universe mismatch: {s_fixed.universe} vs {family.universe}")
-    core = s_fixed.incidence
-    core_in_all = bool(family.incidence[:, core].all())
-    feasible = target.feasible_extension(s_fixed)
-    max_fraction = _max_off_core_fraction(family, core)
-    bound = n_ref ** (-beta)
-    fraction_ok = max_fraction <= bound + FRACTION_TOL
-    ok = core_in_all and feasible and fraction_ok
-    return ok, {
-        "core_in_all_members": core_in_all,
-        "target_feasible": feasible,
-        "max_offfixed_fraction": max_fraction,
-        "fraction_bound": bound,
-        "fraction_ok": fraction_ok,
-    }
+    ok, diag = check_distributed_stack(
+        family.incidence[None], np.ones((1, len(family)), dtype=bool),
+        s_fixed.incidence[None], beta, target, n_ref,
+    )
+    return bool(ok[0]), {key: value[0].item() for key, value in diag.items()}
 
 
 def witness_pigeonhole(family_size: int, witness_bits: float) -> int:
@@ -240,7 +321,8 @@ def bound_crossovers(
     overstates log2 of the integer class size C(N^2/2, ceil(2N/3)) *
     C(N^2/2, N - ceil(2N/3)) by 0.33 to 1.79 bits at n <= 8. Defaults fix half
     the elements (uniform) or two thirds (parity). The log-binomial terms do
-    not depend on alpha, so they are computed once per n for all alphas.
+    not depend on alpha, so they are computed once per n for all alphas, each
+    distinct log-gamma and log 2 once per call.
     """
     # variant: (alpha upper limit, as text, default fix fraction)
     limits = {"uniform": (1.0, "1", 0.5), "parity": (0.5, "1/2", 2.0 / 3.0)}
@@ -258,23 +340,33 @@ def bound_crossovers(
     reports = []
     with mpmath.workdps(CROSSOVER_PRECISION_DPS):
         f_mp = mpmath.mpf(f)
-        terms = []  # (n, N, p(n), upper log-binomials, lower log-binomials) per n
+        ln2 = mpmath.log(2)
+        # each distinct log-gamma once: N^2 + 1 (N^2/2 + 1 for parity) is the
+        # top of two or three binomials of one n, and N/2 + 1 (2N/3 + 1) comes
+        # back as N + 1 (N/3 + 1) at the next n
+        loggamma = functools.cache(mpmath.loggamma)
+        terms = []  # (n, n as mpf, N n, upper log-binomials, lower ones minus p(n)) per n
         for n in range(1, n_max + 1):
             big_n = mpmath.mpf(2) ** n
             if variant == "uniform":
-                up_bin = _log2_binomial(big_n**2, f_mp * big_n)
-                low_bin = _log2_binomial(big_n**2, big_n)
+                up_bin = _log2_binomial(big_n**2, f_mp * big_n, loggamma, ln2)
+                low_bin = _log2_binomial(big_n**2, big_n, loggamma, ln2)
             else:
                 half = big_n**2 / 2
-                up_bin = 2 * _log2_binomial(half, f_mp * big_n / 2)
-                low_bin = _log2_binomial(half, 2 * big_n / 3) + _log2_binomial(half, big_n / 3)
-            terms.append((n, big_n, mpmath.mpf(eval_poly(p_coeffs, n)), up_bin, low_bin))
+                up_bin = 2 * _log2_binomial(half, f_mp * big_n / 2, loggamma, ln2)
+                low_bin = (_log2_binomial(half, 2 * big_n / 3, loggamma, ln2)
+                           + _log2_binomial(half, big_n / 3, loggamma, ln2))
+            p_of_n = mpmath.mpf(eval_poly(p_coeffs, n))
+            # N n is exact, as N is a power of two, so alpha f (N n) rounds
+            # once, to the same value as (alpha f N) n
+            terms.append((n, mpmath.mpf(n), big_n * n, up_bin, low_bin - p_of_n))
         for alpha in alphas:
             alpha_mp = mpmath.mpf(alpha)
+            alpha_f = alpha_mp * f_mp
             rows = []
-            for n, big_n, p_of_n, up_bin, low_bin in terms:
-                upper = up_bin + alpha_mp * mpmath.mpf(n)
-                lower = low_bin - p_of_n - alpha_mp * f_mp * big_n * mpmath.mpf(n)
+            for n, n_mp, big_n_n, up_bin, low_less_p in terms:
+                upper = up_bin + alpha_mp * n_mp
+                lower = low_less_p - alpha_f * big_n_n
                 rows.append((n, float(upper), float(lower), bool(lower > upper)))
             n_star = next((n for n, _, _, crossed in rows if crossed), None)
             message = f"crossover at n = {n_star}" if n_star else f"no crossover found <= {n_max}"
@@ -282,10 +374,14 @@ def bound_crossovers(
     return tuple(reports)
 
 
-def _log2_binomial(x: "mpmath.mpf", y: "mpmath.mpf") -> "mpmath.mpf":
-    """Continuous log2 binomial via log-gamma; requires 0 <= y <= x."""
+def _log2_binomial(
+    x: "mpmath.mpf", y: "mpmath.mpf",
+    loggamma: Callable = mpmath.loggamma, ln2: "mpmath.mpf | None" = None,
+) -> "mpmath.mpf":
+    """Continuous log2 binomial via log-gamma; requires 0 <= y <= x. `loggamma`
+    and `ln2` may be passed in, so a caller can share them across binomials."""
     if y < 0 or y > x:
         raise ValueError(f"binomial arguments out of range: ({x}, {y})")
-    return (
-        mpmath.loggamma(x + 1) - mpmath.loggamma(y + 1) - mpmath.loggamma(x - y + 1)
-    ) / mpmath.log(2)
+    return (loggamma(x + 1) - loggamma(y + 1) - loggamma(x - y + 1)) / (
+        mpmath.log(2) if ln2 is None else ln2
+    )

@@ -26,20 +26,26 @@ from .adversary import (
     relation_stats,
 )
 from .core import (
+    FLOAT32_EXACT_COUNT,
     Subset,
-    SubsetFamily,
     enumerate_family,
     philox_stream,
     random_densities,
     validated_densities,
 )
 from .dilation import DILATION_TOL, QueryAlgorithm, check_dilation, haar_stack, trial_stacks
-from .oracles import block_average, block_group_chunks, block_permutations, random_representative
+from .oracles import (
+    block_average,
+    block_group_chunks,
+    block_group_order,
+    block_permutations,
+    random_representative,
+)
 from .structure import (
     TargetClass,
     bound_crossovers,
-    check_distributed,
-    fixing_procedure,
+    check_distributed_stack,
+    fixing_procedure_stack,
     witness_pigeonhole,
 )
 from .verifier import (
@@ -140,8 +146,9 @@ def criterion_04_dilation(seed: int) -> CriterionResult:
     )
 
 
-# Rows of group elements per bincount pass in criterion 5: bounds its memory
-# (the full group at V = N = 8 has 40,320 elements).
+# Rows of group elements per Gram product in criterion 5: bounds its memory
+# (the full group at V = N = 8 has 40,320 elements; a chunk's one-hot rows at
+# V = 8 take 512 KB).
 TWIRL_CHUNK_ROWS = 2048
 
 
@@ -150,26 +157,35 @@ def exhaustive_block_average(stack: np.ndarray, block: int) -> tuple[np.ndarray,
 
     Enumerates every group element and accumulates the V^2 x V^2 count matrix
     C = sum_tau P_tau (x) P_tau, whose entry (tau(a) V + tau(b), a V + b) counts
-    the elements sending entry (a, b) to (tau(a), tau(b)); the averages are then
-    one matmul. Returns them with the number of elements enumerated.
+    the elements sending entry (a, b) to (tau(a), tau(b)). Row tau of a chunk's
+    matrix Q is one-hot in column a V + tau(a) for each label a, so the chunk's
+    Gram product Q^T Q holds, at ((a, i), (b, j)), the number of its elements
+    sending a to i and b to j: C's entry (i V + j, a V + b). The averages are
+    then one matmul. Returns them with the number of elements enumerated.
     """
     v = stack.shape[-1]
     d = v * v
-    counts = np.zeros(d * d, dtype=np.int64)
-    lane = np.arange(v)
+    order = block_group_order(v, block)
+    if order >= FLOAT32_EXACT_COUNT:
+        raise ValueError(f"block group of {order} elements is too large to count in float32")
+    gram = np.zeros((d, d), dtype=np.float32)
+    # flat index of column a V in row r of a chunk's Q
+    lanes = np.arange(TWIRL_CHUNK_ROWS)[:, None] * d + np.arange(v) * v
     enumerated = 0
     for rows in block_group_chunks(v, block, TWIRL_CHUNK_ROWS):
-        # flat index of C's entry (tau(a) V + tau(b), a V + b), split into its a and b parts
-        left = rows * (v * d) + lane * v
-        right = rows * d + lane
-        counts += np.bincount((left[:, :, None] + right[:, None, :]).ravel(), minlength=d * d)
+        onehot = np.zeros(len(rows) * d, dtype=np.float32)
+        onehot[rows + lanes[: len(rows)]] = 1.0
+        onehot = onehot.reshape(len(rows), d)
+        gram += onehot.T @ onehot
         enumerated += len(rows)
-    if enumerated != math.factorial(block) * math.factorial(v - block):
+    if enumerated != order:
         raise RuntimeError(
             f"enumerated {enumerated} block-group elements at V={v}, N={block}, "
             f"expected {block}!*{v - block}!"
         )
-    flat = stack.reshape(-1, d) @ counts.reshape(d, d).T
+    # C^T, indexed ((a, b), (i, j)), from the Gram matrix indexed ((a, i), (b, j))
+    counts_t = gram.reshape(v, v, v, v).transpose(0, 2, 1, 3).reshape(d, d).astype(np.float64)
+    flat = stack.reshape(-1, d) @ counts_t
     return (flat / enumerated).reshape(stack.shape), enumerated
 
 
@@ -177,8 +193,9 @@ def criterion_05_twirl(seed: int) -> CriterionResult:
     """Closed-form twirl equals the exhaustive block-group average for V <= 8.
 
     Each (V, N) cell draws its 20 densities as one validated stack and twirls it
-    with one orbit-label mean; the reference counts the whole group, in chunks
-    of integer rows, into one count matrix (`exhaustive_block_average`).
+    with one orbit-label mean; the reference counts the whole group, one Gram
+    product per chunk of one-hot image rows, into one count matrix
+    (`exhaustive_block_average`).
     """
     worst = 0.0
     stream_idx = 500
@@ -200,27 +217,29 @@ def criterion_06_fixing(seed: int) -> CriterionResult:
 
     Each family is one index sample without replacement over the enumerated
     rows of C(16,4): distinct sets, uniformly at random and in random order,
-    the distribution `sample_family` draws from one set at a time.
+    the distribution `sample_family` draws from one set at a time. The 100
+    families of each p run as one stack through the Fixing Procedure and the
+    distributedness check.
     """
     table = enumerate_family(16, 4).incidence
     total = len(table)
     target = TargetClass.fixed_size(16, 3)
-    failures = []
+    failures = 0
     max_iter = 0
     for p_bits in (2, 4):
         size = witness_pigeonhole(total, p_bits)
-        for s in range(100):
-            rng = philox_stream(seed, 600 + 1000 * p_bits + s)
-            family = SubsetFamily(16, table[rng.choice(total, size=size, replace=False)])
-            cert = fixing_procedure(family, 0.25, 4, target=target)
-            max_iter = max(max_iter, cert.iterations)
-            ok, _ = check_distributed(cert.family_prime, cert.s_fixed, 0.25, target, 4)
-            if cert.iterations > 16 or not ok:
-                failures.append((p_bits, s))
+        stack = table[np.stack([
+            philox_stream(seed, 600 + 1000 * p_bits + s).choice(total, size=size, replace=False)
+            for s in range(100)
+        ])]
+        run = fixing_procedure_stack(stack, 0.25, 4)
+        max_iter = max(max_iter, int(run.iterations.max()))
+        ok, _ = check_distributed_stack(stack, run.alive, run.fixed, 0.25, target, 4)
+        failures += int(np.count_nonzero((run.iterations > 16) | ~ok))
     return CriterionResult(
         6, "fixing procedure", not failures,
         f"200 families over C(16,4), p in (2,4); max iterations {max_iter}; "
-        f"{len(failures)} failures",
+        f"{failures} failures",
     )
 
 

@@ -161,7 +161,9 @@ def test_criterion_06_table_is_the_enumerated_family(universe, k):
 
 
 def test_criterion_06_certifies_every_family(monkeypatch):
-    monkeypatch.setattr(suite, "check_distributed", lambda *args: (False, {}))
+    monkeypatch.setattr(
+        suite, "check_distributed_stack", lambda stack, *args: (np.zeros(len(stack), bool), {})
+    )
     result = suite.criterion_06_fixing(SEED)
     assert not result.passed
     assert result.summary.endswith("; 200 failures")

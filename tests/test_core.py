@@ -170,7 +170,6 @@ class TestSubsetFamily:
     def test_element_counts(self):
         fam = family_of_sets(4, (Subset(4, (1, 2)), Subset(4, (1, 3))))
         assert fam.element_counts() == {1: 2, 2: 1, 3: 1}
-        assert len(fam.restrict_to(2)) == 1
 
     def test_incidence_rows_and_sets_agree(self):
         sets = (Subset(5, (2, 4)), Subset(5, ()), Subset(5, (1, 2, 5)))
@@ -180,9 +179,6 @@ class TestSubsetFamily:
         assert not fam.incidence.flags.writeable
         from_rows = SubsetFamily(5, np.array(rows))
         assert from_rows.sets == sets
-        assert from_rows.restrict_to(2).sets == (sets[0], sets[2])
-        with pytest.raises(ValueError, match="outside"):
-            fam.restrict_to(0)
 
     def test_rows_are_copied_and_validated(self):
         rows = np.zeros((3, 70), dtype=bool)

@@ -261,6 +261,16 @@ class TestCli:
         (["wtrace", "--queries", "-1"], "field 'queries' must be at least 0, got -1"),
         (["verify", "--n", "2", "--trials", "-1"], "field 'trials' must be at least 0, got -1"),
         (["fix", "--trials", "-1"], "field 'trials' must be at least 0, got -1"),
+        (["fix", "--V", "0"], "field 'V' must be at least 1, got 0"),
+        (["fix", "--k", "20"], "field 'k' must lie in 0..V = 16, got 20"),
+        (["fix", "--V", "3"], "field 'k' must lie in 0..V = 3, got 4"),
+        (["fix", "--k", "-1"], "field 'k' must lie in 0..V = 16, got -1"),
+        (["fix", "--target-k", "17"], "field 'target_k' must lie in 0..V = 16, got 17"),
+        (["fix", "--target-k", "-1"], "field 'target_k' must lie in 0..V = 16, got -1"),
+        # nref defaults to k
+        (["fix", "--k", "0"], "field 'nref' must exceed 1, got 0.0 (nref defaults to k)"),
+        (["fix", "--k", "1"], "field 'nref' must exceed 1, got 1.0 (nref defaults to k)"),
+        (["fix", "--nref", "0.5"], "field 'nref' must exceed 1, got 0.5 (nref defaults to k)"),
     ])
     def test_main_rejects_out_of_range_fields_by_name(self, argv, message, capsys):
         assert main(argv) == 2

@@ -23,6 +23,7 @@ from permlab.oracles import (
     block_average_on_first_factor,
     block_permutations,
     block_twirl,
+    permutation_table,
     phase_signs,
     random_representative,
     representative_sigma,
@@ -408,6 +409,14 @@ class TestCountMatrixAverage:
             assert np.array_equal(np.sort(rows[:, :block], axis=1),
                                   np.broadcast_to(np.arange(block), (len(rows), block)))
 
+    def test_group_too_large_for_float32_counts_raises(self, monkeypatch):
+        # S_8 has 40,320 elements; float32 counts stay exact below 2^24
+        monkeypatch.setattr(suite, "FLOAT32_EXACT_COUNT", 24)
+        stack = random_density(4, philox_stream(3)).entries[None]
+        with pytest.raises(ValueError, match="block group of 24 elements is too large"):
+            suite.exhaustive_block_average(stack, 4)
+        assert suite.exhaustive_block_average(stack, 2)[1] == 4
+
     def test_short_enumeration_raises(self, monkeypatch):
         rows = oracles.block_group_chunks
         monkeypatch.setattr(suite, "block_group_chunks", lambda *args: (r[1:] for r in rows(*args)))
@@ -418,6 +427,14 @@ class TestCountMatrixAverage:
 
 class TestBlockGroupRows:
     """The package's one enumeration and sampler against the per-`Permutation` reference."""
+
+    @pytest.mark.parametrize("size", range(9))
+    def test_permutation_table_is_itertools_order(self, size):
+        # block_permutations' order fixes the control values of the dilate goldens
+        table = permutation_table(size)
+        want = list(itertools.permutations(range(size)))
+        assert table.dtype == np.int8 and table.shape == (len(want), size)
+        assert [tuple(row) for row in table.tolist()] == want
 
     @pytest.mark.parametrize("v", range(1, 9))
     def test_rows_equal_the_reference_in_order(self, v):

@@ -3,15 +3,18 @@
 `perfbench/spans.py` wraps package functions from outside and reads some of
 their arguments by name: `run_dilated_picture`'s `alg` and `taus`,
 `relation_stats`'s `rel`, `enumerate_family`'s `universe` and `k`, and the
-`.dim` of `optimal_witness_prob`'s instance. It is loaded here by path (and
+`.dim` of `optimal_witness_prob`'s instance; it adds the `iterations` of each
+`fixing_procedure` result and the row count of each `bound_crossover` report,
+and `layer_metrics` turns every count into a float. It is loaded here by path (and
 left unedited), installed around a few runs and removed again, so a signature
 change that would break a traced benchmark run fails here first.
 """
 
 import importlib.util
+import time
 from pathlib import Path
 
-from permlab import harness, verifier
+from permlab import harness, suite, verifier
 from permlab.core import philox_stream
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -53,3 +56,30 @@ def test_hooks_record_on_the_traced_paths(capsys):
     assert counts["computed.eigensolves"] > 0
     named = {name for name, *_ in rec.spans}
     assert {"harness.execute", "dilation.check_dilation", "adversary.relation_stats"} <= named
+
+
+def test_hooks_count_the_fixing_and_crossover_paths(capsys):
+    spans = load_spans()
+    rec = spans.SpanRecorder()
+    installed = spans.install(rec)
+    start = time.perf_counter()
+    try:
+        # three families over C(10, 4) that the Fixing Procedure each shrinks
+        harness.main(["fix", "--V", "10", "--k", "4", "--p", "6", "--nref", "10",
+                      "--trials", "3", "--seed", "1"])
+        harness.main(["crossover"])
+        suite.criterion_06_fixing(42)
+        suite.criterion_07_crossover(42)
+    finally:
+        installed.remove()
+    wall = time.perf_counter() - start
+    capsys.readouterr()
+    assert not hasattr(suite.criterion_06_fixing, "__wrapped__")
+    assert rec.counts["structure.fixing_procedure.iterations"] > 0
+    # one crossover scan, n = 1..64; criterion 7 calls bound_crossovers
+    assert rec.counts["structure.bound_crossover.rows"] == 64
+    named = {name for name, *_ in rec.spans}
+    assert {"structure.fixing_procedure", "structure.check_distributed",
+            "suite.criterion_06", "suite.criterion_07"} <= named
+    metrics = spans.layer_metrics(rec, wall)
+    assert metrics and all(type(value) is float for value in metrics.values())

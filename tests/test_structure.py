@@ -20,12 +20,14 @@ from permlab.structure import (
     bound_crossover,
     bound_crossovers,
     check_distributed,
+    check_distributed_stack,
     eval_poly,
     fixing_procedure,
+    fixing_procedure_stack,
     witness_pigeonhole,
     _log2_binomial,
 )
-from reference import family_of_sets, issubset
+from reference import family_of_sets, incidence_rows, issubset
 
 
 def family_of(universe, *member_tuples):
@@ -263,8 +265,6 @@ class TestIncidenceMatchesReference:
         family = family_of_sets(v, sets)
         target = TargetClass.fixed_size(v, data.draw(st.integers(0, v)))
         assert family.element_counts() == reference_element_counts(sets)
-        label = data.draw(st.integers(1, v))
-        assert family.restrict_to(label).sets == reference_restrict_to(sets, label)
 
         cert = fixing_procedure(family, alpha, n_ref, target=target)
         prime, s_fixed, fraction, feasible, iterations, log = reference_fixing_procedure(
@@ -302,6 +302,129 @@ class TestIncidenceMatchesReference:
         got = sample_family(universe, k, count, philox_stream(seed))
         want = reference_sample_family(universe, k, count, philox_stream(seed))
         assert [s.members for s in got] == [s.members for s in want]
+
+
+def reference_feasible_extension(target, s_fixed):
+    """The per-`Subset` parity-class test that `TargetClass.feasible_cores` replaced."""
+    k_even = sum(1 for m in s_fixed.members if m % 2 == 0)
+    k_odd = len(s_fixed) - k_even
+    maj, minr = (k_odd, k_even) if target.majority == "odd" else (k_even, k_odd)
+    need_maj = target.majority_count - maj
+    need_min = (target.block - target.majority_count) - minr
+    if need_maj < 0 or need_min < 0:
+        return False
+    evens_total = target.universe // 2
+    free_odd = target.universe - evens_total - k_odd
+    free_even = evens_total - k_even
+    if target.majority == "odd":
+        return need_maj <= free_odd and need_min <= free_even
+    return need_maj <= free_even and need_min <= free_odd
+
+
+@st.composite
+def family_stacks(draw):
+    """(V, one tuple of `Subset`s per family) with one row count for all: some
+    families random, some with a label in every member."""
+    v = draw(st.integers(2, 7))
+    rows = draw(st.integers(1, min(10, 2 ** (v - 1))))
+    stack = []
+    for common in draw(st.lists(st.booleans(), min_size=1, max_size=6)):
+        if common:  # label `at` + 1 joins every member: absorbed without a shrink
+            at = draw(st.integers(0, v - 1))
+            low = draw(st.lists(st.integers(0, 2 ** (v - 1) - 1), min_size=rows,
+                                max_size=rows, unique=True))
+            masks = [m & ((1 << at) - 1) | 1 << at | (m >> at) << (at + 1) for m in low]
+        else:
+            masks = draw(st.lists(st.integers(0, 2**v - 1), min_size=rows, max_size=rows,
+                                  unique=True))
+        stack.append(tuple(Subset(v, tuple(i + 1 for i in range(v) if m >> i & 1)) for m in masks))
+    return v, stack
+
+
+def assert_stack_matches_reference(v, stack_sets, alpha, n_ref, target):
+    """The stacked kernel and check, family by family, against the references."""
+    stack = np.stack([incidence_rows(v, sets) for sets in stack_sets])
+    run = fixing_procedure_stack(stack, alpha, n_ref)
+    ok, diag = check_distributed_stack(stack, run.alive, run.fixed, alpha, target, n_ref)
+    outcomes = set()
+    for f, sets in enumerate(stack_sets):
+        prime, s_fixed, fraction, _, iterations, log = reference_fixing_procedure(
+            v, sets, alpha, n_ref, target
+        )
+        assert np.array_equal(stack[f][run.alive[f]], incidence_rows(v, prime))
+        assert np.array_equal(run.fixed[f], s_fixed.incidence)
+        assert run.max_offfixed_fraction[f] == fraction
+        assert run.iterations[f] == iterations
+        assert run.shrink_logs[f] == log
+        want_ok, want_diag = reference_check_distributed(prime, s_fixed, alpha, target, n_ref)
+        assert ok[f] == want_ok
+        assert {key: value[f].item() for key, value in diag.items()} == want_diag
+        outcomes.add("shrinks" if log else "absorbs" if iterations else "stops")
+    return outcomes
+
+
+class TestFixingStackMatchesReference:
+    @given(
+        family_stacks(),
+        st.sampled_from((0.1, 0.25, 0.3, 0.49)),
+        st.sampled_from((2, 4, 8, 16, 100)),
+        st.data(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_each_family_matches_the_reference(self, drawn, alpha, n_ref, data):
+        v, stack_sets = drawn
+        target = TargetClass.fixed_size(v, data.draw(st.integers(0, v)))
+        assert_stack_matches_reference(v, stack_sets, alpha, n_ref, target)
+        # the check on whole families with arbitrary cores
+        stack = np.stack([incidence_rows(v, sets) for sets in stack_sets])
+        cores = [Subset(v, tuple(sorted(data.draw(st.sets(st.integers(1, v), max_size=3)))))
+                 for _ in stack_sets]
+        ok, diag = check_distributed_stack(
+            stack, np.ones(stack.shape[:2], dtype=bool),
+            np.stack([core.incidence for core in cores]), alpha, target, n_ref,
+        )
+        for f, (sets, core) in enumerate(zip(stack_sets, cores)):
+            want_ok, want_diag = reference_check_distributed(sets, core, alpha, target, n_ref)
+            assert ok[f] == want_ok
+            assert {key: value[f].item() for key, value in diag.items()} == want_diag
+
+    def test_one_stack_shrinks_absorbs_and_stops(self):
+        # threshold 16^(-1/4) = 1/2 of three sets: a label in two of them qualifies
+        stack_sets = [
+            tuple(Subset(4, m) for m in members) for members in (
+                ((1, 2), (1, 3), (2, 3)),  # shrinks on 1, then on 2
+                ((1, 2), (1, 3), (1, 4)),  # absorbs 1, then stops
+                ((1,), (2,), (3,)),  # stops at once
+                ((1, 2, 3), (1, 2, 4), (3, 4)),  # shrinks on 1, absorbs 2, shrinks on 3
+            )
+        ]
+        target = TargetClass.fixed_size(4, 2)
+        outcomes = assert_stack_matches_reference(4, stack_sets, 0.25, 16, target)
+        assert outcomes == {"shrinks", "absorbs", "stops"}
+        run = fixing_procedure_stack(
+            np.stack([incidence_rows(4, sets) for sets in stack_sets]), 0.25, 16)
+        assert run.iterations.tolist() == [2, 1, 0, 3]
+        assert run.shrink_logs[3] == ((1, 2, 3), (3, 1, 2))
+
+    def test_a_repeated_row_in_one_family_raises(self):
+        stack = np.zeros((3, 2, 5), dtype=bool)
+        stack[:, 0, 0] = True
+        stack[1, 1, 0] = True  # family 1 holds {1} twice
+        stack[[0, 2], 1, 4] = True
+        with pytest.raises(ValueError, match=r"^family 1: duplicate subset \(1,\)$"):
+            fixing_procedure_stack(stack, 0.25, 4)
+
+    @pytest.mark.parametrize("majority", ["odd", "even"])
+    @pytest.mark.parametrize("block", [3, 4])
+    def test_parity_feasibility_matches_the_reference(self, majority, block):
+        target = TargetClass.parity(block, majority)
+        cores = philox_stream(block).random((400, block**2)) < 0.15
+        got = target.feasible_cores(cores)
+        for core, feasible in zip(cores, got):
+            s_fixed = Subset(block**2, tuple(int(i) + 1 for i in np.flatnonzero(core)))
+            assert feasible == reference_feasible_extension(target, s_fixed)
+            assert target.feasible_extension(s_fixed) is bool(feasible)
+        assert got.any() and not got.all()
 
 
 class TestWitnessPigeonhole:
