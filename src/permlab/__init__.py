@@ -5,7 +5,6 @@ bounds, behind a deterministic seeded CLI."""
 
 from .core import (
     DensityMatrix,
-    Permutation,
     PureState,
     Subset,
     SubsetFamily,

@@ -1,9 +1,10 @@
 """Exact linear-algebra and combinatorics substrate.
 
-Labels are 1-based everywhere: a permutation on [V] maps labels 1..V, a
-subset holds labels from 1..V, and the amplitude slot of label i is index
-i-1. All values are immutable after construction and all operations are
-pure functions.
+A subset holds 1-based labels from 1..V, and the amplitude slot of label i
+is index i-1. A permutation has no class here: the package carries it as a
+0-based image row (see `oracles`), and the tests keep a 1-based permutation
+class as their reference. All values are immutable after construction and
+all operations are pure functions.
 
 A set family is one (count, V) bool incidence array (`SubsetFamily`), and a
 family predicate is a row mask over a chunk of such rows. `Subset` is the
@@ -22,7 +23,8 @@ import numpy as np
 
 # Dense complex matrices only; desk-scale instances must fit under this cap.
 MAX_DIM = 4096
-# enumerate_family refuses above this many subsets; use sample_family instead.
+# enumerate_family refuses above this many subsets (use sample_family instead),
+# and sample_family refuses to draw more.
 ENUMERATION_CAP = 10**7
 # enumerate_family builds and filters this many incidence rows at a time.
 ENUMERATION_CHUNK_ROWS = 2**14
@@ -48,38 +50,6 @@ def tuple_table(tuples: Iterable[tuple[int, ...]], count: int, width: int, dtype
     """`count` tuples of length `width` as one (count, width) array, never a list."""
     flat = np.fromiter(itertools.chain.from_iterable(tuples), dtype=dtype, count=count * width)
     return flat.reshape(count, width)
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection on the 1-based labels [V], stored as its image array."""
-
-    size: int
-    image: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.size < 1:
-            raise ValueError("permutation size must be positive")
-        if len(self.image) != self.size:
-            raise ValueError(f"image has length {len(self.image)}, expected {self.size}")
-        if sorted(self.image) != list(range(1, self.size + 1)):
-            raise ValueError("image is not a bijection on 1..V")
-
-    def __call__(self, label: int) -> int:
-        return self.image[label - 1]
-
-    def matrix(self) -> np.ndarray:
-        """V x V zero-one matrix sending basis vector j-1 to image[j]-1."""
-        mat = np.zeros((self.size, self.size))
-        for j, i in enumerate(self.image, start=1):
-            mat[i - 1, j - 1] = 1.0
-        return mat
-
-    def zero_based(self) -> np.ndarray:
-        return np.asarray(self.image, dtype=np.intp) - 1
-
-    def to_text(self) -> str:
-        return " ".join(str(i) for i in self.image)
 
 
 @dataclass(frozen=True)
@@ -345,6 +315,8 @@ def sample_family(
     total = math.comb(universe, k)
     if count > total:
         raise ValueError(f"cannot draw {count} distinct subsets, only {total} exist")
+    if count > ENUMERATION_CAP:
+        raise ValueError(f"cannot draw {count} subsets, above the cap {ENUMERATION_CAP}")
     drawn = np.empty((count, k), dtype=np.intp)
     seen: set[bytes] = set()
     while len(seen) < count:

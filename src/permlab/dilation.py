@@ -13,11 +13,11 @@ Every layer has a trial axis: a `QueryAlgorithm` may hold a stack of
 algorithms with one query count, validated once, and both pictures then run
 every trial at once, with one subset, sigma and initial state per trial (or
 one shared): a (trials, V) array of bool incidence rows and one of 0-based
-image rows (one `Subset` and one `Permutation` are rows converted at the
-entry). `check_dilation` takes such a stack in chunks of at most
-TRIAL_STACK_ENTRIES dilated amplitudes; per chunk, each query is one batched
-matmul and one gather, and one eigensolve gives every distance. One
-algorithm is a stack of one on the same path.
+image rows (one `Subset` is taken for a single trial, converted to its row
+at the entry). `check_dilation` runs the stack it is given: each query is one
+batched matmul and one gather, and one eigensolve gives every distance. One
+algorithm is a stack of one on the same path. `random_dilation_runs` is the
+one body of a random trial, and sizes every trial stack once.
 """
 
 from __future__ import annotations
@@ -31,21 +31,28 @@ import numpy as np
 
 from .core import (
     MAX_DIM,
-    Permutation,
     PureState,
     Subset,
+    philox_stream,
     trace_distance,
     validated_densities,
     validated_states,
 )
-from .oracles import block_average_on_first_factor, permutation_rows
+from .oracles import (
+    block_average_on_first_factor,
+    block_group_order,
+    block_permutations,
+    permutation_rows,
+    random_representative,
+    sample_block_permutations,
+)
+from .verifier import random_instance_row
 
 UNITARY_TOL = 1e-10
 # Largest trace distance an exact dilation may show: round-off only.
 DILATION_TOL = 1e-9
-# Complex entries of one trial stack (256 KB): `check_dilation` runs a stack's
-# trials in chunks whose dilated states hold at most this many, and random
-# algorithms are drawn in stacks whose unitaries hold at most this many.
+# Complex entries of one trial stack (256 KB): random trials are drawn and run
+# in stacks whose draws, and whose dilated states, hold at most this many.
 TRIAL_STACK_ENTRIES = 2**14
 
 
@@ -116,12 +123,6 @@ class QueryAlgorithm:
     def queries(self) -> int:
         return self.unitaries.shape[-3] - 1
 
-    def trial_slice(self, part: slice) -> "QueryAlgorithm":
-        """Trials `part` as a stack sharing this algorithm's checked unitaries."""
-        sliced = object.__new__(QueryAlgorithm)
-        vars(sliced).update(vars(self), unitaries=self.stack[part])
-        return sliced
-
     def initial_rows(self, initial: PureState | np.ndarray) -> np.ndarray:
         """A PureState shared by every trial as one (1, d_AB) row, or a stack's
         (trials, d_AB) array of initial states, validated."""
@@ -187,7 +188,7 @@ def run_channel_picture(
 
 def run_dilated_picture(
     alg: QueryAlgorithm,
-    sigma: Permutation | np.ndarray,
+    sigma: np.ndarray,
     taus: np.ndarray,
     initial: PureState | np.ndarray,
 ) -> np.ndarray:
@@ -197,8 +198,8 @@ def run_dilated_picture(
     (trials, t+1, c^t * d_AB) for a stacked algorithm; control 1 is the most
     significant digit. Control value i's permutation is the 0-based image row
     taus[i] of a (c, V) array shared by every trial, or of a (c, trials, V)
-    array with one per trial; sigma is one 0-based image row (or `Permutation`)
-    shared by every trial, or a (trials, V) array of one per trial. Each query
+    array with one per trial; sigma is one 0-based image row shared by every
+    trial, or a (trials, V) array of one per trial. Each query
     is one batched matmul of the (trials, c^t, d_AB) state matrices by the
     algorithm unitaries, then one flat gather for the fixed in-place
     permutation on A and the control permutation between C_k and A: A index j
@@ -209,7 +210,6 @@ def run_dilated_picture(
     d_ab = alg.dim_a * alg.dim_b
     # chi applied t times in kron's order, so psi~_0 is the t-fold kron bit for bit.
     chi = chi_state(c).amplitudes[0]
-    sigma = sigma.zero_based() if isinstance(sigma, Permutation) else sigma
     inv_sigma = np.argsort(permutation_rows(sigma, alg.dim_a, "sigma").reshape(-1, alg.dim_a))
     amps = alg.initial_rows(initial)
     full = (c**t) * d_ab
@@ -256,17 +256,17 @@ class DilationRun:
 def check_dilation(
     alg: QueryAlgorithm,
     subset: Subset | np.ndarray,
-    sigma: Permutation | np.ndarray,
+    sigma: np.ndarray,
     taus: np.ndarray,
     initial: PureState | np.ndarray,
 ) -> DilationRun | tuple[DilationRun, ...]:
     """Run both pictures and compare tr_C(psi~_k) against rho_k for every k.
 
     A stacked algorithm takes the pictures' per-trial arguments and gives one
-    run per trial. The subset and sigma become (trials, V) incidence and image
-    rows once, here. The trials go through in chunks whose dilated states hold
-    at most TRIAL_STACK_ENTRIES amplitudes; per chunk, the reductions are one
-    batched M^T conj(M) and the distances one stacked eigensolve. A sigma whose
+    run per trial, all in one pass: the stack it is given is the stack it runs
+    (`random_dilation_runs` sizes them). The subset and sigma become (trials, V)
+    incidence and image rows once, here; the reductions are one batched
+    M^T conj(M) and the distances one stacked eigensolve. A sigma whose
     preimage set differs from the subset is reported through the `consistent`
     flag (and through large distances) rather than raised, so deliberate
     mismatches can serve as negative controls.
@@ -274,20 +274,45 @@ def check_dilation(
     trials, d_ab = len(alg.stack), alg.dim_a * alg.dim_b
     rows, block = _subset_rows(alg, subset)
     rows = np.broadcast_to(rows, (trials, alg.dim_a))
-    sigma = sigma.zero_based() if isinstance(sigma, Permutation) else sigma
     sigmas = np.broadcast_to(permutation_rows(sigma, alg.dim_a, "sigma"), (trials, alg.dim_a))
     consistent = ((sigmas < block) == rows).all(axis=-1).tolist()
-    taus, runs = np.asarray(taus), []
-    for part in trial_stacks(trials, (alg.queries + 1) * len(taus) ** alg.queries * d_ab):
-        chunk = alg.trial_slice(part)
-        chunk_initial = initial if isinstance(initial, PureState) else initial[part]
-        chunk_taus = taus[:, part] if taus.ndim == 3 else taus
-        rhos = run_channel_picture(chunk, rows[part], chunk_initial)
-        states = run_dilated_picture(chunk, sigmas[part], chunk_taus, chunk_initial)
-        mats = states.reshape(*rhos.shape[:2], -1, d_ab)
-        reduced = validated_densities(mats.mT @ mats.conj())
-        runs += [
-            DilationRun(r, m, tuple(dist), ok) for r, m, dist, ok in zip(
-                rhos, reduced, trace_distance(reduced, rhos).tolist(), consistent[part])
-        ]
-    return tuple(runs) if alg.stacked else runs[0]
+    rhos = run_channel_picture(alg, rows, initial).reshape(trials, -1, d_ab, d_ab)
+    mats = run_dilated_picture(alg, sigmas, taus, initial).reshape(*rhos.shape[:2], -1, d_ab)
+    reduced = validated_densities(mats.mT @ mats.conj())
+    runs = tuple(
+        DilationRun(r, m, tuple(dist), ok) for r, m, dist, ok in zip(
+            rhos, reduced, trace_distance(reduced, rhos).tolist(), consistent)
+    )
+    return runs if alg.stacked else runs[0]
+
+
+def random_dilation_runs(
+    seed: int, trials: range, n: int, queries: int, dim_b: int,
+    tau_samples: int | None = None,
+) -> list[DilationRun]:
+    """`check_dilation`'s runs of the random trials in the range `trials`, at
+    N = 2^n. Trial i draws from stream (seed, i): a YES instance row for even
+    i (NO for odd), a random sigma with that preimage set, for n > 1 its own
+    `tau_samples` taus (n = 1 takes the whole block group), then queries + 2
+    Haar unitaries, the last one's first column its initial state.
+    Each stack of trials is sized once: its draws, (queries+2) d^2, and its
+    dilated states, (queries+1) c^queries d, hold at most TRIAL_STACK_ENTRIES
+    complex entries, or it is one trial."""
+    big_n = 2**n
+    v, d = big_n**2, big_n**2 * dim_b
+    controls = block_group_order(v, big_n) if n == 1 else tau_samples
+    runs: list[DilationRun] = []
+    for part in trial_stacks(len(trials), max((queries + 2) * d * d,
+                                              (queries + 1) * controls**queries * d)):
+        stack = trials[part]
+        rngs = [philox_stream(seed, i) for i in stack]
+        rows = np.stack([random_instance_row(big_n, ("YES", "NO")[i % 2], rng)
+                         for i, rng in zip(stack, rngs)])
+        sigmas = np.stack([random_representative(row, rng) for row, rng in zip(rows, rngs)])
+        # row i holds control value i's permutation: the whole group, or a sample per trial
+        taus = block_permutations(v, big_n) if n == 1 else np.stack(
+            [sample_block_permutations(v, big_n, tau_samples, rng) for rng in rngs], axis=1)
+        u = haar_stack(d, queries + 2, rngs)
+        runs += check_dilation(QueryAlgorithm(v, dim_b, u[:, : queries + 1]), rows, sigmas, taus,
+                               u[:, queries + 1, :, 0])
+    return runs

@@ -28,9 +28,8 @@ from .adversary import (
     progress_trace,
     relation_stats,
 )
-from .core import enumerate_family, philox_stream, sample_family
-from .dilation import DILATION_TOL, QueryAlgorithm, check_dilation, haar_stack, trial_stacks
-from .oracles import block_permutations, random_representative, sample_block_permutations
+from .core import ENUMERATION_CAP, enumerate_family, philox_stream, sample_family
+from .dilation import DILATION_TOL, QueryAlgorithm, haar_stack, random_dilation_runs, trial_stacks
 from .structure import (
     TargetClass,
     bound_crossover,
@@ -51,8 +50,9 @@ from .verifier import (
 SUBCOMMANDS = ("verify", "dilate", "fix", "crossover", "relation", "wtrace", "suite")
 
 
-# The least value of each integer field that has one; every config is checked.
-MINIMUMS = {"n": 1, "N": 2, "V": 1, "dim_b": 1, "queries": 0, "tau_samples": 1, "trials": 0}
+# The least value of each numeric field that has one; every config is checked.
+MINIMUMS = {"n": 1, "N": 2, "V": 1, "dim_b": 1, "queries": 0, "tau_samples": 1, "trials": 0,
+            "p": 0}
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ class ExperimentConfig:
     alpha: float | None = None
     epsilon: float | None = None
     p: float | None = None
-    p_coeffs: tuple[float, ...] | None = None
+    p_coeffs: tuple[float, ...] | str | list | None = None
     queries: int | None = None
     variant: str | None = None
     kind: str | None = None
@@ -87,10 +87,16 @@ class ExperimentConfig:
         if self.subcommand not in SUBCOMMANDS:
             raise ValueError(f"unknown subcommand {self.subcommand!r}")
         if self.p_coeffs is not None:
-            object.__setattr__(self, "p_coeffs", tuple(float(c) for c in self.p_coeffs))
+            coeffs = self.p_coeffs
+            parts = coeffs.split(",") if isinstance(coeffs, str) else coeffs
+            try:
+                object.__setattr__(self, "p_coeffs", tuple(float(c) for c in parts))
+            except (TypeError, ValueError):
+                raise ValueError(f"field 'p_coeffs' must be comma-separated numbers, "
+                                 f"got {coeffs!r}") from None
         for name, low in MINIMUMS.items():
             value = getattr(self, name)
-            if value is not None and value < low:
+            if value is not None and not value >= low:  # NaN fails too
                 raise ValueError(f"field '{name}' must be at least {low}, got {value}")
 
     def canonical_json(self) -> str:
@@ -144,8 +150,6 @@ def load_config(path: str) -> ExperimentConfig:
         raise ValueError(f"unknown config key {unknown[0]!r}")
     if "subcommand" not in data:
         raise ValueError("config is missing the required key 'subcommand'")
-    if "p_coeffs" in data and data["p_coeffs"] is not None:
-        data["p_coeffs"] = tuple(data["p_coeffs"])
     return ExperimentConfig(**data)
 
 
@@ -215,30 +219,9 @@ def run_verify(cfg: ExperimentConfig) -> tuple[bool, list[str], list[list]]:
 
 
 def run_dilate(cfg: ExperimentConfig) -> tuple[bool, list[str], list[list]]:
-    n, queries, dim_b = cfg.n, cfg.queries, cfg.dim_b
-    big_n = 2**n
-    v = big_n**2
-    d = v * dim_b
-    exact = n == 1
-    runs = []
-    # every trial draws from its own stream; each stack of trials then runs at once
-    for part in trial_stacks(cfg.trials, (queries + 2) * d * d):
-        trials = range(cfg.trials)[part]
-        rngs = [philox_stream(cfg.seed, trial) for trial in trials]
-        subsets = np.stack([
-            random_instance_row(big_n, "YES" if trial % 2 == 0 else "NO", rng)
-            for trial, rng in zip(trials, rngs)
-        ])
-        sigmas = np.stack([random_representative(row, rng) for row, rng in zip(subsets, rngs)])
-        # row i holds control value i's permutation: the whole group, or a sample per trial
-        taus = block_permutations(v, big_n) if exact else np.stack(
-            [sample_block_permutations(v, big_n, cfg.tau_samples, rng) for rng in rngs], axis=1)
-        # each trial's queries + 1 unitaries, then one whose first column is its initial state
-        u = haar_stack(d, queries + 2, rngs)
-        runs += check_dilation(
-            QueryAlgorithm(v, dim_b, u[:, : queries + 1]), subsets, sigmas, taus,
-            u[:, queries + 1, :, 0],
-        )
+    exact = cfg.n == 1
+    runs = random_dilation_runs(cfg.seed, range(cfg.trials), cfg.n, cfg.queries, cfg.dim_b,
+                                cfg.tau_samples)
     rows = [[i, k, x] for i, run in enumerate(runs) for k, x in enumerate(run.trace_distances)]
     per_trial = [run.max_trace_distance for run in runs]
     top = max(per_trial, default=0.0)
@@ -261,6 +244,9 @@ def run_fix(cfg: ExperimentConfig) -> tuple[bool, list[str], list[list]]:
         raise ValueError(f"field 'nref' must exceed 1, got {nref} (nref defaults to k)")
     target = TargetClass.fixed_size(v, cfg.target_k)
     size = max(1, witness_pigeonhole(math.comb(v, k), cfg.p))
+    if size > ENUMERATION_CAP:
+        raise ValueError(f"fields V = {v}, k = {k} and p = {cfg.p} ask for families of "
+                         f"C(V, k) / 2^p = {size} sets, above the cap {ENUMERATION_CAP}")
     rows = []
     ok = True
     for trial in range(cfg.trials):
@@ -285,7 +271,11 @@ def run_crossover(cfg: ExperimentConfig) -> tuple[bool, list[str], list[list]]:
 
 def run_relation(cfg: ExperimentConfig) -> tuple[bool, list[str], list[list]]:
     if cfg.kind == "subset":
-        core = [int(t) for t in cfg.fixed.split()]
+        try:
+            core = [int(t) for t in str(cfg.fixed).split()]
+        except ValueError:
+            raise ValueError(f"field 'fixed' must be space-separated labels, "
+                             f"got {cfg.fixed!r}") from None
         for label in core:
             if not 1 <= label <= cfg.V:
                 raise ValueError(f"fixed label {label} lies outside 1..{cfg.V}")
@@ -423,8 +413,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         for key, value in vars(args).items()
         if key not in ("config",) and value is not None
     }
-    if "p_coeffs" in overrides and isinstance(overrides["p_coeffs"], str):
-        overrides["p_coeffs"] = tuple(float(t) for t in overrides["p_coeffs"].split(","))
     try:
         if args.config:
             return run(replace(load_config(args.config), **overrides))

@@ -4,7 +4,8 @@ An in-place oracle is |i> -> |sigma(i)>, a phase oracle |i> -> (-1)^{[i in S]} |
 (its diagonal is `phase_signs`), and the randomized preimage oracle averages
 P_sigma rho P_sigma† over every sigma with preimage set S. The package runs
 the oracles' rows (their state maps are references in tests/test_oracles.py):
-a permutation is a 0-based intp image row, and the block group has one
+a permutation is a 0-based intp image row, even a set's canonical
+representative (`representative_sigma`), and the block group has one
 enumeration, `block_group_chunks`, which `block_permutations` holds whole.
 Its rows join the two blocks' `permutation_table`s, numpy int8 tables in
 `itertools.permutations` order; that order fixes which control value holds
@@ -12,13 +13,14 @@ which group element in a dilation.
 
 The randomized channel is never sampled: the permutations with preimage set
 S form the coset {tau o sigma* : tau block-preserving}, so the channel equals
-a two-block twirl of P_sigma* rho P_sigma*†. The twirl over the block
-subgroup has a closed form: every entry becomes the mean of its orbit of
-index pairs, and there are six orbits (the diagonal and the off-diagonal of
-each block, and the two cross blocks). Each entry gets one integer label,
-its orbit kind together with its pair of B indices and its member of a
-stack, so one `bincount` per real and imaginary part sums every orbit of a
-whole (..., d, d) stack, and a gather writes the means back.
+a two-block twirl of P_sigma* rho P_sigma*† (rho gathered at the inverse of
+sigma* on both axes). The twirl over the block subgroup has a closed form:
+every entry becomes the mean of its orbit of index pairs, and there are six
+orbits (the diagonal and the off-diagonal of each block, and the two cross
+blocks). Each entry gets one integer label, its orbit kind together with its
+pair of B indices and its member of a stack, so one `bincount` per real and
+imaginary part sums every orbit of a whole (..., d, d) stack, and a gather
+writes the means back.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import DensityMatrix, Permutation, Subset
+from .core import DensityMatrix, Subset
 
 # Refuse to enumerate block groups larger than this (use sampling instead).
 GROUP_ENUMERATION_CAP = 50_000
@@ -71,13 +73,12 @@ def representative_rows(incidence: np.ndarray) -> np.ndarray:
     return np.argsort(np.argsort(~incidence, axis=-1, kind="stable"), axis=-1)
 
 
-def representative_sigma(subset: Subset, block: int) -> Permutation:
+def representative_sigma(subset: Subset, block: int) -> np.ndarray:
     """Canonical member of the permutations with preimage set `subset`: the
-    `representative_rows` of its incidence row, as 1-based labels."""
+    `representative_rows` of its incidence row, one 0-based image row."""
     if len(subset) != block:
         raise ValueError(f"subset has {len(subset)} members, block size is {block}")
-    row = representative_rows(subset.incidence)
-    return Permutation(subset.universe, tuple((row + 1).tolist()))
+    return representative_rows(subset.incidence)
 
 
 def random_representative(incidence: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -198,10 +199,10 @@ def apply_randomized_preimage(subset: Subset, rho: DensityMatrix) -> DensityMatr
     """Apply a uniformly random permutation with preimage set `subset`.
 
     Equals block_twirl(P rho P†, |subset|) for any representative P; the
-    output does not depend on which representative is used.
+    canonical one's inverse lists the members, then the other labels, in order.
     """
     if rho.dim != subset.universe:
         raise ValueError(f"rho dim {rho.dim} does not match universe {subset.universe}")
-    block = len(subset)
-    p = representative_sigma(subset, block).matrix()
-    return DensityMatrix(rho.dim, block_average(p @ rho.entries @ p.T, block))
+    inv_sigma = np.argsort(~subset.incidence, kind="stable")
+    return DensityMatrix(rho.dim, block_average(rho.entries[np.ix_(inv_sigma, inv_sigma)],
+                                                len(subset)))

@@ -33,14 +33,8 @@ from .core import (
     random_densities,
     validated_densities,
 )
-from .dilation import DILATION_TOL, QueryAlgorithm, check_dilation, haar_stack, trial_stacks
-from .oracles import (
-    block_average,
-    block_group_chunks,
-    block_group_order,
-    block_permutations,
-    random_representative,
-)
+from .dilation import DILATION_TOL, QueryAlgorithm, haar_stack, random_dilation_runs, trial_stacks
+from .oracles import block_average, block_group_chunks, block_group_order
 from .structure import (
     TargetClass,
     bound_crossovers,
@@ -121,26 +115,11 @@ def criterion_03_test_i_perfection(seed: int) -> CriterionResult:
 def criterion_04_dilation(seed: int) -> CriterionResult:
     """Channel picture equals the traced dilated picture for random algorithms.
 
-    Trial i draws from its own stream and makes 1 + i % 3 queries; the trials
-    of one query count are one stack, with one QR for their unitaries and
-    initial states and one `check_dilation`.
+    Trials 400..499 read streams 400..499, and trial 400 + j makes 1 + j % 3
+    queries; the trials of one query count are one `random_dilation_runs` call.
     """
-    taus = block_permutations(4, 2)
-    worst = 0.0
-    for t in (1, 2, 3):
-        trials = range(t - 1, 100, 3)
-        rngs = [philox_stream(seed, 400 + trial) for trial in trials]
-        subsets = np.stack([
-            random_instance_row(2, "YES" if trial % 2 == 0 else "NO", rng)
-            for trial, rng in zip(trials, rngs)
-        ])
-        sigmas = np.stack([random_representative(row, rng) for row, rng in zip(subsets, rngs)])
-        # each trial's t + 1 unitaries, then one whose first column is its initial state
-        u = haar_stack(8, t + 2, rngs)
-        runs = check_dilation(
-            QueryAlgorithm(4, 2, u[:, : t + 1]), subsets, sigmas, taus, u[:, t + 1, :, 0]
-        )
-        worst = max([worst, *(run.max_trace_distance for run in runs)])
+    worst = max(run.max_trace_distance for t in (1, 2, 3) for run in random_dilation_runs(
+        seed, range(399 + t, 500, 3), 1, t, 2))
     return CriterionResult(
         4, "dilation equality", worst <= DILATION_TOL, f"max trace distance {worst:.3g} over 100 runs"
     )

@@ -6,11 +6,42 @@ pytest's import path, whatever the import mode.
 """
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
-from permlab.core import DensityMatrix, Permutation, Subset, SubsetFamily, random_densities
+from permlab.core import DensityMatrix, Subset, SubsetFamily, random_densities
 from permlab.dilation import QueryAlgorithm, haar_stack
+
+
+@dataclass(frozen=True)
+class Permutation:
+    """A bijection on the 1-based labels [V], stored as its image array: the
+    tests' reference for the package's 0-based image rows."""
+
+    size: int
+    image: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if self.size < 1:
+            raise ValueError("permutation size must be positive")
+        if len(self.image) != self.size:
+            raise ValueError(f"image has length {len(self.image)}, expected {self.size}")
+        if sorted(self.image) != list(range(1, self.size + 1)):
+            raise ValueError("image is not a bijection on 1..V")
+
+    def __call__(self, label: int) -> int:
+        return self.image[label - 1]
+
+    def matrix(self) -> np.ndarray:
+        """V x V zero-one matrix sending basis vector j-1 to image[j]-1."""
+        mat = np.zeros((self.size, self.size))
+        for j, i in enumerate(self.image, start=1):
+            mat[i - 1, j - 1] = 1.0
+        return mat
+
+    def zero_based(self) -> np.ndarray:
+        return np.asarray(self.image, dtype=np.intp) - 1
 
 
 def identity(size):

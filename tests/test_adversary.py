@@ -19,7 +19,6 @@ from permlab.adversary import (
     relation_stats,
 )
 from permlab.core import (
-    Permutation,
     PureState,
     Subset,
     SubsetFamily,
@@ -30,6 +29,7 @@ from permlab.dilation import QueryAlgorithm, random_query_algorithm
 from permlab.oracles import phase_signs, representative_sigma
 from permlab.verifier import parity_class
 from reference import (
+    Permutation,
     as_permutation,
     block_permutation_objects,
     compose,
@@ -63,7 +63,7 @@ def matched_pair(sx, sy):
 def reference_matched_pair(sx, sy):
     """Reference route on `Permutation`s: sigma_x* composed with the involution
     swapping the i-th smallest labels of sx - sy and sy - sx."""
-    sigma_x = representative_sigma(sx, len(sx))
+    sigma_x = as_permutation(representative_sigma(sx, len(sx)))
     swap = list(range(1, sx.universe + 1))
     only_x, only_y = set(sx.members) - set(sy.members), set(sy.members) - set(sx.members)
     for a, b in zip(sorted(only_x), sorted(only_y)):
@@ -76,7 +76,8 @@ def reference_coset_relation(sx, sy, block):
     per (x set, tau), y items tau o sigma_y* per (x set, y set, tau), each new
     image appended once, in order of first appearance."""
     taus = block_permutation_objects(sx.universe, block)
-    x_items = [compose(tau, representative_sigma(s, block)) for s in sx for tau in taus]
+    x_items = [compose(tau, as_permutation(representative_sigma(s, block)))
+               for s in sx for tau in taus]
     y_items, y_index, pairs = [], {}, []
     for ix, s_x in enumerate(sx):
         for s_y in sy:

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from permlab import dilation, harness
 from permlab.core import (
     DensityMatrix,
-    Permutation,
     PureState,
     Subset,
     partial_trace,
@@ -52,11 +51,6 @@ S_EVEN = Subset(4, (2, 4))
 S_ODD = Subset(4, (1, 3))
 
 
-def image_row(sigma):
-    """sigma as a 0-based image row: a `Permutation` converted, a row as given."""
-    return sigma.zero_based() if isinstance(sigma, Permutation) else np.asarray(sigma)
-
-
 def reference_haar_unitary(dim, rng):
     """Reference route: one Ginibre matrix, one QR and the phase fix per call."""
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -87,7 +81,8 @@ def build_control_permutation(taus):
 def reference_channel_picture(alg, subset, initial):
     """Reference route: one `DensityMatrix` per query, sigma as a kron'd permutation matrix."""
     block = len(subset)
-    p_joint = np.kron(representative_sigma(subset, block).matrix(), np.eye(alg.dim_b))
+    sigma = as_permutation(representative_sigma(subset, block))
+    p_joint = np.kron(sigma.matrix(), np.eye(alg.dim_b))
     states = [DensityMatrix.from_pure(initial)]
     rho = states[0].entries
     for u in alg.unitaries[:-1]:
@@ -109,7 +104,7 @@ def reference_dilated_picture(alg, sigma, taus, initial):
     psi = initial.amplitudes
     for _ in range(t):
         psi = np.kron(chi, psi)
-    inv_sigma = np.argsort(image_row(sigma))
+    inv_sigma = np.argsort(np.asarray(sigma))
     gather = np.stack([inv_sigma[np.argsort(tau)] for tau in taus])
     states = [PureState(full, psi)]
     for k in range(1, t + 1):
@@ -125,7 +120,7 @@ def reference_check_dilation(alg, subset, sigma, taus, initial):
 
     Returns the channel states, the reduced states, the distances and the
     consistency flag."""
-    consistent = np.array_equal(image_row(sigma) < len(subset), subset.incidence)
+    consistent = np.array_equal(np.asarray(sigma) < len(subset), subset.incidence)
     rhos = reference_channel_picture(alg, subset, initial)
     reduced = []
     for psi in reference_dilated_picture(alg, sigma, taus, initial):
@@ -150,7 +145,7 @@ def dense_dilated_picture(alg, sigma, taus, initial):
     psi = initial.amplitudes
     for _ in range(t):
         psi = np.kron(chi, psi)
-    inv_sigma = np.argsort(image_row(sigma))
+    inv_sigma = np.argsort(np.asarray(sigma))
     inv_taus = [np.argsort(tau) for tau in taus]
 
     snapshots = [DensityMatrix.from_pure(PureState(full, psi))]
@@ -562,14 +557,15 @@ class TestTrialStacks:
         assert runs[1].max_trace_distance > 0.1
 
     def test_chunk_size_leaves_results_bit_for_bit(self, monkeypatch):
-        # 20 three-query trials of 4 * 4^3 * 8 = 2048 dilated amplitudes each
-        stack, _ = _trial_stack(3, 2, range(20))
-        subsets = [Subset(4, PAIRS[k % 6]) for k in range(20)]
-        sigmas = np.stack([
-            random_representative(s.incidence, philox_stream(k, 5)) for k, s in enumerate(subsets)
-        ])
-        subsets = incidence_rows(4, subsets)
-        initial = np.stack([random_product_initial(8, k).amplitudes for k in range(20)])
+        # (n, queries, tau_samples): 20 trials each, and the stack sizes that
+        # TRIAL_STACK_ENTRIES at its default, at 3 * 2048 and at 1 give: the larger
+        # of a trial's draws, (queries+2) d^2, and dilated states, (queries+1) c^queries d
+        cases = {
+            (1, 1, None): ([20], [20]),  # 192 draws, 64 amplitudes
+            (1, 2, None): ([20], [16, 4]),  # 256 draws, 384 amplitudes
+            (1, 3, None): ([8, 8, 4], [3] * 6 + [2]),  # 320 draws, 2048 amplitudes
+            (2, 1, 3): ([5] * 4, [2] * 10),  # 3072 draws, 192 amplitudes
+        }
         sizes = []
         picture = dilation.run_dilated_picture
 
@@ -578,21 +574,26 @@ class TestTrialStacks:
             return picture(alg, *args)
 
         monkeypatch.setattr(dilation, "run_dilated_picture", counted)
-        whole = check_dilation(stack, subsets, sigmas, TAUS, initial)
-        assert sizes == [8, 8, 4]  # 2^14 entries per chunk
         configs = [
             harness.ExperimentConfig(subcommand=name, queries=2, trials=9, seed=3)
             for name in ("dilate", "wtrace")
         ]
         cli = [harness.execute(cfg) for cfg in configs]
-        for entries in (1, 3 * 2048):
-            monkeypatch.setattr(dilation, "TRIAL_STACK_ENTRIES", entries)
+        whole = {}
+        for (n, queries, tau_samples), (default, _) in cases.items():
             sizes.clear()
-            runs = check_dilation(stack, subsets, sigmas, TAUS, initial)
-            assert sizes == ([1] * 20 if entries == 1 else [3] * 6 + [2])
-            for a, b in zip(whole, runs, strict=True):
-                assert a.trace_distances == b.trace_distances and a.consistent == b.consistent
-                assert np.array_equal(a.rhos, b.rhos) and np.array_equal(a.reduced, b.reduced)
+            whole[n, queries] = dilation.random_dilation_runs(
+                5, range(20), n, queries, 2, tau_samples)
+            assert sizes == default
+        for entries in (3 * 2048, 1):
+            monkeypatch.setattr(dilation, "TRIAL_STACK_ENTRIES", entries)
+            for (n, queries, tau_samples), (_, mid) in cases.items():
+                sizes.clear()
+                runs = dilation.random_dilation_runs(5, range(20), n, queries, 2, tau_samples)
+                assert sizes == (mid if entries > 1 else [1] * 20)
+                for a, b in zip(whole[n, queries], runs, strict=True):
+                    assert a.trace_distances == b.trace_distances and a.consistent == b.consistent
+                    assert np.array_equal(a.rhos, b.rhos) and np.array_equal(a.reduced, b.reduced)
             assert [harness.execute(cfg) for cfg in configs] == cli
 
     def test_non_unitary_member_is_named(self):
@@ -609,7 +610,7 @@ class TestTrialStacks:
         one = check_dilation(alg, S_EVEN, sigma, TAUS, initial)
         (stacked,) = check_dilation(
             QueryAlgorithm(4, 2, alg.unitaries[None]), S_EVEN.incidence[None],
-            sigma.zero_based()[None], TAUS, initial
+            sigma[None], TAUS, initial
         )
         assert one.trace_distances == stacked.trace_distances
         assert np.array_equal(one.rhos, stacked.rhos)

@@ -1,9 +1,10 @@
 import json
+import sys
 
 import pytest
 
 from permlab import suite
-from permlab.core import Permutation, Subset
+from permlab.core import Subset
 from permlab.harness import (
     ExperimentConfig,
     execute,
@@ -271,6 +272,16 @@ class TestCli:
         (["fix", "--k", "0"], "field 'nref' must exceed 1, got 0.0 (nref defaults to k)"),
         (["fix", "--k", "1"], "field 'nref' must exceed 1, got 1.0 (nref defaults to k)"),
         (["fix", "--nref", "0.5"], "field 'nref' must exceed 1, got 0.5 (nref defaults to k)"),
+        (["fix", "--p", "-1"], "field 'p' must be at least 0, got -1.0"),
+        (["fix", "--p", "nan"], "field 'p' must be at least 0, got nan"),
+        (["relation", "--fixed", "a"], "field 'fixed' must be space-separated labels, got 'a'"),
+        (["crossover", "--p-coeffs", "1,x"],
+         "field 'p_coeffs' must be comma-separated numbers, got '1,x'"),
+        (["crossover", "--p-coeffs", ""], "field 'p_coeffs' must be comma-separated numbers, got ''"),
+        # C(30, 15) = 155,117,520 sets of 15 labels: refused before any is drawn
+        (["fix", "--V", "30", "--k", "15", "--p", "0"],
+         "fields V = 30, k = 15 and p = 0.0 ask for families of C(V, k) / 2^p = 155117520 "
+         "sets, above the cap 10000000"),
     ])
     def test_main_rejects_out_of_range_fields_by_name(self, argv, message, capsys):
         assert main(argv) == 2
@@ -285,6 +296,21 @@ class TestCli:
         assert capsys.readouterr().err == "error: field 'trials' must be at least 0, got -1\n"
         with pytest.raises(ValueError, match="field 'trials'"):
             load_config(str(path))
+
+    def test_p_coeffs_take_one_conversion_from_flags_and_files(self, tmp_path, capsys):
+        assert main(["crossover", "--p-coeffs", "0,1"]) == 0
+        want = capsys.readouterr()
+        path = tmp_path / "cfg.json"
+        for value in ("0,1", [0, 1], ["0", "1.0"]):
+            path.write_text(json.dumps({"subcommand": "crossover", "p_coeffs": value}))
+            assert load_config(str(path)).p_coeffs == (0.0, 1.0)
+            assert main(["crossover", "--config", str(path)]) == 0
+            assert capsys.readouterr() == want
+        for value in ("0,x", [0, "x"], 3, ""):
+            path.write_text(json.dumps({"subcommand": "crossover", "p_coeffs": value}))
+            assert main(["crossover", "--config", str(path)]) == 2
+            assert capsys.readouterr().err == (
+                f"error: field 'p_coeffs' must be comma-separated numbers, got {value!r}\n")
 
     def test_wtrace_reports_its_worst_drop_on_stderr_only(self, capsys):
         code, header, rows = execute(
@@ -313,12 +339,15 @@ class TestCli:
 
 def test_run_paths_build_no_subset_or_permutation(monkeypatch):
     """The verifier and the dilation carry instances as incidence rows and sigmas
-    as image rows: building a `Subset` or a `Permutation` on their run paths raises."""
+    as image rows: building a `Subset` on their run paths raises, and no module
+    of the package binds a `Permutation` (the 1-based class lives in the tests)."""
+    modules = [module for name, module in sys.modules.items() if name.split(".")[0] == "permlab"]
+    assert len(modules) > 1 and not any(hasattr(module, "Permutation") for module in modules)
+
     def refuse(self):
         raise RuntimeError(f"a {type(self).__name__} was built on a run path")
 
     monkeypatch.setattr(Subset, "__post_init__", refuse)
-    monkeypatch.setattr(Permutation, "__post_init__", refuse)
     configs = (
         (dict(subcommand="verify", n=2, exhaustive_no=True), 1, 448),
         (dict(subcommand="verify", n=3, trials=4), 1, 4),

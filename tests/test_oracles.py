@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from permlab import oracles, suite
 from permlab.core import (
     DensityMatrix,
-    Permutation,
     PureState,
     Subset,
     philox_stream,
@@ -30,6 +29,7 @@ from permlab.oracles import (
     sample_block_permutations,
 )
 from reference import (
+    Permutation,
     as_permutation,
     block_permutation_objects,
     diagonal,
@@ -478,9 +478,10 @@ class TestBlockGroupRows:
 
 class TestRepresentative:
     def test_canonical_examples(self):
-        assert representative_sigma(Subset(4, (1, 2)), 2) == identity(4)
-        assert representative_sigma(Subset(4, (3, 4)), 2) == Permutation(4, (3, 4, 1, 2))
-        sigma = representative_sigma(Subset(4, (2, 4)), 2)
+        assert as_permutation(representative_sigma(Subset(4, (1, 2)), 2)) == identity(4)
+        assert as_permutation(representative_sigma(Subset(4, (3, 4)), 2)) == Permutation(
+            4, (3, 4, 1, 2))
+        sigma = as_permutation(representative_sigma(Subset(4, (2, 4)), 2))
         assert (sigma(2), sigma(4), sigma(1), sigma(3)) == (1, 2, 3, 4)
 
     def test_size_mismatch(self):
@@ -493,7 +494,7 @@ class TestRepresentative:
         rng = philox_stream(seed)
         members = tuple(sorted(int(x) + 1 for x in rng.choice(9, size=3, replace=False)))
         s = Subset(9, members)
-        assert preimage_set(representative_sigma(s, 3), 3) == s
+        assert preimage_set(as_permutation(representative_sigma(s, 3)), 3) == s
         row = random_representative(s.incidence, rng)
         assert row.dtype == np.intp and np.array_equal(row < 3, s.incidence)
 

@@ -5,7 +5,9 @@ their arguments by name: `run_dilated_picture`'s `alg` and `taus`,
 `relation_stats`'s `rel`, `enumerate_family`'s `universe` and `k`, and the
 `.dim` of `optimal_witness_prob`'s instance; it adds the `iterations` of each
 `fixing_procedure` result and the row count of each `bound_crossover` report,
-and `layer_metrics` turns every count into a float. It is loaded here by path (and
+and `layer_metrics` turns every count into a float. `dilate` must enter
+`check_dilation` and `run_dilated_picture` once per trial stack, so a run
+path that bypasses the spanned functions fails here too. It is loaded here by path (and
 left unedited), installed around a few runs and removed again, so a signature
 change that would break a traced benchmark run fails here first.
 """
@@ -38,15 +40,21 @@ def test_hooks_record_on_the_traced_paths(capsys):
             dict(subcommand="relation", kind="preimage", n=1),
         ):
             harness.execute(harness.ExperimentConfig(**fields))
+        # nine trials of 4 * 4^3 * 8 = 2048 dilated amplitudes: stacks of 8 and 1
+        harness.main(["dilate", "--n", "1", "--queries", "3", "--trials", "9"])
         verifier.optimal_witness_prob(verifier.random_instance(4, "NO", philox_stream(1), n=2))
     finally:
         installed.remove()
     capsys.readouterr()
     assert not hasattr(harness.execute, "__wrapped__")
+    # one call of each spanned dilation function per trial stack: the two-query
+    # dilate runs one stack, the three-query one two
+    for name in ("dilation.run_dilated_picture", "dilation.check_dilation"):
+        assert len(rec.durations(name)) == 1 + 2
     counts = rec.counts
-    # four control values, two queries, d_AB = 8: 4^2 * 8 amplitudes
-    assert counts["dilation.run_dilated_picture.max_dim"] == 4**2 * 8
-    assert counts["dilation.dense_bytes"] == 3 * 128**2 * 16
+    # four control values, d_AB = 8: 4^2 * 8 amplitudes at two queries, 4^3 * 8 at three
+    assert counts["dilation.run_dilated_picture.max_dim"] == 4**3 * 8
+    assert counts["dilation.dense_bytes"] == (3 * 128**2 + 2 * 4 * 512**2) * 16
     # the n = 1 parity classes: C(4, 2) rows scanned each, one kept each
     assert counts["core.enumerate_family.scanned"] == 12
     assert counts["core.enumerate_family.kept"] == 2

@@ -33,7 +33,7 @@ from permlab.verifier import (
 from permlab.verifier import test_i as probe_i
 from permlab.verifier import test_i_circuit as probe_i_circuit
 from permlab.verifier import test_ii as probe_ii
-from reference import diagonal
+from reference import as_permutation, diagonal
 
 
 YES_N2 = PreimageInstance.power_of_two(2, Subset(16, (1, 2, 4, 6)))
@@ -163,7 +163,7 @@ def channel_test_ii(inst, witness):
 def channel_acceptance_operator(inst):
     """Reference for M: the adjoint channel on the target projector, plus the even part."""
     psi = target_state(inst).amplitudes
-    p = representative_sigma(inst.subset, inst.block).matrix()
+    p = as_permutation(representative_sigma(inst.subset, inst.block)).matrix()
     m_i = p.T @ block_average(np.outer(psi, psi.conj()), inst.block) @ p
     d = np.zeros((inst.dim, inst.dim), dtype=np.complex128)
     for label in inst.subset.members:
