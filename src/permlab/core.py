@@ -303,32 +303,75 @@ def enumerate_family(
     return SubsetFamily(universe, np.concatenate(kept))
 
 
+def _choice_rows(universe: int, k: int, floyd: bool, draws: np.ndarray) -> np.ndarray:
+    """The (batch, universe) incidence rows of the sets `Generator.choice`
+    builds from the rows of `draws` (see `sample_family`)."""
+    at = np.arange(len(draws))
+    rows = np.zeros((len(draws), universe), dtype=bool)
+    if floyd:  # a value picked before step t is replaced by universe - k + t
+        for t in range(k):
+            val = np.where(rows[at, draws[:, t]], universe - k + t, draws[:, t])
+            rows[at, val] = True
+        return rows
+    perm = np.tile(np.arange(universe), (len(draws), 1))
+    for t in range(draws.shape[1]):  # swap position universe - 1 - t with draw t
+        held = perm[:, universe - 1 - t].copy()
+        perm[:, universe - 1 - t] = perm[at, draws[:, t]]
+        perm[at, draws[:, t]] = held
+    rows[at[:, None], perm[:, universe - k:]] = True
+    return rows
+
+
 def sample_family(
     universe: int, k: int, count: int, rng: np.random.Generator
 ) -> SubsetFamily:
     """Uniformly sample `count` distinct k-subsets of [universe].
 
-    One `rng.choice` per draw, in order; a draw equal to an earlier one is
-    skipped. The distinct draws become the family's incidence rows in draw
-    order, with no `Subset` built per set.
+    The family holds the same sets, in the same order, as one
+    `rng.choice(universe, k, replace=False)` per draw with repeats skipped;
+    `rng` is left further along than that loop would leave it. Each batch of
+    draws is one `rng.integers` call, sized from the draws expected to give
+    the sets still missing, and capped at `ENUMERATION_CHUNK_ROWS` rows and
+    64 times as many incidence entries, or at a quarter of the sets kept so
+    far if more: then a batch's draws take at most half the memory of the
+    loop's (count, k) array, and few rounds re-check the kept sets.
     """
     total = math.comb(universe, k)
     if count > total:
         raise ValueError(f"cannot draw {count} distinct subsets, only {total} exist")
     if count > ENUMERATION_CAP:
         raise ValueError(f"cannot draw {count} subsets, above the cap {ENUMERATION_CAP}")
-    drawn = np.empty((count, k), dtype=np.intp)
-    seen: set[bytes] = set()
-    while len(seen) < count:
-        draw = rng.choice(universe, size=k, replace=False)
-        draw.sort()
-        key = draw.tobytes()
-        if key not in seen:
-            drawn[len(seen)] = draw
-            seen.add(key)
-    rows = np.zeros((count, universe), dtype=bool)
-    rows[np.arange(count)[:, None], drawn] = True
-    return SubsetFamily(universe, rows)
+    if universe < 1:
+        raise ValueError("universe must be positive")
+    # choice runs Floyd's algorithm, k draws below universe - k + 1, ...,
+    # universe and k - 1 shuffle draws below k, ..., 2, unless universe > 10,000
+    # and k > universe // 50: then it swaps positions universe - 1, ...,
+    # max(universe - k, 1) of arange(universe), each with a draw below it plus
+    # 1. Each draw is one bounded integer, as in rng.integers(0, highs).
+    floyd = universe <= 10_000 or k <= universe // 50
+    highs = np.arange(universe, max(universe - k, 1), -1)
+    if floyd:
+        highs = np.concatenate([np.arange(universe - k + 1, universe + 1), np.arange(k, 1, -1)])
+    cap = max(1, min(ENUMERATION_CHUNK_ROWS, ENUMERATION_CHUNK_ROWS * 64 // universe))
+    kept = [np.zeros((0, universe), dtype=bool)]
+    # a set's key is its packed row, as one uint64 word when it fits
+    width = -(-universe // 64)
+    keys = np.zeros(0, dtype=np.uint64 if width == 1 else np.dtype((np.void, 8 * width)))
+    while len(keys) < count:
+        need = count - len(keys)
+        batch = min(max(cap, len(keys) // 4), -(-need * total // (total - len(keys))))
+        draws = rng.integers(0, np.tile(highs, batch)).reshape(batch, len(highs))
+        rows = _choice_rows(universe, k, floyd, draws)
+        words = np.zeros((batch, 8 * width), dtype=np.uint8)
+        words[:, :-(-universe // 8)] = np.packbits(rows, axis=1)
+        fresh = words.view(keys.dtype).ravel()
+        _, first = np.unique(np.concatenate([keys, fresh]), return_index=True)
+        is_first = np.zeros(len(keys) + batch, dtype=bool)
+        is_first[first] = True
+        new = np.flatnonzero(is_first[len(keys):])[:need]
+        keys = np.concatenate([keys, fresh[new]])
+        kept.append(rows[new])
+    return SubsetFamily(universe, np.concatenate(kept))
 
 
 def partial_trace(

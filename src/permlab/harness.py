@@ -90,10 +90,13 @@ class ExperimentConfig:
             coeffs = self.p_coeffs
             parts = coeffs.split(",") if isinstance(coeffs, str) else coeffs
             try:
-                object.__setattr__(self, "p_coeffs", tuple(float(c) for c in parts))
+                values = tuple(float(c) for c in parts)
             except (TypeError, ValueError):
                 raise ValueError(f"field 'p_coeffs' must be comma-separated numbers, "
                                  f"got {coeffs!r}") from None
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"field 'p_coeffs' must be finite numbers, got {coeffs!r}")
+            object.__setattr__(self, "p_coeffs", values)
         for name, low in MINIMUMS.items():
             value = getattr(self, name)
             if value is not None and not value >= low:  # NaN fails too

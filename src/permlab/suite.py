@@ -196,7 +196,7 @@ def criterion_06_fixing(seed: int) -> CriterionResult:
 
     Each family is one index sample without replacement over the enumerated
     rows of C(16,4): distinct sets, uniformly at random and in random order,
-    the distribution `sample_family` draws from one set at a time. The 100
+    the distribution of `sample_family`: one `Generator.choice` per draw. The 100
     families of each p run as one stack through the Fixing Procedure and the
     distributedness check.
     """

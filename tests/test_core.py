@@ -356,7 +356,8 @@ class TestEnumerateAndSample:
             raise AssertionError("sample_family allocated before refusing")
 
         rng = philox_stream(1)
-        monkeypatch.setattr(core.np, "empty", refuse)
+        for name in ("arange", "tile", "zeros"):
+            monkeypatch.setattr(core.np, name, refuse)
         with pytest.raises(ValueError, match="above the cap 10000000"):
             sample_family(30, 15, core.ENUMERATION_CAP + 1, rng)
 

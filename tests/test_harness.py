@@ -1,5 +1,8 @@
+import csv
 import json
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -282,6 +285,9 @@ class TestCli:
         (["fix", "--V", "30", "--k", "15", "--p", "0"],
          "fields V = 30, k = 15 and p = 0.0 ask for families of C(V, k) / 2^p = 155117520 "
          "sets, above the cap 10000000"),
+        (["crossover", "--p-coeffs", "nan"], "field 'p_coeffs' must be finite numbers, got 'nan'"),
+        (["crossover", "--p-coeffs", "0,inf"], "field 'p_coeffs' must be finite numbers, got '0,inf'"),
+        (["crossover", "--p-coeffs", "1e400"], "field 'p_coeffs' must be finite numbers, got '1e400'"),
     ])
     def test_main_rejects_out_of_range_fields_by_name(self, argv, message, capsys):
         assert main(argv) == 2
@@ -359,3 +365,21 @@ def test_run_paths_build_no_subset_or_permutation(monkeypatch):
         assert (code, len(rows)) == (want_code, want_rows)
     for criterion in (suite.criterion_03_test_i_perfection, suite.criterion_04_dilation):
         assert criterion(42).passed
+
+
+def test_bench_e2e_script_times_one_command_on_two_checkouts():
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "bench_e2e.py"), str(root), str(root),
+         "--repeat", "2", "--command", "relation --V 6 --kx 2 --ky 3 --out ignored.csv"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, row = csv.reader(proc.stdout.splitlines())
+    assert header == ["command", "base_median_s", "base_q1_s", "base_q3_s", "change_median_s",
+                      "change_q1_s", "change_q3_s", "change_faster_pairs", "pairs", "same_output"]
+    assert row[0] == "relation --V 6 --kx 2 --ky 3 --out ignored.csv"
+    base_q1, base_median, base_q3 = float(row[2]), float(row[1]), float(row[3])
+    assert 0 < base_q1 <= base_median <= base_q3
+    assert 0 <= int(row[7]) <= 2 and row[8:] == ["2", "True"]
+    assert not (root / "ignored.csv").exists()

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permlab import core
 from permlab.core import Subset, SubsetFamily, enumerate_family, philox_stream, sample_family
 from permlab.structure import (
     CROSSOVER_PRECISION_DPS,
@@ -296,9 +297,34 @@ class TestIncidenceMatchesReference:
 
     @pytest.mark.parametrize(
         "universe,k,count,seed",
-        [(16, 4, 455, 642), (16, 4, 114, 4642), (10, 3, 29, 5), (6, 2, 15, 1), (12, 4, 62, 9)],
+        [(16, 4, 455, 642), (16, 4, 114, 4642), (10, 3, 29, 5), (6, 2, 15, 1), (12, 4, 62, 9),
+         # numpy's Generator.choice runs Floyd's algorithm at V <= 10,000 or k <= V // 50,
+         # and a tail shuffle of arange(V) otherwise
+         (10001, 199, 4, 3), (10001, 200, 4, 3), (10000, 201, 4, 3), (10001, 201, 4, 3),
+         (10001, 10001, 1, 3),
+         (8, 0, 0, 2), (8, 0, 1, 2), (8, 1, 5, 2), (8, 1, 8, 2), (8, 8, 1, 2), (8, 3, 56, 4),
+         # rows of more than 64 labels are keyed as bytes, not as one word
+         (70, 2, 2000, 5)],
     )
     def test_sample_family_draws_unchanged(self, universe, k, count, seed):
+        got = sample_family(universe, k, count, philox_stream(seed))
+        want = reference_sample_family(universe, k, count, philox_stream(seed))
+        assert [s.members for s in got] == [s.members for s in want]
+
+    @pytest.mark.parametrize("chunk_rows", [1, 4])
+    def test_sample_family_batch_size_does_not_change_draws(self, chunk_rows, monkeypatch):
+        # small batches: many rounds, and batches that grow with the kept sets
+        monkeypatch.setattr(core, "ENUMERATION_CHUNK_ROWS", chunk_rows)
+        got = sample_family(16, 4, 455, philox_stream(642))
+        want = reference_sample_family(16, 4, 455, philox_stream(642))
+        assert [s.members for s in got] == [s.members for s in want]
+
+    @given(st.data(), st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_sample_family_draws_match_reference(self, data, seed):
+        universe = data.draw(st.integers(1, 12))
+        k = data.draw(st.integers(0, universe))
+        count = data.draw(st.integers(0, math.comb(universe, k)))
         got = sample_family(universe, k, count, philox_stream(seed))
         want = reference_sample_family(universe, k, count, philox_stream(seed))
         assert [s.members for s in got] == [s.members for s in want]
