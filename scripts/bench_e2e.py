@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the README's CLI examples end to end on two checkouts.
+"""Time the README's CLI examples, and a few larger runs, end to end on two checkouts.
 
 Each command runs as a fresh `python -m permlab` process from a checkout's
 `src/`, at 1 BLAS thread, one process at a time. The two checkouts alternate
@@ -28,6 +28,9 @@ from pathlib import Path
 import numpy as np
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# Run after the README examples: sizes past them that the examples do not reach.
+EXTRA_COMMANDS = ("verify --n 5 --trials 2", "relation --kind preimage --n 2",
+                  "dilate --n 1 --queries 4")
 
 
 def readme_commands(readme: Path) -> list[str]:
@@ -87,12 +90,12 @@ def main() -> None:
     parser.add_argument("--repeat", type=int, default=5, help="runs per side and command")
     parser.add_argument("--command", action="append", default=None,
                         help="permlab arguments to time, instead of the README examples "
-                             "of the change checkout (repeatable)")
+                             "of the change checkout and EXTRA_COMMANDS (repeatable)")
     args = parser.parse_args()
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
     base, change = args.base.resolve(), args.change.resolve()
-    commands = args.command or readme_commands(change / "README.md")
+    commands = args.command or [*readme_commands(change / "README.md"), *EXTRA_COMMANDS]
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["command", "base_median_s", "base_q1_s", "base_q3_s", "change_median_s",
                      "change_q1_s", "change_q3_s", "change_faster_pairs", "pairs", "same_output"])

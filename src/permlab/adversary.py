@@ -32,7 +32,8 @@ import numpy as np
 from .core import PureState, SubsetFamily
 from .dilation import QueryAlgorithm
 from .oracles import (
-    block_permutations, permutation_rows, phase_signs, representative_rows, sign_rows,
+    block_group_order, block_permutations, permutation_rows, phase_signs, representative_rows,
+    sign_rows,
 )
 
 # progress_trace materializes a control register per oracle; cap its size
@@ -158,7 +159,7 @@ def build_preimage_relation(
     if (sx.incidence.sum(axis=1) != block).any() or (sy.incidence.sum(axis=1) != block).any():
         raise ValueError(f"every subset must have exactly {block} members")
     v = sx.universe
-    group_size = math.factorial(block) * math.factorial(v - block)
+    group_size = block_group_order(v, block)
     if materialize_cosets is None:
         materialize_cosets = group_size <= MAX_COSET_ITEMS
     if not materialize_cosets:

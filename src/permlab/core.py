@@ -271,22 +271,22 @@ def enumerate_family(
     universe: int,
     k: int,
     predicate: Callable[[np.ndarray], np.ndarray] | None = None,
-    cap: int = ENUMERATION_CAP,
 ) -> SubsetFamily:
     """All k-subsets of [universe] passing the predicate, in lexicographic order.
 
     The subsets are built as incidence rows, `ENUMERATION_CHUNK_ROWS` at a time;
     the predicate maps each (count, universe) bool chunk to a (count,) bool mask
-    of the rows to keep.
+    of the rows to keep. C(universe, k) is built as C(universe, j) for j up to
+    min(k, universe - k), which only grow, so it is refused at the first above the cap.
     """
-    if k > universe:
-        raise ValueError(f"k={k} exceeds universe {universe}")
-    total = math.comb(universe, k)
-    if total > cap:
-        raise ValueError(
-            f"C({universe},{k}) = {total} exceeds the enumeration cap {cap}; "
-            "use sample_family for seeded uniform sampling instead"
-        )
+    if not 0 <= k <= universe:
+        raise ValueError(f"k={k} must lie in 0..{universe}")
+    total = 1
+    for j in range(min(k, universe - k)):
+        total = total * (universe - j) // (j + 1)
+        if total > ENUMERATION_CAP:
+            raise ValueError(f"C({universe},{k}) exceeds the enumeration cap {ENUMERATION_CAP}; "
+                             "use sample_family for seeded uniform sampling instead")
     combos = itertools.combinations(range(universe), k)
     kept = []
     for start in range(0, total, ENUMERATION_CHUNK_ROWS):

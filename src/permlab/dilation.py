@@ -44,6 +44,7 @@ from .oracles import (
     block_permutations,
     permutation_rows,
     random_representative,
+    representative_inverse,
     sample_block_permutations,
 )
 from .verifier import random_instance_row
@@ -61,6 +62,16 @@ def trial_stacks(count: int, entries: int) -> Iterator[slice]:
     every slice at most TRIAL_STACK_ENTRIES entries or one trial."""
     step = max(1, TRIAL_STACK_ENTRIES // max(entries, 1))
     return (slice(start, start + step) for start in range(0, count, step))
+
+
+def dilated_length(controls: int, queries: int, d_ab: int) -> int:
+    """c^t * d_AB, the length of one dilated state, refused above MAX_DIM; c^t is
+    formed from at most 13 factors c, as 2^13 alone passes the cap."""
+    full = controls ** min(queries, MAX_DIM.bit_length()) * d_ab
+    if full > MAX_DIM:
+        raise ValueError(f"dilated dimension {controls}^{queries} * {d_ab} exceeds the cap "
+                         f"{MAX_DIM}; each query consumes a fresh control register")
+    return full
 
 
 def haar_stack(dim: int, count: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
@@ -172,8 +183,7 @@ def run_channel_picture(
     rows, block = _subset_rows(alg, subset)
     amps, stack = alg.initial_rows(initial), alg.stack
     trials, d = len(stack), amps.shape[1]
-    # the inverse of each set's representative sigma: its members, then the rest, in order
-    inv_sigma = np.argsort(~rows, axis=-1, kind="stable")
+    inv_sigma = representative_inverse(rows)
     source = (inv_sigma[:, :, None] * alg.dim_b + np.arange(alg.dim_b)).reshape(-1, d, 1)
     # entry (i, j) of a trial's rho after the gather reads entry (source_i, source_j)
     flat = np.arange(trials)[:, None, None] * d * d + source * d + source.mT
@@ -212,12 +222,7 @@ def run_dilated_picture(
     chi = chi_state(c).amplitudes[0]
     inv_sigma = np.argsort(permutation_rows(sigma, alg.dim_a, "sigma").reshape(-1, alg.dim_a))
     amps = alg.initial_rows(initial)
-    full = (c**t) * d_ab
-    if full > MAX_DIM:
-        raise ValueError(
-            f"dilated dimension {c}^{t} * {d_ab} = {full} exceeds the cap {MAX_DIM}; "
-            "each query consumes a fresh control register"
-        )
+    full = dilated_length(c, t, d_ab)
     # (1 or trials, c, V): inv_sigma after control value i's inverse tau, per trial
     inv_taus = np.argsort(tau_rows, axis=-1).reshape(c, -1, alg.dim_a).swapaxes(0, 1)
     inv_a = inv_sigma.ravel()[np.arange(len(inv_sigma))[:, None, None] * alg.dim_a + inv_taus]
@@ -294,16 +299,17 @@ def random_dilation_runs(
     N = 2^n. Trial i draws from stream (seed, i): a YES instance row for even
     i (NO for odd), a random sigma with that preimage set, for n > 1 its own
     `tau_samples` taus (n = 1 takes the whole block group), then queries + 2
-    Haar unitaries, the last one's first column its initial state.
-    Each stack of trials is sized once: its draws, (queries+2) d^2, and its
-    dilated states, (queries+1) c^queries d, hold at most TRIAL_STACK_ENTRIES
-    complex entries, or it is one trial."""
+    Haar unitaries, the last one's first column its initial state. The
+    dilated length is checked before anything is drawn. Each stack of trials
+    is sized once: its draws, (queries+2) d^2, and its dilated states,
+    (queries+1) c^queries d, hold at most TRIAL_STACK_ENTRIES complex entries,
+    or it is one trial."""
     big_n = 2**n
     v, d = big_n**2, big_n**2 * dim_b
     controls = block_group_order(v, big_n) if n == 1 else tau_samples
+    full = dilated_length(controls, queries, d)
     runs: list[DilationRun] = []
-    for part in trial_stacks(len(trials), max((queries + 2) * d * d,
-                                              (queries + 1) * controls**queries * d)):
+    for part in trial_stacks(len(trials), max((queries + 2) * d * d, (queries + 1) * full)):
         stack = trials[part]
         rngs = [philox_stream(seed, i) for i in stack]
         rows = np.stack([random_instance_row(big_n, ("YES", "NO")[i % 2], rng)

@@ -28,7 +28,7 @@ from .adversary import (
     progress_trace,
     relation_stats,
 )
-from .core import ENUMERATION_CAP, enumerate_family, philox_stream, sample_family
+from .core import ENUMERATION_CAP, MAX_DIM, enumerate_family, philox_stream, sample_family
 from .dilation import DILATION_TOL, QueryAlgorithm, haar_stack, random_dilation_runs, trial_stacks
 from .structure import (
     TargetClass,
@@ -194,7 +194,13 @@ def run_verify(cfg: ExperimentConfig) -> tuple[bool, list[str], list[list]]:
     if cfg.n is None and (cfg.exhaustive_no or cfg.N is None):
         raise ValueError("subcommand 'verify' needs the field 'n'"
                          + ("" if cfg.exhaustive_no else " or the field 'N'"))
-    big_n = 2**cfg.n if cfg.n is not None else cfg.N
+    name, size = ("n", cfg.n) if cfg.n is not None else ("N", cfg.N)
+    # the largest N, or n, whose N^2 labels fit the dense-matrix cap
+    limit = math.isqrt(MAX_DIM) if name == "N" else math.isqrt(MAX_DIM).bit_length() - 1
+    if size > limit:
+        raise ValueError(f"field '{name}' must be at most {limit}, got {size} "
+                         f"(N^2 labels must fit the dense-matrix cap {MAX_DIM})")
+    big_n = 2**size if name == "n" else size
     instances = parity_class(cfg.n, "NO").incidence if cfg.exhaustive_no else np.array([
         random_instance_row(big_n, ("YES", "NO")[t % 2], philox_stream(cfg.seed, t))
         for t in range(cfg.trials)
@@ -202,7 +208,6 @@ def run_verify(cfg: ExperimentConfig) -> tuple[bool, list[str], list[list]]:
     k_even, labels = promise_labels(instances)
     columns = (*sweep_honest(instances), sweep_lambda(instances))
     members = np.nonzero(instances)[1].reshape(len(instances), big_n) + 1
-    size = cfg.n if cfg.n is not None else cfg.N
     rows = [
         ["-".join(map(str, ids)), size, *values]
         for ids, *values in zip(members.tolist(), k_even.tolist(), labels.tolist(),

@@ -66,11 +66,15 @@ def sign_rows(rows, size: int, what: str) -> np.ndarray:
     return out
 
 
+def representative_inverse(incidence: np.ndarray) -> np.ndarray:
+    """The inverse of each set's `representative_rows`: its members, then the rest, in order."""
+    return np.argsort(~incidence, axis=-1, kind="stable")
+
+
 def representative_rows(incidence: np.ndarray) -> np.ndarray:
-    """The canonical representative of each set of a (..., V) incidence array, as
-    0-based image rows: the i-th smallest member goes to i - 1 and the other
-    labels, in increasing order, to block..V-1 (the inverse lists them in that order)."""
-    return np.argsort(np.argsort(~incidence, axis=-1, kind="stable"), axis=-1)
+    """Each set's canonical representative, for a (..., V) incidence array, as 0-based image
+    rows: its i-th smallest member goes to i - 1, and the other labels in order to block..V-1."""
+    return np.argsort(representative_inverse(incidence), axis=-1)
 
 
 def representative_sigma(subset: Subset, block: int) -> np.ndarray:
@@ -198,11 +202,10 @@ def block_twirl(rho: DensityMatrix, block: int) -> DensityMatrix:
 def apply_randomized_preimage(subset: Subset, rho: DensityMatrix) -> DensityMatrix:
     """Apply a uniformly random permutation with preimage set `subset`.
 
-    Equals block_twirl(P rho P†, |subset|) for any representative P; the
-    canonical one's inverse lists the members, then the other labels, in order.
+    Equals block_twirl(P rho P†, |subset|) for any representative P, here the
+    canonical one, gathered through its inverse.
     """
     if rho.dim != subset.universe:
         raise ValueError(f"rho dim {rho.dim} does not match universe {subset.universe}")
-    inv_sigma = np.argsort(~subset.incidence, kind="stable")
-    return DensityMatrix(rho.dim, block_average(rho.entries[np.ix_(inv_sigma, inv_sigma)],
-                                                len(subset)))
+    inv = representative_inverse(subset.incidence)
+    return DensityMatrix(rho.dim, block_average(rho.entries[np.ix_(inv, inv)], len(subset)))

@@ -10,7 +10,10 @@ families' 0/1 incidence rows, (families, rows, V): label frequencies are
 column counts over each family's alive rows, a shrink clears rows of its
 alive mask, and "the core lies in every member" is one `all` over the core
 columns. Each step counts only the families still running, and the
-one-family `fixing_procedure` and `check_distributed` are stacks of one.
+one-family `fixing_procedure` and `check_distributed` are stacks of one. A
+`TargetClass` is the size-subsets of a universe, or one promise class of
+`verifier.even_count`; a core extends into it when some even count k the class
+allows covers the core's evens and leaves size - k places for its odds.
 Counting comparisons are carried out in log2 space with high-precision
 log-gamma binomials; float64 loses the sign of the difference near n = 60.
 """
@@ -26,6 +29,7 @@ import mpmath
 import numpy as np
 
 from .core import FLOAT32_EXACT_COUNT, Subset, SubsetFamily, first_repeats
+from .verifier import even_count
 
 CROSSOVER_PRECISION_DPS = 50
 FRACTION_TOL = 1e-12
@@ -35,43 +39,26 @@ COUNT_CHUNK_ENTRIES = 2**16
 
 @dataclass(frozen=True)
 class TargetClass:
-    """The class a fixed core must extend into: all k-subsets, or a parity class."""
+    """The class a fixed core must extend into: the `size`-subsets of [universe], or with
+    `even` set, the promise class whose majority parity is even (True) or odd (False)."""
 
-    kind: str
     universe: int
-    size: int | None = None
-    block: int | None = None
-    majority: str | None = None
-    majority_count: int | None = None
+    size: int
+    even: bool | None = None
 
     def __post_init__(self) -> None:
-        if self.kind == "fixed_size":
-            if self.size is None or not 0 <= self.size <= self.universe:
-                raise ValueError("fixed_size target needs 0 <= size <= universe")
-        elif self.kind == "parity":
-            if self.block is None or self.universe != self.block**2:
-                raise ValueError("parity target needs universe = N^2")
-            if self.majority not in ("even", "odd"):
-                raise ValueError("parity target majority must be 'even' or 'odd'")
-            if self.majority_count is None or not 0 <= self.majority_count <= self.block:
-                raise ValueError("parity target needs 0 <= majority_count <= N")
-        else:
-            raise ValueError(f"unknown target kind {self.kind!r}")
+        if not 0 <= self.size <= self.universe:
+            raise ValueError(f"target size {self.size} must lie in 0..{self.universe}")
 
     @classmethod
     def fixed_size(cls, universe: int, size: int) -> "TargetClass":
-        return cls("fixed_size", universe, size=size)
+        return cls(universe, size)
 
     @classmethod
-    def parity(
-        cls, block: int, majority: str, majority_count: int | None = None
-    ) -> "TargetClass":
-        if majority_count is None:
-            majority_count = -((-2 * block) // 3)
-        return cls(
-            "parity", block**2, block=block, majority=majority,
-            majority_count=majority_count,
-        )
+    def parity(cls, block: int, majority: str) -> "TargetClass":
+        if majority not in ("even", "odd"):
+            raise ValueError("parity target majority must be 'even' or 'odd'")
+        return cls(block**2, block, majority == "even")
 
     def feasible_extension(self, s_fixed: Subset) -> bool:
         """Can the fixed core be completed to some member of this class?"""
@@ -79,20 +66,14 @@ class TargetClass:
 
     def feasible_cores(self, cores: np.ndarray) -> np.ndarray:
         """`feasible_extension` for each (..., V) bool core row over this universe."""
-        size = cores.sum(axis=-1)
-        if self.kind == "fixed_size":
-            return size <= self.size
-        k_even = cores[..., 1::2].sum(axis=-1)
-        k_odd = size - k_even
-        evens_free = self.universe // 2 - k_even
-        odds_free = self.universe - self.universe // 2 - k_odd
-        if self.majority == "odd":
-            maj, minr, free_maj, free_min = k_odd, k_even, odds_free, evens_free
-        else:
-            maj, minr, free_maj, free_min = k_even, k_odd, evens_free, odds_free
-        need_maj = self.majority_count - maj
-        need_min = (self.block - self.majority_count) - minr
-        return (need_maj >= 0) & (need_min >= 0) & (need_maj <= free_maj) & (need_min <= free_min)
+        evens = cores[..., 1::2].sum(axis=-1)
+        odds = cores.sum(axis=-1) - evens
+        # the even labels that a size-subset of [universe] can hold
+        lo, hi = max(0, self.size - (self.universe + 1) // 2), min(self.size, self.universe // 2)
+        if self.even is not None:
+            want = even_count(self.size, "YES" if self.even else "NO")
+            lo, hi = max(lo, want), min(hi, want)
+        return np.maximum(evens, lo) <= np.minimum(self.size - odds, hi)
 
 
 @dataclass(frozen=True)
@@ -297,19 +278,14 @@ class CrossoverReport:
 
 
 def bound_crossover(
-    alpha: float, p_coeffs: Sequence[float], variant: str,
-    fix_fraction: float | None = None, n_max: int = 64,
+    alpha: float, p_coeffs: Sequence[float], variant: str, n_max: int = 64
 ) -> CrossoverReport:
     """The least n where the counting lower bound wins: `bound_crossovers` at one alpha."""
-    return bound_crossovers((alpha,), p_coeffs, variant, fix_fraction, n_max)[0]
+    return bound_crossovers((alpha,), p_coeffs, variant, n_max)[0]
 
 
 def bound_crossovers(
-    alphas: Sequence[float],
-    p_coeffs: Sequence[float],
-    variant: str,
-    fix_fraction: float | None = None,
-    n_max: int = 64,
+    alphas: Sequence[float], p_coeffs: Sequence[float], variant: str, n_max: int = 64
 ) -> tuple[CrossoverReport, ...]:
     """For each alpha, the least n where the counting lower bound beats the upper.
 
@@ -319,22 +295,19 @@ def bound_crossovers(
     C(N^2/2, 2N/3) * C(N^2/2, N/3) * 2^(-p(n)) * N^(-alpha fN). Each binomial
     is the continuous log-gamma form, good to N = 2^64; the parity count
     overstates log2 of the integer class size C(N^2/2, ceil(2N/3)) *
-    C(N^2/2, N - ceil(2N/3)) by 0.33 to 1.79 bits at n <= 8. Defaults fix half
-    the elements (uniform) or two thirds (parity). The log-binomial terms do
+    C(N^2/2, N - ceil(2N/3)) by 0.33 to 1.79 bits at n <= 8. The fraction f
+    fixed is a half (uniform) or two thirds (parity). The log-binomial terms do
     not depend on alpha, so they are computed once per n for all alphas, each
     distinct log-gamma and log 2 once per call.
     """
-    # variant: (alpha upper limit, as text, default fix fraction)
+    # variant: (alpha upper limit, as text, fix fraction)
     limits = {"uniform": (1.0, "1", 0.5), "parity": (0.5, "1/2", 2.0 / 3.0)}
     if variant not in limits:
         raise ValueError(f"unknown variant {variant!r}")
-    alpha_hi, alpha_text, default_f = limits[variant]
-    f = default_f if fix_fraction is None else fix_fraction
+    alpha_hi, alpha_text, f = limits[variant]
     for alpha in alphas:
         if not 0.0 < alpha < alpha_hi:
             raise ValueError(f"{variant} variant needs alpha in (0, {alpha_text}), got {alpha}")
-    if not 0.0 < f <= 1.0:
-        raise ValueError(f"fix fraction must lie in (0, 1], got {f}")
 
     coeffs = tuple(float(c) for c in p_coeffs)
     reports = []

@@ -44,7 +44,7 @@ from .structure import (
 )
 from .verifier import (
     THRESHOLD_LO,
-    majority_count,
+    even_count,
     meets_threshold,
     parity_class,
     random_instance_row,
@@ -72,7 +72,7 @@ def criterion_01_completeness(seed: int) -> CriterionResult:
     cases = [("N=6", Subset(36, (1, 2, 3, 4, 6, 8)), 5.0 / 6.0, 1e-10)]
     fixed_sets = {1: (2, 4), 2: (1, 2, 4, 6), 3: (1, 2, 3, 4, 6, 8, 10, 12)}
     for n, members in fixed_sets.items():
-        expected = 0.5 * (1.0 + majority_count(2**n) / 2**n)
+        expected = 0.5 * (1.0 + even_count(2**n, "YES") / 2**n)
         cases.append((f"n={n}", Subset(4**n, members), expected, 1e-12))
     # one sweep per size: every case has its own dimension
     checks = [

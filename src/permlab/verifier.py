@@ -19,22 +19,23 @@ the weight of w on the even members of S, and the acceptance operator is
 
 A batch of instances is one (count, V) bool incidence array, label i in
 column i-1; k_even and the label are row sums over the even-label columns 1, 3,
-.... `sweep_honest` reduces the honest states rows / sqrt(N) row by row;
-`sweep_lambda` takes lambda_max from (count, V, V) stacks of M, one batched
-`eigvalsh` each. `PreimageInstance` is one instance, for arbitrary witnesses.
+..., held against `even_count`, the promise's one rule. Both tests are one
+kernel over a (count, V) witness stack, run by `sweep_honest` on the honest
+states rows / sqrt(N) and by `test_i`/`test_ii` on a stack of one. `sweep_lambda`
+takes lambda_max from (count, V, V) stacks of M, one batched `eigvalsh` each.
+`PreimageInstance` is one instance; its size, k_even and label follow from S.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
 
 from .core import (
-    DensityMatrix, PureState, Subset, SubsetFamily, enumerate_family, subset_state,
-    validated_states,
+    DensityMatrix, PureState, Subset, SubsetFamily, enumerate_family, validated_states,
 )
 from .oracles import apply_randomized_preimage
 
@@ -56,9 +57,11 @@ def meets_threshold(label: str, lam: float, threshold_lo: float = THRESHOLD_LO) 
     return lam <= threshold_lo + SOUNDNESS_SLACK
 
 
-def majority_count(n_labels: int) -> int:
-    """Size of the dominant parity class in a promise instance: ceil(2N/3)."""
-    return -((-2 * n_labels) // 3)
+def even_count(n_labels: int, label: str) -> int:
+    """The even members of every promise instance of size N with this label:
+    the majority ceil(2N/3) for YES, the rest of the N members for NO."""
+    majority = -((-2 * n_labels) // 3)
+    return majority if label == "YES" else n_labels - majority
 
 
 def promise_labels(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -71,56 +74,34 @@ def promise_labels(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"instances must be bool incidence rows with N members of [N^2], got {rows.shape}")
     k_even = rows[:, 1::2].sum(axis=1)
-    want = majority_count(block)
-    yes, no = k_even == want, block - k_even == want
+    yes, no = k_even == even_count(block, "YES"), k_even == even_count(block, "NO")
     bad = np.flatnonzero(~(yes | no))
     if bad.size:
         k = int(k_even[bad[0]])
         raise ValueError(f"parity split ({k} even, {block - k} odd) matches neither promise "
-                         f"class at N={block} (majority count {want})")
+                         f"class at N={block} (majority count {even_count(block, 'YES')})")
     return k_even, np.where(yes, "YES", "NO")
 
 
 @dataclass(frozen=True)
 class PreimageInstance:
-    """A promise instance: the preimage set S, its size N, and its label."""
+    """One promise instance: its preimage set S, N members of [N^2], and n when
+    N = 2^n. Its size N (`block`), V = N^2 (`dim`), k_even and label follow from S."""
 
-    n: int | None
-    block: int
     subset: Subset
-    label: str
+    n: int | None = None
+    block: int = field(init=False)
+    dim: int = field(init=False)
+    k_even: int = field(init=False)
+    label: str = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.subset.universe != self.block**2:
-            raise ValueError(
-                f"universe {self.subset.universe} must be N^2 = {self.block ** 2}"
-            )
-        if len(self.subset) != self.block:
-            raise ValueError(f"subset size {len(self.subset)} must equal N = {self.block}")
+        (k_even,), (label,) = promise_labels(self.subset.incidence[None])
+        for name, value in zip(("block", "dim", "k_even", "label"),
+                               (len(self.subset), self.subset.universe, int(k_even), str(label))):
+            object.__setattr__(self, name, value)
         if self.n is not None and 2**self.n != self.block:
             raise ValueError(f"N = {self.block} is not 2^n for n = {self.n}")
-        if self.label != _label_for(self.subset):
-            raise ValueError(f"label {self.label} does not match the parity counts")
-
-    @property
-    def dim(self) -> int:
-        return self.block**2
-
-    @property
-    def k_even(self) -> int:
-        return int(self.subset.incidence[1::2].sum())
-
-    @classmethod
-    def power_of_two(cls, n: int, subset: Subset) -> "PreimageInstance":
-        return cls(n, 2**n, subset, _label_for(subset))
-
-    @classmethod
-    def fractional(cls, n_labels: int, subset: Subset) -> "PreimageInstance":
-        return cls(None, n_labels, subset, _label_for(subset))
-
-
-def _label_for(subset: Subset) -> str:
-    return str(promise_labels(subset.incidence[None])[1][0])
 
 
 def parity_class(n: int, label: str) -> SubsetFamily:
@@ -128,16 +109,14 @@ def parity_class(n: int, label: str) -> SubsetFamily:
     label, lexicographic: the N-subsets of [N^2] with the label's number of
     even members (columns 1, 3, ... of the incidence rows)."""
     big_n = 2**n
-    want = majority_count(big_n)
-    k_even = want if label == "YES" else big_n - want
+    k_even = even_count(big_n, label)
     return enumerate_family(big_n**2, big_n, lambda rows: rows[:, 1::2].sum(axis=1) == k_even)
 
 
 def random_instance_row(n_labels: int, label: str, rng: np.random.Generator) -> np.ndarray:
     """A uniform promise instance with the requested label, as one (V,) bool
     incidence row: one `rng.choice` of its even members, then one of its odd ones."""
-    want = majority_count(n_labels)
-    k_even = want if label == "YES" else n_labels - want
+    k_even = even_count(n_labels, label)
     row = np.zeros(n_labels**2, dtype=bool)
     evens, odds = row[1::2], row[0::2]  # views: labels 2, 4, ... and 1, 3, ...
     evens[rng.choice(evens.size, size=k_even, replace=False)] = True
@@ -150,15 +129,12 @@ def random_instance(
 ) -> PreimageInstance:
     """`random_instance_row`'s draw as one `PreimageInstance`."""
     members = np.flatnonzero(random_instance_row(n_labels, label, rng)) + 1
-    return PreimageInstance(n, n_labels, Subset(n_labels**2, tuple(members.tolist())), label)
+    return PreimageInstance(Subset(n_labels**2, tuple(members.tolist())), n)
 
 
 def test_i(inst: PreimageInstance, witness: PureState) -> float:
     """Oracle the witness, then project onto the [N]-uniform state: |<S|w>|^2."""
-    if witness.dim != inst.dim:
-        raise ValueError(f"witness dim {witness.dim} != instance dim {inst.dim}")
-    s = subset_state(inst.subset, inst.dim).amplitudes
-    return float(_as_probability(abs(np.vdot(s, witness.amplitudes)) ** 2))
+    return _tests_of_one(inst, witness)[0]
 
 
 def test_i_circuit(inst: PreimageInstance, witness: PureState) -> float:
@@ -182,10 +158,25 @@ def test_ii(inst: PreimageInstance, witness: PureState) -> float:
 
     Only the even members of S land in [N], so this is their weight in w.
     """
+    return _tests_of_one(inst, witness)[1]
+
+
+def _tests_of_one(inst: PreimageInstance, witness: PureState) -> tuple[float, ...]:
+    """`_witness_tests` on a stack of one instance and its witness."""
     if witness.dim != inst.dim:
         raise ValueError(f"witness dim {witness.dim} != instance dim {inst.dim}")
-    weights = np.abs(witness.amplitudes[[m - 1 for m in inst.subset.members if m % 2 == 0]]) ** 2
-    return float(_as_probability(np.sum(weights)))
+    stack = _instance_arrays(inst.subset.incidence[None])
+    return tuple(float(p[0]) for p in _witness_tests(*stack, witness.amplitudes[None]))
+
+
+def _witness_tests(states: np.ndarray, even: np.ndarray, witnesses: np.ndarray) -> tuple:
+    """Tests (i) and (ii) of each instance on its own witness, from (count, V)
+    subset states, even-member masks and complex witness amplitudes: |<S|w>|^2,
+    one complex matmul (S is real), and the weight of w on the even members of S."""
+    overlap = (states.astype(np.complex128)[:, None, :] @ witnesses[:, :, None])[:, 0, 0]
+    weights = np.abs(witnesses)
+    return (_as_probability(np.abs(overlap) ** 2),
+            _as_probability(np.einsum("ij,ij,ij->i", weights, weights, even)))
 
 
 def _check_report(p_i, p_ii, p_accept) -> None:
@@ -236,13 +227,11 @@ def sweep_honest(rows: np.ndarray) -> tuple[np.ndarray, ...]:
     """Honest-witness tests (i) and (ii) and their mean, as float64 arrays.
 
     `rows` is a (count, V) bool incidence array of instances; their subset
-    states are one (count, V) array, reduced as `test_i` (a complex inner
-    product) and `test_ii` reduce, bit for bit.
+    states are one (count, V) array, which is also the witness stack of
+    `_witness_tests`, the kernel of `test_i` and `test_ii`.
     """
     states, even = _instance_arrays(rows)
-    amps = states.astype(np.complex128)
-    p_i = _as_probability(np.abs((amps[:, None, :] @ amps[:, :, None])[:, 0, 0]) ** 2)
-    p_ii = _as_probability(np.einsum("ij,ij,ij->i", states, states, even))
+    p_i, p_ii = _witness_tests(states, even, states.astype(np.complex128))
     p_accept = 0.5 * (p_i + p_ii)
     _check_report(p_i, p_ii, p_accept)
     return p_i, p_ii, p_accept

@@ -138,6 +138,11 @@ def sample_block_permutation_objects(size, block, count, rng):
     return tuple(out)
 
 
+def majority_count(n_labels):
+    """ceil(2N/3), the dominant parity's share of a promise instance's N members."""
+    return (2 * n_labels + 2) // 3
+
+
 def incidence_rows(universe, sets):
     """`Subset`s of [universe] as a (count, universe) bool incidence array,
     label i in column i - 1."""

@@ -349,7 +349,12 @@ class TestEnumerateAndSample:
 
     def test_enumeration_cap(self):
         with pytest.raises(ValueError, match="sample_family"):
-            enumerate_family(64, 8, cap=1000)
+            enumerate_family(64, 8)
+
+    @pytest.mark.parametrize("k", [-1, 6])
+    def test_set_size_must_fit_the_universe(self, k):
+        with pytest.raises(ValueError, match=rf"^k={k} must lie in 0\.\.5$"):
+            enumerate_family(5, k)
 
     def test_sample_family_cap(self, monkeypatch):
         def refuse(*args, **kwargs):

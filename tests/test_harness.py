@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from permlab import suite
+from permlab import core, dilation, harness, suite
 from permlab.core import Subset
 from permlab.harness import (
     ExperimentConfig,
@@ -293,6 +293,36 @@ class TestCli:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["verify", "--n", "20", "--trials", "1"],
+         "field 'n' must be at most 6, got 20 (N^2 labels must fit the dense-matrix cap 4096)"),
+        (["verify", "--N", "100000"], "field 'N' must be at most 64, got 100000 "
+         "(N^2 labels must fit the dense-matrix cap 4096)"),
+        (["dilate", "--n", "6", "--queries", "1"], "dilated dimension 8^1 * 8192 exceeds the "
+         "cap 4096; each query consumes a fresh control register"),
+        (["dilate", "--n", "3", "--queries", "1", "--tau-samples", "100000"],
+         "dilated dimension 100000^1 * 128 exceeds the cap 4096; each query consumes a fresh "
+         "control register"),
+        (["relation", "--kind", "preimage", "--n", "12"], "C(16777216,4096) exceeds the "
+         "enumeration cap 10000000; use sample_family for seeded uniform sampling instead"),
+        (["relation", "--kind", "preimage", "--n", "20"], "C(1099511627776,1048576) exceeds the "
+         "enumeration cap 10000000; use sample_family for seeded uniform sampling instead"),
+    ])
+    def test_oversize_runs_are_refused_before_any_draw(self, argv, message, monkeypatch, capsys):
+        """Each size is refused by its field or cap before a stream is opened, a
+        group is built, a binomial is finished or a subset is enumerated."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew or enumerated before refusing")
+
+        for owner, name in ((harness, "philox_stream"), (dilation, "philox_stream"),
+                            (dilation, "block_permutations"), (core.math, "comb"),
+                            (core.itertools, "combinations")):
+            monkeypatch.setattr(owner, name, refuse)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
         assert captured.err == f"error: {message}\n"
 
     def test_config_file_fields_get_the_same_checks(self, tmp_path, capsys):

@@ -28,7 +28,7 @@ from permlab.structure import (
     witness_pigeonhole,
     _log2_binomial,
 )
-from reference import family_of_sets, incidence_rows, issubset
+from reference import family_of_sets, incidence_rows, issubset, majority_count
 
 
 def family_of(universe, *member_tuples):
@@ -44,8 +44,18 @@ class TestTargetClass:
 
     def test_parity_target_defaults(self):
         target = TargetClass.parity(4, "odd")
-        assert target.majority_count == 3
-        assert target.universe == 16
+        assert (target.universe, target.size, target.even) == (16, 4, False)
+        assert TargetClass.parity(4, "even").even is True
+        assert TargetClass.fixed_size(16, 3).even is None
+
+    @pytest.mark.parametrize("majority,feasible", [("even", [False, False]), ("odd", [True, True])])
+    def test_empty_parity_class_has_no_feasible_core(self, majority, feasible):
+        # at N = 1 the one member of [1] is odd, so the even-majority class is empty
+        target = TargetClass.parity(1, majority)
+        assert target.feasible_cores(np.array([[False], [True]])).tolist() == feasible
+        for s_fixed, want in zip((Subset(1, ()), Subset(1, (1,))), feasible):
+            assert target.feasible_extension(s_fixed) is want
+            assert reference_feasible_extension(target, s_fixed) is want
 
     def test_parity_feasibility_limits_minority(self):
         # a member of the odd class at N=4 has only one even element
@@ -61,11 +71,11 @@ class TestTargetClass:
         assert not target.feasible_extension(Subset(16, (1, 3, 5, 7)))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            TargetClass("fixed_size", 4, size=9)
-        with pytest.raises(ValueError):
-            TargetClass("parity", 15, block=4, majority="odd", majority_count=3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^target size 9 must lie in 0\.\.4$"):
+            TargetClass(4, 9)
+        with pytest.raises(ValueError, match=r"^target size -1 must lie in 0\.\.4$"):
+            TargetClass.fixed_size(4, -1)
+        with pytest.raises(ValueError, match="majority"):
             TargetClass.parity(4, "sideways")
 
 
@@ -332,17 +342,19 @@ class TestIncidenceMatchesReference:
 
 def reference_feasible_extension(target, s_fixed):
     """The per-`Subset` parity-class test that `TargetClass.feasible_cores` replaced."""
+    majority = "even" if target.even else "odd"
+    count, block = majority_count(target.size), target.size
     k_even = sum(1 for m in s_fixed.members if m % 2 == 0)
     k_odd = len(s_fixed) - k_even
-    maj, minr = (k_odd, k_even) if target.majority == "odd" else (k_even, k_odd)
-    need_maj = target.majority_count - maj
-    need_min = (target.block - target.majority_count) - minr
+    maj, minr = (k_odd, k_even) if majority == "odd" else (k_even, k_odd)
+    need_maj = count - maj
+    need_min = (block - count) - minr
     if need_maj < 0 or need_min < 0:
         return False
     evens_total = target.universe // 2
     free_odd = target.universe - evens_total - k_odd
     free_even = evens_total - k_even
-    if target.majority == "odd":
+    if majority == "odd":
         return need_maj <= free_odd and need_min <= free_even
     return need_maj <= free_even and need_min <= free_odd
 
@@ -440,8 +452,15 @@ class TestFixingStackMatchesReference:
         with pytest.raises(ValueError, match=r"^family 1: duplicate subset \(1,\)$"):
             fixing_procedure_stack(stack, 0.25, 4)
 
+    @pytest.mark.parametrize("universe", [1, 2, 5, 16])
+    def test_fixed_size_feasibility_is_the_size_bound(self, universe):
+        cores = philox_stream(universe).random((200, universe)) < 0.3
+        for size in range(universe + 1):
+            got = TargetClass.fixed_size(universe, size).feasible_cores(cores)
+            assert np.array_equal(got, cores.sum(axis=1) <= size)
+
     @pytest.mark.parametrize("majority", ["odd", "even"])
-    @pytest.mark.parametrize("block", [3, 4])
+    @pytest.mark.parametrize("block", [2, 3, 4])
     def test_parity_feasibility_matches_the_reference(self, majority, block):
         target = TargetClass.parity(block, majority)
         cores = philox_stream(block).random((400, block**2)) < 0.15

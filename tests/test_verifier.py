@@ -20,7 +20,7 @@ from permlab.verifier import (
     PreimageInstance,
     acceptance_operator,
     analytic_optimum,
-    majority_count,
+    even_count,
     meets_threshold,
     optimal_witness_prob,
     parity_class,
@@ -33,14 +33,14 @@ from permlab.verifier import (
 from permlab.verifier import test_i as probe_i
 from permlab.verifier import test_i_circuit as probe_i_circuit
 from permlab.verifier import test_ii as probe_ii
-from reference import as_permutation, diagonal
+from reference import as_permutation, diagonal, majority_count
 
 
-YES_N2 = PreimageInstance.power_of_two(2, Subset(16, (1, 2, 4, 6)))
-NO_N2 = PreimageInstance.power_of_two(2, Subset(16, (1, 2, 3, 5)))
-NO_N1 = PreimageInstance.power_of_two(1, Subset(4, (1, 3)))
-YES_N6 = PreimageInstance.fractional(6, Subset(36, (1, 2, 3, 4, 6, 8)))
-NO_N6 = PreimageInstance.fractional(6, Subset(36, (1, 2, 3, 4, 5, 7)))
+YES_N2 = PreimageInstance(Subset(16, (1, 2, 4, 6)), n=2)
+NO_N2 = PreimageInstance(Subset(16, (1, 2, 3, 5)), n=2)
+NO_N1 = PreimageInstance(Subset(4, (1, 3)), n=1)
+YES_N6 = PreimageInstance(Subset(36, (1, 2, 3, 4, 6, 8)))
+NO_N6 = PreimageInstance(Subset(36, (1, 2, 3, 4, 5, 7)))
 
 
 def random_witness(dim, seed):
@@ -180,27 +180,35 @@ SWEEP_SIZES = SIZES + ((None, 9), (None, 12))
 
 class TestInstances:
     def test_majority_counts(self):
-        assert majority_count(2) == 2
-        assert majority_count(4) == 3
-        assert majority_count(6) == 4
-        assert majority_count(8) == 6
+        assert even_count(2, "YES") == 2
+        assert even_count(4, "YES") == 3
+        assert even_count(6, "YES") == 4
+        assert even_count(8, "YES") == 6
+
+    def test_even_counts_follow_the_label(self):
+        for n_labels in range(1, 13):
+            assert even_count(n_labels, "YES") == majority_count(n_labels)
+            assert even_count(n_labels, "NO") == n_labels - majority_count(n_labels)
 
     def test_labels_derived_from_parity(self):
         assert YES_N2.label == "YES" and YES_N2.k_even == 3
         assert NO_N2.label == "NO" and NO_N2.k_even == 1
         assert NO_N1.k_even == 0
+        assert (YES_N6.block, YES_N6.dim, YES_N6.n) == (6, 36, None)
+        assert (NO_N1.block, NO_N1.dim, NO_N1.n) == (2, 4, 1)
 
     def test_rejects_off_promise_subsets(self):
         with pytest.raises(ValueError, match="parity"):
-            PreimageInstance.power_of_two(2, Subset(16, (1, 2, 3, 4)))
+            PreimageInstance(Subset(16, (1, 2, 3, 4)), n=2)
 
     def test_rejects_bad_shapes(self):
-        with pytest.raises(ValueError, match="universe"):
-            PreimageInstance(1, 2, Subset(5, (2, 4)), "YES")
-        with pytest.raises(ValueError, match="size"):
-            PreimageInstance(1, 2, Subset(4, (2,)), "YES")
+        # a universe that is not N^2 for N = |S|, and a set of the wrong size
+        with pytest.raises(ValueError, match="N members of \\[N\\^2\\], got \\(1, 5\\)"):
+            PreimageInstance(Subset(5, (2, 4)), n=1)
+        with pytest.raises(ValueError, match="N members of \\[N\\^2\\], got \\(1, 4\\)"):
+            PreimageInstance(Subset(4, (2,)), n=1)
         with pytest.raises(ValueError, match="2\\^n"):
-            PreimageInstance(2, 6, Subset(36, (1, 2, 3, 4, 6, 8)), "YES")
+            PreimageInstance(Subset(36, (1, 2, 3, 4, 6, 8)), n=2)
 
     def test_enumeration_counts(self):
         assert len(parity_class(1, "YES")) == 1
@@ -258,10 +266,15 @@ class TestTestI:
             for seed in range(10):
                 w = random_witness(16, 100 + seed)
                 assert abs(probe_i(inst, w) - probe_i_circuit(inst, w)) < 1e-12
-        inst1 = PreimageInstance.power_of_two(1, Subset(4, (2, 4)))
+        inst1 = PreimageInstance(Subset(4, (2, 4)), n=1)
         for seed in range(5):
             w = random_witness(4, 200 + seed)
             assert abs(probe_i(inst1, w) - probe_i_circuit(inst1, w)) < 1e-12
+
+    def test_witness_must_fit_the_instance(self):
+        for probe in (probe_i, probe_ii):
+            with pytest.raises(ValueError, match="witness dim 4 != instance dim 16"):
+                probe(YES_N2, random_witness(4, 0))
 
     def test_circuit_requires_power_of_two(self):
         with pytest.raises(ValueError, match="2\\^n"):
