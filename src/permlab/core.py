@@ -14,6 +14,7 @@ family builds its `Subset`s only when its `sets` view is read.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -215,30 +216,37 @@ def random_densities(dim: int, count: int, rng: np.random.Generator) -> np.ndarr
     return mats / np.trace(mats, axis1=-2, axis2=-1)[:, None, None]
 
 
-def _raise_first(bad: np.ndarray, values: np.ndarray, message: str, stacked: bool) -> None:
-    """Raise `message` with the first flagged member's value; a stack's error names it."""
+def _raise_first(bad: np.ndarray, values: np.ndarray | None, message: str,
+                 stacked: bool) -> None:
+    """Raise `message` with the first flagged member's value, if it takes one; a
+    stack's error names the member."""
     hits = np.flatnonzero(bad)
     if hits.size:
         k = int(hits[0])
-        text = message.format(values.flat[k].item())
+        text = message if values is None else message.format(values.flat[k].item())
         raise ValueError(f"member {k}: {text}" if stacked else text)
 
 
 def validated_states(amps: np.ndarray) -> np.ndarray:
-    """Check one state vector, or a stack of them, for norm 1; return it read-only."""
+    """Check one state vector, or a stack of them, for finite entries and norm 1;
+    return it read-only."""
     _check_dim(amps.shape[-1])
+    stacked = amps.ndim > 1
+    _raise_first(~np.isfinite(amps).all(axis=-1), None, "state has a non-finite entry", stacked)
     norm_sq = np.sum(np.abs(amps) ** 2, axis=-1)
     bad = np.abs(norm_sq - 1.0) > NORM_TOL
-    _raise_first(bad, norm_sq, "state is not normalized: |psi|^2 = {}", amps.ndim > 1)
+    _raise_first(bad, norm_sq, "state is not normalized: |psi|^2 = {}", stacked)
     amps.setflags(write=False)
     return amps
 
 
 def validated_densities(mats: np.ndarray) -> np.ndarray:
-    """Check one matrix, or a stack, for Hermitian, unit trace and (up to
-    `_EAGER_PSD_DIM`) positive semidefinite; return it read-only."""
+    """Check one matrix, or a stack, for finite entries, Hermitian, unit trace and
+    (up to `_EAGER_PSD_DIM`) positive semidefinite; return it read-only."""
     _check_dim(mats.shape[-1])
     stacked = mats.ndim > 2
+    _raise_first(~np.isfinite(mats).all(axis=(-2, -1)), None, "matrix has a non-finite entry",
+                 stacked)
     herm = np.max(np.abs(mats - np.swapaxes(mats, -1, -2).conj()), axis=(-2, -1))
     _raise_first(herm > HERMITIAN_TOL, herm, "matrix is not Hermitian: max asymmetry {}", stacked)
     trace = np.trace(mats, axis1=-2, axis2=-1)
@@ -250,8 +258,16 @@ def validated_densities(mats: np.ndarray) -> np.ndarray:
 
 
 def _check_psd(mats: np.ndarray) -> None:
-    lo = np.linalg.eigvalsh(mats)[..., 0]
-    _raise_first(lo < -EIGENVALUE_TOL, lo, "matrix has negative eigenvalue {}", mats.ndim > 2)
+    """Refuse the first member with an eigenvalue below -EIGENVALUE_TOL. One stacked
+    Cholesky of mats + EIGENVALUE_TOL I passes a stack whose members are all
+    positive definite after that shift; only if it fails does an eigensolve find
+    the first member below and its least eigenvalue."""
+    try:
+        np.linalg.cholesky(mats + EIGENVALUE_TOL * np.eye(mats.shape[-1]))
+    except np.linalg.LinAlgError:
+        lo = np.linalg.eigvalsh(mats)[..., 0]
+        _raise_first(lo < -EIGENVALUE_TOL, lo, "matrix has negative eigenvalue {}",
+                     mats.ndim > 2)
 
 
 def subset_state(subset: Subset, dim: int) -> PureState:
@@ -413,12 +429,37 @@ def trace_distance(a: DensityMatrix | np.ndarray,
     return float(dist) if ma.ndim == 2 else dist
 
 
+@functools.cache
+def _philox_key_type() -> type:
+    """A seed sequence type that hands Philox its two 64-bit key words as they are.
+
+    `Philox(key=...)` still builds a `SeedSequence` (from OS entropy, as no seed
+    is given) and splits the 128-bit key into words, which takes longer than
+    the draws of a small trial. Philox seeded from this type reads its key from
+    `generate_state(2, uint64)` instead, with the counter at zero, so its state
+    and its draws are those of `Philox(key=...)`. The type is made on first
+    use, so importing permlab does not import numpy.random.
+    """
+
+    class PhiloxKey(np.random.bit_generator.ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            return self.words
+
+    return PhiloxKey
+
+
 def philox_stream(seed: int, index: int = 0) -> np.random.Generator:
     """Counter-based RNG stream fully determined by (seed, index).
 
     The 128-bit Philox key is seed in the high 64 bits and the stream index
     in the low 64, so per-trial streams drawn serially or in parallel agree.
+    The stream is built from that key alone: no seed sequence, no OS entropy.
     """
     mask = (1 << 64) - 1
-    key = ((int(seed) & mask) << 64) | (int(index) & mask)
-    return np.random.Generator(np.random.Philox(key=key))
+    key = _philox_key_type()(np.array([int(index) & mask, int(seed) & mask], dtype=np.uint64))
+    return np.random.Generator(np.random.Philox(key))

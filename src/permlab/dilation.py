@@ -74,18 +74,38 @@ def dilated_length(controls: int, queries: int, d_ab: int) -> int:
     return full
 
 
+def cap_trial_entries(name: str, value: int, per_unit: int, offset: int = 0) -> None:
+    """Refuse the field `name` when one trial would hold (value + offset) * per_unit
+    entries, more than the MAX_DIM^2 of one matrix at the dense cap."""
+    most = MAX_DIM**2 // per_unit - offset
+    if value > most:
+        raise ValueError(f"field '{name}' must be at most {most}, got {value}: one trial would "
+                         f"hold {(value + offset) * per_unit} entries, above MAX_DIM^2 = "
+                         f"{MAX_DIM**2}")
+
+
 def haar_stack(dim: int, count: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
     """`count` Haar unitaries per stream, as one (streams, count, dim, dim) array: one
     normal draw per stream (each Ginibre matrix's real part, then its imaginary part,
-    as `count` one-matrix draws would take them), then one stacked QR for all, with
-    the phase of R's diagonal folded into Q."""
+    as `count` one-matrix draws would take them), written into the stack's real and
+    imaginary parts, then one stacked QR for all, with the phase of R's diagonal
+    folded into Q."""
     z = np.empty((len(rngs), count, dim, dim), dtype=np.complex128)
+    real, imag = z.real, z.imag
     for i, rng in enumerate(rngs):
         normal = rng.normal(size=(count, 2, dim, dim))
-        z[i] = normal[:, 0] + 1j * normal[:, 1]
+        real[i], imag[i] = normal[:, 0], normal[:, 1]
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]
+
+
+def _first_matrix(bad: np.ndarray) -> tuple[str, tuple]:
+    """The first flagged unitary of a ([trials,] t+1) mask, as "[trial j: ]matrix i",
+    and its index."""
+    at = tuple(np.argwhere(bad)[0])
+    *trial, i = at
+    return "".join(f"trial {j}: " for j in trial) + f"matrix {i}", at
 
 
 @dataclass(frozen=True)
@@ -94,8 +114,9 @@ class QueryAlgorithm:
     stack of such algorithms with one t, one per trial.
 
     `unitaries` is a sequence of t+1 (d, d) matrices, or a (trials, t+1, d, d)
-    array for a stack. Either is checked for unitarity as one stack (U^H U - I
-    for all of them at once) and kept as one read-only array of that shape.
+    array for a stack. Either is checked for finite entries, then for unitarity,
+    as one stack (U^H U - I for all of them at once) and kept as one read-only
+    array of that shape.
     """
 
     dim_a: int
@@ -111,13 +132,15 @@ class QueryAlgorithm:
         stack = np.array(self.unitaries, dtype=np.complex128)
         if stack.ndim not in (3, 4) or stack.shape[-3] < 1 or stack.shape[-2:] != (d, d):
             raise ValueError(f"unitaries have shape {stack.shape}, not ([trials,] t+1, {d}, {d})")
+        finite = np.isfinite(stack).all(axis=(-2, -1))
+        if not finite.all():
+            raise ValueError(f"{_first_matrix(~finite)[0]} has a non-finite entry")
         gram = stack.conj().mT @ stack
         errs = np.max(np.abs(gram - np.eye(d)), axis=(-2, -1))
-        bad = np.argwhere(errs > UNITARY_TOL)
-        if bad.size:
-            *trial, i = bad[0]
-            where = "".join(f"trial {j}: " for j in trial)
-            raise ValueError(f"{where}matrix {i} is not unitary (deviation {errs[tuple(bad[0])]})")
+        bad = errs > UNITARY_TOL
+        if bad.any():
+            name, at = _first_matrix(bad)
+            raise ValueError(f"{name} is not unitary (deviation {errs[at]})")
         stack.setflags(write=False)
         object.__setattr__(self, "unitaries", stack)
 
@@ -300,14 +323,16 @@ def random_dilation_runs(
     i (NO for odd), a random sigma with that preimage set, for n > 1 its own
     `tau_samples` taus (n = 1 takes the whole block group), then queries + 2
     Haar unitaries, the last one's first column its initial state. The
-    dilated length is checked before anything is drawn. Each stack of trials
-    is sized once: its draws, (queries+2) d^2, and its dilated states,
-    (queries+1) c^queries d, hold at most TRIAL_STACK_ENTRIES complex entries,
-    or it is one trial."""
+    dilated length, and one trial's tau_samples * V sampled tau entries, are
+    checked before anything is drawn. Each stack of trials is sized once: its
+    draws, (queries+2) d^2, and its dilated states, (queries+1) c^queries d,
+    hold at most TRIAL_STACK_ENTRIES complex entries, or it is one trial."""
     big_n = 2**n
     v, d = big_n**2, big_n**2 * dim_b
     controls = block_group_order(v, big_n) if n == 1 else tau_samples
     full = dilated_length(controls, queries, d)
+    if n > 1:
+        cap_trial_entries("tau_samples", tau_samples, v)
     runs: list[DilationRun] = []
     for part in trial_stacks(len(trials), max((queries + 2) * d * d, (queries + 1) * full)):
         stack = trials[part]

@@ -29,7 +29,14 @@ from .adversary import (
     relation_stats,
 )
 from .core import ENUMERATION_CAP, MAX_DIM, enumerate_family, philox_stream, sample_family
-from .dilation import DILATION_TOL, QueryAlgorithm, haar_stack, random_dilation_runs, trial_stacks
+from .dilation import (
+    DILATION_TOL,
+    QueryAlgorithm,
+    cap_trial_entries,
+    haar_stack,
+    random_dilation_runs,
+    trial_stacks,
+)
 from .structure import (
     TargetClass,
     bound_crossover,
@@ -166,12 +173,23 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+# `_format_cell`'s rule for each cell type it meets most, looked up by exact type;
+# any other type (numpy scalars, subclasses) goes through `_format_cell` itself.
+_CELL_RULES = {
+    float: lambda value: format(value, ".17g"),
+    int: str,
+    bool: ("false", "true").__getitem__,
+    str: str,
+}
+
+
 def render_csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
     writer.writerow(header)
+    rule = _CELL_RULES.get
     for row in rows:
-        writer.writerow([_format_cell(v) for v in row])
+        writer.writerow([rule(type(v), _format_cell)(v) for v in row])
     return buf.getvalue()
 
 
@@ -303,6 +321,7 @@ def run_relation(cfg: ExperimentConfig) -> tuple[bool, list[str], list[list]]:
 
 
 def run_wtrace(cfg: ExperimentConfig) -> tuple[bool, list[str], list[list]]:
+    cap_trial_entries("queries", cfg.queries, 8 * 8, offset=1)
     rel = build_preimage_relation(parity_class(1, "YES"), parity_class(1, "NO"), 2)
     traces = []
     for part in trial_stacks(cfg.trials, (cfg.queries + 1) * 8 * 8):

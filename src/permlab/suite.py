@@ -8,6 +8,7 @@ force a verdict.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import time
@@ -207,10 +208,12 @@ def criterion_06_fixing(seed: int) -> CriterionResult:
     max_iter = 0
     for p_bits in (2, 4):
         size = witness_pigeonhole(total, p_bits)
-        stack = table[np.stack([
+        # np.take gathers whole rows; indexing with the (100, size) array takes
+        # ten times as long at this size
+        stack = np.take(table, np.stack([
             philox_stream(seed, 600 + 1000 * p_bits + s).choice(total, size=size, replace=False)
             for s in range(100)
-        ])]
+        ]), axis=0)
         run = fixing_procedure_stack(stack, 0.25, 4)
         max_iter = max(max_iter, int(run.iterations.max()))
         ok, _ = check_distributed_stack(stack, run.alive, run.fixed, 0.25, target, 4)
@@ -246,20 +249,25 @@ def criterion_07_crossover(seed: int) -> CriterionResult:
 
 
 def _brute_force_stats(rel) -> tuple[int, int, int]:
-    """Naive recount of m, m', l_max straight from the pair list."""
+    """Naive recount of m, m', l_max straight from the pair list; l_x is counted
+    once per (x, label) and l_y once per (y, label)."""
     pairs = rel.pairs.tolist()
     pair_set = set(map(tuple, pairs))
     xs, ys = range(len(rel.x_items)), range(len(rel.y_items))
     m = min(sum((xi, yi) in pair_set for yi in ys) for xi in xs)
     m_prime = min(sum((xi, yi) in pair_set for xi in xs) for yi in ys)
-    l_max = 0
-    for xi, yi in pairs:
-        for lab in range(1, rel.universe + 1):
-            if rel.disagrees(xi, yi, lab):
-                l_x = sum((xi, yj) in pair_set and rel.disagrees(xi, yj, lab) for yj in ys)
-                l_y = sum((xj, yi) in pair_set and rel.disagrees(xj, yi, lab) for xj in xs)
-                l_max = max(l_max, l_x * l_y)
-    return m, m_prime, l_max
+
+    @functools.cache
+    def l_x(xi: int, lab: int) -> int:
+        return sum((xi, yj) in pair_set and rel.disagrees(xi, yj, lab) for yj in ys)
+
+    @functools.cache
+    def l_y(yi: int, lab: int) -> int:
+        return sum((xj, yi) in pair_set and rel.disagrees(xj, yi, lab) for xj in xs)
+
+    return m, m_prime, max((l_x(xi, lab) * l_y(yi, lab) for xi, yi in pairs
+                            for lab in range(1, rel.universe + 1)
+                            if rel.disagrees(xi, yi, lab)), default=0)
 
 
 def criterion_08_adversary_stats(seed: int) -> CriterionResult:

@@ -5,12 +5,14 @@ The test files import this module by name: `pyproject.toml` puts `tests/` on
 pytest's import path, whatever the import mode.
 """
 
+import csv
+import io
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from permlab.core import DensityMatrix, Subset, SubsetFamily, random_densities
+from permlab.core import EIGENVALUE_TOL, DensityMatrix, Subset, SubsetFamily, random_densities
 from permlab.dilation import QueryAlgorithm, haar_stack
 
 
@@ -165,3 +167,68 @@ def reference_enumerate_family(universe, k, predicate=None):
         for combo in itertools.combinations(range(1, universe + 1), k)
         if predicate is None or predicate(combo)
     )
+
+
+def reference_philox_stream(seed, index=0):
+    """The stream of (seed, index) as `Philox(key=...)` builds it: the 128-bit key
+    holds seed in its high 64 bits and index in its low 64."""
+    mask = (1 << 64) - 1
+    key = ((int(seed) & mask) << 64) | (int(index) & mask)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def reference_check_psd(mats):
+    """One eigensolve of the whole stack; the first member whose least eigenvalue
+    is below -EIGENVALUE_TOL is refused with that eigenvalue."""
+    lo = np.linalg.eigvalsh(mats)[..., 0]
+    hits = np.flatnonzero(lo < -EIGENVALUE_TOL)
+    if hits.size:
+        k = int(hits[0])
+        text = f"matrix has negative eigenvalue {lo.flat[k].item()}"
+        raise ValueError(f"member {k}: {text}" if mats.ndim > 2 else text)
+
+
+def reference_render_csv(header, rows):
+    """The CSV text with every cell formatted through one isinstance chain."""
+    def cell(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        if isinstance(value, (float, np.floating)):
+            return format(float(value), ".17g")
+        return str(value)
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([cell(v) for v in row])
+    return buf.getvalue()
+
+
+def brute_stats(rel):
+    """Naive recount straight from the definition, independent of relation_stats."""
+    related = set(map(tuple, rel.pairs.tolist()))
+    m = min(
+        sum(1 for y in range(len(rel.y_items)) if (x, y) in related)
+        for x in range(len(rel.x_items))
+    )
+    m_prime = min(
+        sum(1 for x in range(len(rel.x_items)) if (x, y) in related)
+        for y in range(len(rel.y_items))
+    )
+    l_max = 0
+    for x, y in rel.pairs.tolist():
+        for lab in range(1, rel.universe + 1):
+            if rel.disagrees(x, y, lab):
+                l_x = sum(
+                    1 for y2 in range(len(rel.y_items))
+                    if (x, y2) in related and rel.disagrees(x, y2, lab)
+                )
+                l_y = sum(
+                    1 for x2 in range(len(rel.x_items))
+                    if (x2, y) in related and rel.disagrees(x2, y, lab)
+                )
+                l_max = max(l_max, l_x * l_y)
+    return m, m_prime, l_max

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permlab import adversary, harness
+from permlab import adversary, harness, suite
 from permlab.adversary import (
     AdversaryStats,
     OracleRelation,
@@ -32,6 +32,7 @@ from reference import (
     Permutation,
     as_permutation,
     block_permutation_objects,
+    brute_stats,
     compose,
     family_of_sets,
     haar_unitary,
@@ -89,33 +90,6 @@ def reference_coset_relation(sx, sy, block):
                     y_items.append(y_perm)
                 pairs.append((ix * len(taus) + it, y_index[y_perm.image]))
     return x_items, y_items, pairs
-
-
-def brute_stats(rel):
-    """Naive recount straight from the definition, independent of relation_stats."""
-    related = set(map(tuple, rel.pairs.tolist()))
-    m = min(
-        sum(1 for y in range(len(rel.y_items)) if (x, y) in related)
-        for x in range(len(rel.x_items))
-    )
-    m_prime = min(
-        sum(1 for x in range(len(rel.x_items)) if (x, y) in related)
-        for y in range(len(rel.y_items))
-    )
-    l_max = 0
-    for x, y in rel.pairs.tolist():
-        for lab in range(1, rel.universe + 1):
-            if rel.disagrees(x, y, lab):
-                l_x = sum(
-                    1 for y2 in range(len(rel.y_items))
-                    if (x, y2) in related and rel.disagrees(x, y2, lab)
-                )
-                l_y = sum(
-                    1 for x2 in range(len(rel.x_items))
-                    if (x2, y) in related and rel.disagrees(x2, y, lab)
-                )
-                l_max = max(l_max, l_x * l_y)
-    return m, m_prime, l_max
 
 
 def brute_tables(rel):
@@ -314,6 +288,25 @@ class TestStatsMatchReference:
     @settings(max_examples=60, deadline=None)
     def test_direct_relations_match_brute_force(self, rel):
         self.assert_stats_match_brute_force(rel)
+
+    @given(direct_relations())
+    @settings(max_examples=60, deadline=None)
+    def test_suite_recount_matches_the_per_pair_loop(self, rel):
+        assert suite._brute_force_stats(rel) == brute_stats(rel)
+
+    def test_suite_recount_matches_the_per_pair_loop_on_subset_relations(self):
+        for v in (6, 8):  # criterion 8's relations
+            family = lambda k: enumerate_family(v, k, lambda rows: rows[:, 0])
+            rel = build_subset_relation(family(2), family(3))
+            assert suite._brute_force_stats(rel) == brute_stats(rel)
+        rng = philox_stream(8)
+        sx, sy = enumerate_family(7, 2), enumerate_family(7, 4)
+        pairs = np.argwhere(rng.random((len(sx), len(sy))) < 0.3)
+        pairs = np.concatenate([pairs, np.stack([np.arange(len(sx)), np.zeros(len(sx), int)], 1),
+                                np.stack([np.zeros(len(sy), int), np.arange(len(sy))], 1)])
+        rel = OracleRelation("phase", 7, phase_signs(sx.incidence), phase_signs(sy.incidence),
+                             np.unique(pairs, axis=0))
+        assert suite._brute_force_stats(rel) == brute_stats(rel)
 
     @given(preimage_families())
     @settings(max_examples=25, deadline=None)

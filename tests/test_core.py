@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permlab import core
@@ -33,7 +33,9 @@ from reference import (
     preimage_set,
     random_density,
     random_permutation,
+    reference_check_psd,
     reference_enumerate_family,
+    reference_philox_stream,
     subset_from_text,
 )
 
@@ -291,6 +293,73 @@ class TestStackValidation:
         with pytest.raises(ValueError, match="exceeds the dense-matrix cap"):
             validated_states(np.zeros((2, 4097), dtype=np.complex128))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_entries_are_refused(self, bad):
+        with pytest.raises(ValueError, match="^matrix has a non-finite entry$"):
+            validated_densities(np.full((2, 2), bad, dtype=np.complex128))
+        with pytest.raises(ValueError, match="^state has a non-finite entry$"):
+            validated_states(np.array([bad, 0j]))
+        # an identity with one non-finite diagonal entry has finite eigenvalues in
+        # eigvalsh, and a shifted Cholesky of it returns without raising
+        eye = np.eye(2, dtype=np.complex128) / 2
+        eye[1, 1] = bad
+        with pytest.raises(ValueError, match="^matrix has a non-finite entry$"):
+            DensityMatrix(2, eye)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_non_finite_member_is_named_before_other_faults(self, bad, k):
+        mats = np.stack([np.diag([0.5, 0.5])] * 4).astype(np.complex128)
+        mats[3] = np.eye(2)  # a later member with the wrong trace
+        mats[k, 0, 1] = bad
+        with pytest.raises(ValueError, match=f"^member {k}: matrix has a non-finite entry$"):
+            validated_densities(mats)
+        states = np.tile(np.array([0.6, 0.8j]), (4, 1))
+        states[3] = [1.0, 1.0]  # a later member that is not normalized
+        states[k, 1] = bad
+        with pytest.raises(ValueError, match=f"^member {k}: state has a non-finite entry$"):
+            validated_states(states)
+
+
+def with_least_eigenvalue(dim, least, rng):
+    """A Hermitian unit-trace matrix with eigenvalues `least` and (1 - least) / (dim - 1),
+    in a Haar-random basis."""
+    u, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    values = np.full(dim, (1.0 - least) / (dim - 1))
+    values[0] = least
+    mat = (u * values) @ u.conj().T
+    return (mat + mat.conj().T) / 2
+
+
+class TestPositivity:
+    @pytest.mark.parametrize("dim", [2, 8, 128])
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_least_eigenvalue_below_the_tolerance_is_refused(self, dim, k):
+        rng = philox_stream(dim, k)
+        stack = random_densities(dim, 4, rng)
+        stack[k] = with_least_eigenvalue(dim, -2e-9, rng)
+        stack[3] = with_least_eigenvalue(dim, -1e-3, rng)  # a later, worse member
+        with pytest.raises(ValueError) as want:
+            reference_check_psd(stack)
+        assert str(want.value).startswith(f"member {k}: matrix has negative eigenvalue -")
+        with pytest.raises(ValueError) as got:
+            validated_densities(stack.copy())
+        assert str(got.value) == str(want.value)
+        with pytest.raises(ValueError) as want_one:
+            reference_check_psd(stack[k])
+        with pytest.raises(ValueError) as got_one:
+            DensityMatrix(dim, stack[k])
+        assert str(got_one.value) == str(want_one.value)
+
+    @pytest.mark.parametrize("dim", [2, 8, 128])
+    def test_least_eigenvalue_within_the_tolerance_is_accepted(self, dim):
+        rng = philox_stream(dim)
+        stack = random_densities(dim, 3, rng)
+        stack[1] = with_least_eigenvalue(dim, -5e-10, rng)
+        reference_check_psd(stack)
+        assert validated_densities(stack) is stack
+        DensityMatrix(dim, stack[1]).validate_psd()
+
 
 @st.composite
 def masked_enumerations(draw):
@@ -404,12 +473,37 @@ class TestPartialTrace:
             partial_trace(rho, (3, 2), (0,))
 
 
+# seeds and indices: negative, 0, 2^64 - 1, 2^64 and beyond, and anything between
+STREAM_KEYS = st.sampled_from([-1, 0, 2**64 - 1, 2**64, 2**64 + 3]) | st.integers(-2**70, 2**70)
+
+
+def same_state(a, b):
+    """Are two `bit_generator.state` dicts equal, arrays compared with their dtypes?"""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[key], b[key]) for key in a)
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    return a == b
+
+
 class TestTraceDistanceAndRng:
     def test_trace_distance_orthogonal_states(self):
         a = DensityMatrix.from_pure(PureState.basis(2, 1))
         b = DensityMatrix.from_pure(PureState.basis(2, 2))
         assert abs(trace_distance(a, b) - 1.0) < 1e-12
         assert trace_distance(a, a) < 1e-15
+
+    @given(seed=STREAM_KEYS, index=STREAM_KEYS)
+    @settings(max_examples=100, deadline=None)
+    def test_philox_stream_is_the_keyed_philox(self, seed, index):
+        got, want = philox_stream(seed, index), reference_philox_stream(seed, index)
+        assert same_state(got.bit_generator.state, want.bit_generator.state)
+        for draw in (lambda g: g.normal(size=(3, 5)), lambda g: g.choice(40, 9, replace=False),
+                     lambda g: g.integers(-7, 2**40, 6), lambda g: g.permutation(12)):
+            assert np.array_equal(draw(got), draw(want))
+        assert same_state(got.bit_generator.state, want.bit_generator.state)
+        assert same_state(philox_stream(seed).bit_generator.state,
+                          reference_philox_stream(seed, 0).bit_generator.state)
 
     def test_philox_streams_are_independent_and_reproducible(self):
         a = philox_stream(1, 0).integers(0, 2**32, 8)

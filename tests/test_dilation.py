@@ -186,6 +186,21 @@ class TestQueryAlgorithm:
         with pytest.raises(ValueError, match=r"^matrix 2 is not unitary \(deviation 3\.0\)$"):
             QueryAlgorithm(4, 2, (eye, eye, 2 * eye, 3 * eye))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_unitary_is_named_before_any_non_unitary_one(self, bad):
+        eye = np.eye(4, dtype=np.complex128)
+        broken = eye.copy()
+        broken[1, 1] = bad
+        with pytest.raises(ValueError, match=r"^matrix 1 has a non-finite entry$"):
+            QueryAlgorithm(2, 2, (2 * eye, broken))
+        with pytest.raises(ValueError, match=r"^matrix 0 has a non-finite entry$"):
+            QueryAlgorithm(2, 2, np.full((2, 4, 4), bad, dtype=np.complex128))
+        stack = np.tile(eye, (3, 2, 1, 1))
+        stack[0, 0] *= 2.0
+        stack[1, 1, 2, 3] = bad
+        with pytest.raises(ValueError, match=r"^trial 1: matrix 1 has a non-finite entry$"):
+            QueryAlgorithm(2, 2, stack)
+
     def test_shape_mismatch_names_the_unitary(self):
         with pytest.raises(ValueError, match=r"^unitary 1 has shape \(4, 4\), expected \(8, 8\)$"):
             QueryAlgorithm(4, 2, (np.eye(8), np.eye(4), 2 * np.eye(8)))
@@ -616,6 +631,16 @@ class TestTrialStacks:
         assert np.array_equal(one.rhos, stacked.rhos)
         assert np.array_equal(one.reduced, stacked.reduced)
         assert all(isinstance(d, float) for d in one.trace_distances)
+
+    def test_trial_entries_are_capped_at_one_dense_matrix(self):
+        dilation.cap_trial_entries("queries", 262143, 64, offset=1)
+        with pytest.raises(ValueError, match=r"^field 'queries' must be at most 262143, got "
+                           r"262144: one trial would hold 16777280 entries, above MAX_DIM\^2 = "
+                           r"16777216$"):
+            dilation.cap_trial_entries("queries", 262144, 64, offset=1)
+        dilation.cap_trial_entries("tau_samples", 1048576, 16)
+        with pytest.raises(ValueError, match="field 'tau_samples' must be at most 1048576"):
+            dilation.cap_trial_entries("tau_samples", 1048577, 16)
 
     def test_trial_stacks_cover_every_trial_within_the_bound(self):
         assert list(trial_stacks(5, 2**13)) == [slice(0, 2), slice(2, 4), slice(4, 6)]

@@ -1,9 +1,12 @@
 import csv
+import enum
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from permlab import core, dilation, harness, suite
@@ -17,6 +20,7 @@ from permlab.harness import (
     run,
     with_defaults,
 )
+from reference import reference_render_csv
 
 # Each subcommand's unset fields, written out as the values the runners used
 # before they moved into one defaults table.
@@ -173,6 +177,20 @@ class TestDeterminism:
         text = render_csv(["x"], [[1 / 3]])
         assert "0.33333333333333331" in text
 
+    def test_cells_render_as_the_per_cell_reference(self):
+        class Level(enum.IntEnum):
+            HIGH = 3
+
+        header = ["plain", "with,comma", 'with "quote"']
+        rows = [
+            [True, False, 0, -7, 2**70, np.int64(5), np.int32(-3), np.uint8(255), np.bool_(True)],
+            [1 / 3, -0.0, float("nan"), float("-inf"), 1e-300, np.float64(2.5),
+             np.float32(0.1), 2.0, Level.HIGH],
+            ["", "a,b", 'say "hi"', "line\nbreak", " ", "", 12, 0.5, None],
+            [],
+        ]
+        assert render_csv(header, rows) == reference_render_csv(header, rows)
+
 
 class TestCli:
     def test_main_writes_csv(self, tmp_path):
@@ -309,6 +327,13 @@ class TestCli:
          "enumeration cap 10000000; use sample_family for seeded uniform sampling instead"),
         (["relation", "--kind", "preimage", "--n", "20"], "C(1099511627776,1048576) exceeds the "
          "enumeration cap 10000000; use sample_family for seeded uniform sampling instead"),
+        # 10^7 + 1 unitaries of 8 x 8 in one trial: 9.54 GiB
+        (["wtrace", "--queries", "10000000"], "field 'queries' must be at most 262143, got "
+         "10000000: one trial would hold 640000064 entries, above MAX_DIM^2 = 16777216"),
+        # no query reads a tau, yet each trial would draw 10^9 of them
+        (["dilate", "--n", "2", "--queries", "0", "--tau-samples", "1000000000"],
+         "field 'tau_samples' must be at most 1048576, got 1000000000: one trial would hold "
+         "16000000000 entries, above MAX_DIM^2 = 16777216"),
     ])
     def test_oversize_runs_are_refused_before_any_draw(self, argv, message, monkeypatch, capsys):
         """Each size is refused by its field or cap before a stream is opened, a
@@ -413,3 +438,28 @@ def test_bench_e2e_script_times_one_command_on_two_checkouts():
     assert 0 < base_q1 <= base_median <= base_q3
     assert 0 <= int(row[7]) <= 2 and row[8:] == ["2", "True"]
     assert not (root / "ignored.csv").exists()
+
+
+def test_bench_e2e_script_times_tier1_once_per_side(monkeypatch, capsys):
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("bench_e2e", root / "scripts" / "bench_e2e.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    ran = []
+
+    def run_once(checkout, argv):
+        ran.append((checkout, argv))
+        return real_run_once(checkout, argv)
+
+    real_run_once = bench.run_once
+    monkeypatch.setattr(bench, "run_once", run_once)
+    # a trivial interpreter run stands in for the test suite; it prints its own
+    # timing, as pytest does, so only the exit statuses are compared
+    monkeypatch.setattr(bench, "TIER1_ARGS", ("-c", "import time; print(time.time())"))
+    bench.main([str(root), str(root), "--repeat", "1", "--command", "relation --V 6", "--tier1"])
+    header, relation, tier1 = csv.reader(capsys.readouterr().out.splitlines())
+    assert relation[0] == "relation --V 6" and relation[8:] == ["1", "True"]
+    assert tier1[0] == "tier1" and tier1[8:] == ["1", "True"]
+    assert float(tier1[1]) > 0 and float(tier1[4]) > 0
+    assert [argv for _, argv in ran] == [["-m", "permlab", "relation", "--V", "6"]] * 2 + [
+        ["-c", "import time; print(time.time())"]] * 2
