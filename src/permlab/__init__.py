@@ -18,7 +18,6 @@ from .core import (
 from .oracles import (
     apply_randomized_preimage,
     block_permutations,
-    block_twirl,
     representative_sigma,
 )
 from .verifier import (
@@ -34,7 +33,6 @@ from .dilation import (
     DilationRun,
     QueryAlgorithm,
     check_dilation,
-    chi_state,
     run_channel_picture,
     run_dilated_picture,
 )

@@ -10,12 +10,13 @@ Families arrive as incidence rows, and each side of a relation is one
 (count, V) row array: the two oracles of a pair disagree at a label exactly
 where their rows differ. Phase relations and analytic preimage relations
 hold the sets' sign rows, since matched permutations disagree exactly on
-the symmetric difference of their preimage sets; a materialized coset
-relation holds 0-based image rows, one gather of the block group's rows.
-The statistics m, m' and l_max are one array formula over the rows and the
-(P, 2) pair array; W and the end-to-end check apply all the oracles at
-once, as one sign multiply or one gather per query, and run a stack of
-algorithms with one `relation_stats` call per stack.
+the symmetric difference of their preimage sets; a preimage relation is
+materialized exactly when its block group has at most MAX_COSET_ITEMS
+elements, and then holds 0-based image rows, one gather of the group's rows.
+The statistics m, m' and l_max are one array formula over `x_items`,
+`y_items` and the columns of the (P, 2) `pairs` array; W and the end-to-end
+check apply all the oracles at once, as one sign multiply or one gather per
+query, and run a stack of algorithms with one `relation_stats` call per stack.
 
 The progress measure W sums the absolute control-register coherences across
 related pairs; each oracle query can lower it by at most sqrt(l_max), which
@@ -77,21 +78,11 @@ class OracleRelation:
         for side in ("x_items", "y_items"):
             what = f"{self.kind.replace('_', '-')} {side}"
             object.__setattr__(self, side, check(getattr(self, side), self.universe, what))
-        px, py = self.pair_index
+        px, py = pairs.T
         bad = (px < 0) | (px >= len(self.x_items)) | (py < 0) | (py >= len(self.y_items))
         if bad.any():
             xi, yi = pairs[int(np.argmax(bad))]
             raise ValueError(f"pair ({xi}, {yi}) references a missing item")
-
-    @property
-    def pair_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """The pairs as two index arrays: into x_items and into y_items."""
-        return self.pairs[:, 0], self.pairs[:, 1]
-
-    @property
-    def rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (items, V) row arrays of the x side and the y side."""
-        return self.x_items, self.y_items
 
     def disagrees(self, xi: int, yi: int, label: int) -> bool:
         """Do the two oracles of a pair act differently on this input label?"""
@@ -143,32 +134,23 @@ def build_preimage_relation(
     sx: SubsetFamily,
     sy: SubsetFamily,
     block: int,
-    materialize_cosets: bool | None = None,
 ) -> OracleRelation:
     """Relation between in-place oracles whose preimage sets lie in sx vs sy.
 
-    When the block group is small enough the full cosets are materialized and
-    matched element by element (pair (tau o sigma_x*, tau o sigma_y*) for
-    every block permutation tau): tau o sigma is the gather taus[:, sigma]
-    over the group's image rows, and equal y candidates become one item,
-    ranked by first appearance. Otherwise the relation is analytic: each
-    subset is one item, held as its sign row, and every subset pair is
-    related.
+    When the block group has at most MAX_COSET_ITEMS elements the full cosets
+    are materialized and matched element by element (pair (tau o sigma_x*,
+    tau o sigma_y*) for every block permutation tau): tau o sigma is the
+    gather taus[:, sigma] over the group's image rows, and equal y candidates
+    become one item, ranked by first appearance. Otherwise the relation is
+    analytic: each subset is one item, held as its sign row, and every subset
+    pair is related.
     """
     _check_families(sx, sy)
     if (sx.incidence.sum(axis=1) != block).any() or (sy.incidence.sum(axis=1) != block).any():
         raise ValueError(f"every subset must have exactly {block} members")
     v = sx.universe
-    group_size = block_group_order(v, block)
-    if materialize_cosets is None:
-        materialize_cosets = group_size <= MAX_COSET_ITEMS
-    if not materialize_cosets:
+    if block_group_order(v, block) > MAX_COSET_ITEMS:
         return _complete_relation("in_place", sx, sy, analytic=True)
-    if group_size > MAX_COSET_ITEMS:
-        raise ValueError(
-            f"block group has {group_size} elements, above the cap {MAX_COSET_ITEMS}; "
-            "build the relation analytically instead"
-        )
     taus = block_permutations(v, block)
     # x items run over (x set, tau); y candidates over (x set, y set, tau)
     x_items = taus[:, representative_rows(sx.incidence)].swapaxes(0, 1).reshape(-1, v)
@@ -205,8 +187,7 @@ def relation_stats(rel: OracleRelation) -> AdversaryStats:
     it at label j (l_y likewise), and l_max is the largest l_x * l_y over the
     disagreeing points of the pairs.
     """
-    (rx, ry), (px, py) = rel.rows, rel.pair_index
-    v = rel.universe
+    rx, ry, (px, py), v = rel.x_items, rel.y_items, rel.pairs.T, rel.universe
     differ = rx[px] != ry[py]
     # bincount each oracle's disagreeing (pair, label) cells into its row of the table
     l_x, l_y = (
@@ -267,8 +248,8 @@ def _query_states(
     if alg.dim_a != v:
         raise ValueError(f"algorithm register A has dim {alg.dim_a}, oracles act on {v}")
     d_aq = alg.dim_a * alg.dim_b
-    amps = alg.initial_rows(PureState.basis(d_aq, 1) if initial_aq is None else initial_aq)
-    rows = np.concatenate(rel.rows)
+    amps = alg.initial_rows(np.eye(1, d_aq) if initial_aq is None else initial_aq)
+    rows = np.concatenate([rel.x_items, rel.y_items])
     # an in-place oracle moves the amplitude of label a to its image
     sources = np.argsort(rows, axis=1)[None, :, :, None] if rel.kind == "in_place" else None
     shape = (len(alg.stack), len(rows), d_aq)
@@ -302,7 +283,7 @@ def progress_trace(
     weights = np.repeat([1.0 / math.sqrt(2 * n_x), 1.0 / math.sqrt(2 * n_y)], [n_x, n_y])
     states = _query_states(rel, alg, initial_aq, weights)
     sqrt_lmax = math.sqrt(relation_stats(rel).l_max)
-    px, py = rel.pair_index
+    px, py = rel.pairs.T
     # W sums |<x|y>| over the related pairs of control states
     w = np.stack([
         np.abs((s[:, :n_x] @ s[:, n_x:].conj().mT)[:, px, py]).sum(axis=-1) for s in states

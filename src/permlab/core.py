@@ -9,7 +9,7 @@ all operations are pure functions.
 A set family is one (count, V) bool incidence array (`SubsetFamily`), and a
 family predicate is a row mask over a chunk of such rows. `Subset` is the
 type of one set, such as a fixed core, and its `incidence` is its row; a
-family builds its `Subset`s only when its `sets` view is read.
+family holds rows only and builds no `Subset`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -69,13 +69,9 @@ class Subset:
         if list(members) != sorted(set(members)):
             raise ValueError("members must be strictly increasing without duplicates")
         object.__setattr__(self, "members", members)
-        object.__setattr__(self, "_member_set", frozenset(members))
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def __contains__(self, label: int) -> bool:
-        return label in self._member_set  # type: ignore[attr-defined]
 
     @property
     def incidence(self) -> np.ndarray:
@@ -85,8 +81,7 @@ class Subset:
         return row
 
     def complement(self) -> "Subset":
-        inside = self._member_set  # type: ignore[attr-defined]
-        return Subset(self.universe, tuple(m for m in range(1, self.universe + 1) if m not in inside))
+        return Subset(self.universe, tuple((np.flatnonzero(~self.incidence) + 1).tolist()))
 
 
 def first_repeats(rows: np.ndarray) -> np.ndarray:
@@ -117,8 +112,7 @@ class SubsetFamily:
     """Distinct subsets of one universe, held as a (count, V) 0/1 incidence array.
 
     Row r of `incidence` marks the members of set r, label i in column i-1.
-    `sets` gives the same sets as `Subset`s in row order, built once on first
-    use. Counting and the Fixing Procedure work on the rows.
+    Counting and the Fixing Procedure work on the rows.
     """
 
     def __init__(self, universe: int, rows: np.ndarray) -> None:
@@ -137,26 +131,9 @@ class SubsetFamily:
         rows.setflags(write=False)
         self.universe = universe
         self.incidence = rows
-        self._sets: tuple[Subset, ...] | None = None
-
-    @property
-    def sets(self) -> tuple[Subset, ...]:
-        """The member sets as `Subset`s, in row order."""
-        if self._sets is None:
-            sizes = self.incidence.sum(axis=1).tolist()
-            labels = (np.nonzero(self.incidence)[1] + 1).tolist()
-            ends = itertools.accumulate(sizes)
-            self._sets = tuple(
-                Subset(self.universe, tuple(labels[end - size:end]))
-                for size, end in zip(sizes, ends)
-            )
-        return self._sets
 
     def __len__(self) -> int:
         return len(self.incidence)
-
-    def __iter__(self) -> Iterator[Subset]:
-        return iter(self.sets)
 
     def element_counts(self) -> dict[int, int]:
         """nu(i): for each label, the number of member sets containing it."""
@@ -178,12 +155,6 @@ class PureState:
             raise ValueError(f"amplitudes have shape {amps.shape}, expected ({self.dim},)")
         object.__setattr__(self, "amplitudes", validated_states(amps))
 
-    @classmethod
-    def basis(cls, dim: int, label: int) -> "PureState":
-        amps = np.zeros(dim, dtype=np.complex128)
-        amps[label - 1] = 1.0
-        return cls(dim, amps)
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -201,10 +172,6 @@ class DensityMatrix:
 
     def validate_psd(self) -> None:
         _check_psd(self.entries)
-
-    @classmethod
-    def from_pure(cls, psi: PureState) -> "DensityMatrix":
-        return cls(psi.dim, np.outer(psi.amplitudes, psi.amplitudes.conj()))
 
 
 def random_densities(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -283,6 +250,20 @@ def subset_state(subset: Subset, dim: int) -> PureState:
     return PureState(dim, amps)
 
 
+def capped_binomial(universe: int, k: int, cap: int) -> int:
+    """C(universe, k), or cap + 1 if it exceeds `cap`. It is built as C(universe, j)
+    for j up to min(k, universe - k), which only grow, so it stops at the first
+    above the cap and never finishes a larger binomial."""
+    if not 0 <= k <= universe:
+        raise ValueError(f"k={k} must lie in 0..{universe}")
+    total = 1
+    for j in range(min(k, universe - k)):
+        total = total * (universe - j) // (j + 1)
+        if total > cap:
+            return cap + 1
+    return total
+
+
 def enumerate_family(
     universe: int,
     k: int,
@@ -292,17 +273,13 @@ def enumerate_family(
 
     The subsets are built as incidence rows, `ENUMERATION_CHUNK_ROWS` at a time;
     the predicate maps each (count, universe) bool chunk to a (count,) bool mask
-    of the rows to keep. C(universe, k) is built as C(universe, j) for j up to
-    min(k, universe - k), which only grow, so it is refused at the first above the cap.
+    of the rows to keep. More than ENUMERATION_CAP subsets are refused
+    (`capped_binomial`).
     """
-    if not 0 <= k <= universe:
-        raise ValueError(f"k={k} must lie in 0..{universe}")
-    total = 1
-    for j in range(min(k, universe - k)):
-        total = total * (universe - j) // (j + 1)
-        if total > ENUMERATION_CAP:
-            raise ValueError(f"C({universe},{k}) exceeds the enumeration cap {ENUMERATION_CAP}; "
-                             "use sample_family for seeded uniform sampling instead")
+    total = capped_binomial(universe, k, ENUMERATION_CAP)
+    if total > ENUMERATION_CAP:
+        raise ValueError(f"C({universe},{k}) exceeds the enumeration cap {ENUMERATION_CAP}; "
+                         "use sample_family for seeded uniform sampling instead")
     combos = itertools.combinations(range(universe), k)
     kept = []
     for start in range(0, total, ENUMERATION_CHUNK_ROWS):
@@ -352,11 +329,13 @@ def sample_family(
     far if more: then a batch's draws take at most half the memory of the
     loop's (count, k) array, and few rounds re-check the kept sets.
     """
-    total = math.comb(universe, k)
-    if count > total:
-        raise ValueError(f"cannot draw {count} distinct subsets, only {total} exist")
     if count > ENUMERATION_CAP:
         raise ValueError(f"cannot draw {count} subsets, above the cap {ENUMERATION_CAP}")
+    # past ENUMERATION_CAP^2, kept * need < total - kept for any total, so each
+    # batch below is sized as the full C(universe, k) would size it
+    total = capped_binomial(universe, k, ENUMERATION_CAP**2)
+    if count > total:
+        raise ValueError(f"cannot draw {count} distinct subsets, only {total} exist")
     if universe < 1:
         raise ValueError("universe must be positive")
     # choice runs Floyd's algorithm, k draws below universe - k + 1, ...,
@@ -417,12 +396,10 @@ def partial_trace(
     return DensityMatrix(d_keep, reduced.reshape(d_keep, d_keep))
 
 
-def trace_distance(a: DensityMatrix | np.ndarray,
-                   b: DensityMatrix | np.ndarray) -> float | np.ndarray:
+def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """Half the trace norm of the difference of two Hermitian matrices; for two
     equal-shaped stacks, an array of one distance per member from one eigensolve."""
-    ma = a.entries if isinstance(a, DensityMatrix) else np.asarray(a)
-    mb = b.entries if isinstance(b, DensityMatrix) else np.asarray(b)
+    ma, mb = np.asarray(a), np.asarray(b)
     if ma.shape != mb.shape:
         raise ValueError(f"shape mismatch: {ma.shape} vs {mb.shape}")
     dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(ma - mb)), axis=-1)

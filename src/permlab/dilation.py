@@ -174,13 +174,6 @@ def random_query_algorithm(
     return QueryAlgorithm(dim_a, dim_b, haar_stack(dim_a * dim_b, queries + 1, [rng])[0])
 
 
-def chi_state(count: int) -> PureState:
-    """Uniform superposition over the control basis."""
-    if count < 1:
-        raise ValueError("control register needs at least one basis state")
-    return PureState(count, np.full(count, 1.0 / math.sqrt(count), dtype=np.complex128))
-
-
 def _subset_rows(alg: QueryAlgorithm, subset: Subset | np.ndarray) -> tuple[np.ndarray, int]:
     """One `Subset`, or bool incidence rows (one (V,) row shared by every trial, or
     one per trial), as (1 or trials, V) rows, with their one member count."""
@@ -240,9 +233,11 @@ def run_dilated_picture(
     """
     tau_rows, stack = permutation_rows(taus, alg.dim_a, "every tau"), alg.stack
     t, c, trials = alg.queries, len(tau_rows), len(stack)
+    if c < 1:
+        raise ValueError("control register needs at least one basis state")
     d_ab = alg.dim_a * alg.dim_b
-    # chi applied t times in kron's order, so psi~_0 is the t-fold kron bit for bit.
-    chi = chi_state(c).amplitudes[0]
+    # chi's amplitude applied t times in kron's order: psi~_0 is the t-fold kron bit for bit
+    chi = 1.0 / math.sqrt(c)
     inv_sigma = np.argsort(permutation_rows(sigma, alg.dim_a, "sigma").reshape(-1, alg.dim_a))
     amps = alg.initial_rows(initial)
     full = dilated_length(c, t, d_ab)

@@ -28,7 +28,9 @@ from .adversary import (
     progress_trace,
     relation_stats,
 )
-from .core import ENUMERATION_CAP, MAX_DIM, enumerate_family, philox_stream, sample_family
+from .core import (
+    ENUMERATION_CAP, MAX_DIM, capped_binomial, enumerate_family, philox_stream, sample_family,
+)
 from .dilation import (
     DILATION_TOL,
     QueryAlgorithm,
@@ -108,6 +110,10 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not value >= low:  # NaN fails too
                 raise ValueError(f"field '{name}' must be at least {low}, got {value}")
+        for name in ("alpha", "epsilon", "p", "nref"):  # float fields: NaN and inf are refused
+            value = getattr(self, name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"field '{name}' must be finite, got {value}")
 
     def canonical_json(self) -> str:
         data = {}
@@ -268,11 +274,14 @@ def run_fix(cfg: ExperimentConfig) -> tuple[bool, list[str], list[list]]:
             raise ValueError(f"field '{name}' must lie in 0..V = {v}, got {getattr(cfg, name)}")
     if nref <= 1:
         raise ValueError(f"field 'nref' must exceed 1, got {nref} (nref defaults to k)")
-    target = TargetClass.fixed_size(v, cfg.target_k)
-    size = max(1, witness_pigeonhole(math.comb(v, k), cfg.p))
+    target = TargetClass(v, cfg.target_k)
+    # C(V, k) < 2^V: past V witness bits, every family holds one set
+    bits = min(cfg.p, v)
+    total = capped_binomial(v, k, ENUMERATION_CAP << math.ceil(bits))
+    size = max(1, witness_pigeonhole(total, bits))
     if size > ENUMERATION_CAP:
         raise ValueError(f"fields V = {v}, k = {k} and p = {cfg.p} ask for families of "
-                         f"C(V, k) / 2^p = {size} sets, above the cap {ENUMERATION_CAP}")
+                         f"C(V, k) / 2^p sets, above the cap {ENUMERATION_CAP}")
     rows = []
     ok = True
     for trial in range(cfg.trials):

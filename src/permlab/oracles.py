@@ -194,16 +194,11 @@ def block_average_on_first_factor(
     return means.reshape(-1)[labels].reshape(x.shape)
 
 
-def block_twirl(rho: DensityMatrix, block: int) -> DensityMatrix:
-    """Average rho over conjugation by every block-preserving permutation."""
-    return DensityMatrix(rho.dim, block_average(rho.entries, block))
-
-
 def apply_randomized_preimage(subset: Subset, rho: DensityMatrix) -> DensityMatrix:
     """Apply a uniformly random permutation with preimage set `subset`.
 
-    Equals block_twirl(P rho P†, |subset|) for any representative P, here the
-    canonical one, gathered through its inverse.
+    Equals the block average of P rho P† over |subset| for any representative P,
+    here the canonical one, gathered through its inverse.
     """
     if rho.dim != subset.universe:
         raise ValueError(f"rho dim {rho.dim} does not match universe {subset.universe}")

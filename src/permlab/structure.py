@@ -50,22 +50,9 @@ class TargetClass:
         if not 0 <= self.size <= self.universe:
             raise ValueError(f"target size {self.size} must lie in 0..{self.universe}")
 
-    @classmethod
-    def fixed_size(cls, universe: int, size: int) -> "TargetClass":
-        return cls(universe, size)
-
-    @classmethod
-    def parity(cls, block: int, majority: str) -> "TargetClass":
-        if majority not in ("even", "odd"):
-            raise ValueError("parity target majority must be 'even' or 'odd'")
-        return cls(block**2, block, majority == "even")
-
-    def feasible_extension(self, s_fixed: Subset) -> bool:
-        """Can the fixed core be completed to some member of this class?"""
-        return s_fixed.universe == self.universe and bool(self.feasible_cores(s_fixed.incidence))
-
     def feasible_cores(self, cores: np.ndarray) -> np.ndarray:
-        """`feasible_extension` for each (..., V) bool core row over this universe."""
+        """Can each (..., V) bool core row over this universe be completed to some
+        member of this class?"""
         evens = cores[..., 1::2].sum(axis=-1)
         odds = cores.sum(axis=-1) - evens
         # the even labels that a size-subset of [universe] can hold
@@ -188,9 +175,11 @@ def fixing_procedure(
 ) -> DistributedCertificate:
     """Extract frequent elements until every residual frequency drops below N^(-alpha):
     `fixing_procedure_stack` on a stack of one family."""
+    if target is not None and target.universe != family.universe:
+        raise ValueError(f"universe mismatch: {target.universe} vs {family.universe}")
     run = fixing_procedure_stack(family.incidence[None], alpha, n_ref)
     s_fixed = Subset(family.universe, tuple((np.flatnonzero(run.fixed[0]) + 1).tolist()))
-    feasible = target.feasible_extension(s_fixed) if target is not None else None
+    feasible = bool(target.feasible_cores(run.fixed[0])) if target is not None else None
     return DistributedCertificate(
         SubsetFamily(family.universe, family.incidence[run.alive[0]]), s_fixed, alpha,
         float(run.max_offfixed_fraction[0]), feasible, int(run.iterations[0]),
@@ -251,9 +240,11 @@ def witness_pigeonhole(family_size: int, witness_bits: float) -> int:
     if family_size < 0 or witness_bits < 0:
         raise ValueError("family size and witness bits must be nonnegative")
     if float(witness_bits).is_integer():
-        denom = 2 ** int(witness_bits)
-        return -((-family_size) // denom)
-    return math.ceil(family_size / 2.0**witness_bits)
+        return -((-family_size) // 2 ** int(witness_bits))
+    # ceil(family_size / 2^shift) first, so that neither float below overflows;
+    # below 65 bits the shift is 0
+    shift = max(0, int(witness_bits) - 64)
+    return math.ceil(-((-family_size) >> shift) / 2.0 ** (witness_bits - shift))
 
 
 def eval_poly(coeffs: Sequence[float], x: float) -> float:
@@ -348,13 +339,10 @@ def bound_crossovers(
 
 
 def _log2_binomial(
-    x: "mpmath.mpf", y: "mpmath.mpf",
-    loggamma: Callable = mpmath.loggamma, ln2: "mpmath.mpf | None" = None,
+    x: "mpmath.mpf", y: "mpmath.mpf", loggamma: Callable, ln2: "mpmath.mpf"
 ) -> "mpmath.mpf":
-    """Continuous log2 binomial via log-gamma; requires 0 <= y <= x. `loggamma`
-    and `ln2` may be passed in, so a caller can share them across binomials."""
+    """Continuous log2 binomial via log-gamma; requires 0 <= y <= x. The caller
+    passes `loggamma` and ln 2, so that it can share them across binomials."""
     if y < 0 or y > x:
         raise ValueError(f"binomial arguments out of range: ({x}, {y})")
-    return (loggamma(x + 1) - loggamma(y + 1) - loggamma(x - y + 1)) / (
-        mpmath.log(2) if ln2 is None else ln2
-    )
+    return (loggamma(x + 1) - loggamma(y + 1) - loggamma(x - y + 1)) / ln2

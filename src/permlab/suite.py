@@ -203,7 +203,7 @@ def criterion_06_fixing(seed: int) -> CriterionResult:
     """
     table = enumerate_family(16, 4).incidence
     total = len(table)
-    target = TargetClass.fixed_size(16, 3)
+    target = TargetClass(16, 3)
     failures = 0
     max_iter = 0
     for p_bits in (2, 4):
@@ -289,7 +289,7 @@ def criterion_08_adversary_stats(seed: int) -> CriterionResult:
             nu / len(sx) for lab, nu in counts.items() if lab != 1
         )
         cap = len(sx) * len(sy) * fraction
-        (rx, ry), (px, py) = rel.rows, rel.pair_index
+        rx, ry, (px, py) = rel.x_items, rel.y_items, rel.pairs.T
         prods = stats.per_input_l["l_x"][px] * stats.per_input_l["l_y"][py]
         # sign -1 marks a member: the one-sided difference points of x \ y
         for k, j in zip(*np.nonzero((rx[px] < ry[py]) & (prods > cap + 1e-9))):

@@ -30,14 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
-from .core import (
-    DensityMatrix, PureState, Subset, SubsetFamily, enumerate_family, validated_states,
-)
-from .oracles import apply_randomized_preimage
+from .core import PureState, Subset, SubsetFamily, enumerate_family, validated_states
+# perfbench's self-test checks that its span hooks rebind this name here.
+from .oracles import apply_randomized_preimage  # noqa: F401
 
 PROBABILITY_TOL = 1e-10
 # The 2/3 mark: YES instances should reach it, NO instances should not pass it.
@@ -50,11 +48,11 @@ SOUNDNESS_SLACK = 1e-9
 SWEEP_CHUNK_ENTRIES = 2**20
 
 
-def meets_threshold(label: str, lam: float, threshold_lo: float = THRESHOLD_LO) -> bool:
+def meets_threshold(label: str, lam: float) -> bool:
     """The one rule on lambda_max: a YES instance reaches the mark, a NO one does not pass it."""
     if label == "YES":
-        return lam >= threshold_lo - PROBABILITY_TOL
-    return lam <= threshold_lo + SOUNDNESS_SLACK
+        return lam >= THRESHOLD_LO - PROBABILITY_TOL
+    return lam <= THRESHOLD_LO + SOUNDNESS_SLACK
 
 
 def even_count(n_labels: int, label: str) -> int:
@@ -135,22 +133,6 @@ def random_instance(
 def test_i(inst: PreimageInstance, witness: PureState) -> float:
     """Oracle the witness, then project onto the [N]-uniform state: |<S|w>|^2."""
     return _tests_of_one(inst, witness)[0]
-
-
-def test_i_circuit(inst: PreimageInstance, witness: PureState) -> float:
-    """Gate realization of test (i): Hadamard the low n qubits, accept all zeros.
-
-    Only defined when N is a power of two. Labels 1..N occupy the 0-based
-    indices with all high bits zero, so the Hadamards act on the low block.
-    """
-    if inst.n is None:
-        raise ValueError("the gate realization needs N = 2^n")
-    out = apply_randomized_preimage(inst.subset, DensityMatrix.from_pure(witness))
-    h1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-    h_low = reduce(np.kron, [h1] * inst.n)
-    u = np.kron(np.eye(inst.block), h_low)
-    rotated = u @ out.entries @ u.conj().T
-    return float(_as_probability(rotated[0, 0]))
 
 
 def test_ii(inst: PreimageInstance, witness: PureState) -> float:

@@ -12,8 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from permlab.core import EIGENVALUE_TOL, DensityMatrix, Subset, SubsetFamily, random_densities
+from permlab.core import (
+    EIGENVALUE_TOL, DensityMatrix, PureState, Subset, SubsetFamily, random_densities,
+)
 from permlab.dilation import QueryAlgorithm, haar_stack
+from permlab.oracles import block_average
 
 
 @dataclass(frozen=True)
@@ -88,7 +91,30 @@ def subset_from_text(universe, text):
 def issubset(a, b):
     if a.universe != b.universe:
         raise ValueError(f"universe mismatch: {a.universe} vs {b.universe}")
-    return all(m in b for m in a.members)
+    return set(a.members) <= set(b.members)
+
+
+def basis_state(dim, label):
+    """The basis state of `label` (amplitude slot label - 1)."""
+    amps = np.zeros(dim, dtype=np.complex128)
+    amps[label - 1] = 1.0
+    return PureState(dim, amps)
+
+
+def pure_density(psi):
+    """The density matrix |psi><psi| of a `PureState`."""
+    return DensityMatrix(psi.dim, np.outer(psi.amplitudes, psi.amplitudes.conj()))
+
+
+def block_twirl(rho, block):
+    """`block_average` of a `DensityMatrix`, as a `DensityMatrix`."""
+    return DensityMatrix(rho.dim, block_average(rho.entries, block))
+
+
+def sets_of(family):
+    """The member sets of a `SubsetFamily` as `Subset`s, in row order."""
+    return tuple(Subset(family.universe, tuple((np.flatnonzero(row) + 1).tolist()))
+                 for row in family.incidence)
 
 
 def maximally_mixed(dim):

@@ -10,6 +10,7 @@ from permlab import adversary, harness, suite
 from permlab.adversary import (
     AdversaryStats,
     OracleRelation,
+    _complete_relation,
     adversary_bound,
     build_preimage_relation,
     build_subset_relation,
@@ -31,6 +32,7 @@ from permlab.verifier import parity_class
 from reference import (
     Permutation,
     as_permutation,
+    basis_state,
     block_permutation_objects,
     brute_stats,
     compose,
@@ -39,6 +41,7 @@ from reference import (
     identity_algorithm,
     invert,
     preimage_set,
+    sets_of,
 )
 
 
@@ -78,10 +81,10 @@ def reference_coset_relation(sx, sy, block):
     image appended once, in order of first appearance."""
     taus = block_permutation_objects(sx.universe, block)
     x_items = [compose(tau, as_permutation(representative_sigma(s, block)))
-               for s in sx for tau in taus]
+               for s in sets_of(sx) for tau in taus]
     y_items, y_index, pairs = [], {}, []
-    for ix, s_x in enumerate(sx):
-        for s_y in sy:
+    for ix, s_x in enumerate(sets_of(sx)):
+        for s_y in sets_of(sy):
             sigma_y = reference_matched_pair(s_x, s_y)[1]
             for it, tau in enumerate(taus):
                 y_perm = compose(tau, sigma_y)
@@ -201,7 +204,13 @@ def traced_relations(draw):
             family_of_sets(v, [subset_of_mask(v, m) for m in masks[split:]]),
         )
     sx, sy, block = draw(preimage_families())
-    return build_preimage_relation(sx, sy, block, materialize_cosets=True)
+    return build_preimage_relation(sx, sy, block)
+
+
+def analytic_relation(sx, sy):
+    """The analytic in-place relation of two families, as `build_preimage_relation`
+    builds it past MAX_COSET_ITEMS: each set one sign row, every pair related."""
+    return _complete_relation("in_place", sx, sy, analytic=True)
 
 
 def contains_one(rows):
@@ -227,7 +236,7 @@ class TestSubsetRelation:
     def test_core_containment_construction(self):
         core = (1,)
         sy = enumerate_family(6, 3, lambda rows: rows[:, [c - 1 for c in core]].all(axis=1))
-        assert all(1 in s for s in sy)
+        assert all(1 in s.members for s in sets_of(sy))
         assert len(sy) == 10
 
     def test_overlapping_families_rejected(self):
@@ -251,7 +260,7 @@ class TestSubsetRelation:
         )
         cap = len(sx) * len(sy) * fraction
         for xi, yi in rel.pairs:
-            for lab in set(sx.sets[xi].members) - set(sy.sets[yi].members):
+            for lab in set(sets_of(sx)[xi].members) - set(sets_of(sy)[yi].members):
                 prod = (
                     stats.per_input_l["l_x"][xi, lab - 1]
                     * stats.per_input_l["l_y"][yi, lab - 1]
@@ -264,7 +273,7 @@ def spectral_sides(rel):
     left from dense 2-norms: Gamma is the 0/1 pair matrix and Gamma_j its
     restriction to the pairs whose oracles disagree at label j; the right
     from relation_stats."""
-    (rx, ry), (px, py) = rel.rows, rel.pair_index
+    rx, ry, (px, py) = rel.x_items, rel.y_items, rel.pairs.T
     gammas = np.zeros((rel.universe + 1, len(rx), len(ry)))
     gammas[0, px, py] = 1.0
     gammas[1:, px, py] = (rx[px] != ry[py]).T
@@ -312,7 +321,7 @@ class TestStatsMatchReference:
     @settings(max_examples=25, deadline=None)
     def test_analytic_relations_match_brute_force(self, families):
         sx, sy, block = families
-        rel = build_preimage_relation(sx, sy, block, materialize_cosets=False)
+        rel = analytic_relation(sx, sy)
         assert rel.analytic
         self.assert_stats_match_brute_force(rel)
 
@@ -331,13 +340,14 @@ class TestStatsMatchReference:
     @settings(max_examples=25, deadline=None)
     def test_materialized_and_analytic_twins_agree(self, families):
         sx, sy, block = families
-        materialized = build_preimage_relation(sx, sy, block, materialize_cosets=True)
-        analytic = build_preimage_relation(sx, sy, block, materialize_cosets=False)
+        materialized = build_preimage_relation(sx, sy, block)
+        analytic = analytic_relation(sx, sy)
         a, b = relation_stats(materialized), relation_stats(analytic)
         assert (a.m, a.m_prime, a.l_max) == (b.m, b.m_prime, b.l_max)
         # every coset element carries the l table of its preimage set
-        x_of = [sx.sets.index(preimage_set(as_permutation(p), block)) for p in materialized.x_items]
-        y_of = [sy.sets.index(preimage_set(as_permutation(p), block)) for p in materialized.y_items]
+        x_sets, y_sets = sets_of(sx), sets_of(sy)
+        x_of = [x_sets.index(preimage_set(as_permutation(p), block)) for p in materialized.x_items]
+        y_of = [y_sets.index(preimage_set(as_permutation(p), block)) for p in materialized.y_items]
         assert np.array_equal(a.per_input_l["l_x"], b.per_input_l["l_x"][x_of])
         assert np.array_equal(a.per_input_l["l_y"], b.per_input_l["l_y"][y_of])
 
@@ -381,7 +391,7 @@ class TestCosetRelationMatchesReference:
     @settings(max_examples=25, deadline=None)
     def test_items_and_pairs_equal_the_per_permutation_build_in_order(self, families):
         sx, sy, block = families
-        rel = build_preimage_relation(sx, sy, block, materialize_cosets=True)
+        rel = build_preimage_relation(sx, sy, block)
         x_items, y_items, pairs = reference_coset_relation(sx, sy, block)
         assert np.array_equal(rel.x_items, np.stack([p.zero_based() for p in x_items]))
         assert np.array_equal(rel.y_items, np.stack([p.zero_based() for p in y_items]))
@@ -498,8 +508,8 @@ class TestMatchedRepresentatives:
         family = enumerate_family(v, block)
         sigma_x, sigma_y = matched_rows(family.incidence[:, None], family.incidence[None])
         assert sigma_x.shape == sigma_y.shape == (len(family), len(family), v)
-        for i, sx in enumerate(family.sets):
-            for j, sy in enumerate(family.sets):
+        for i, sx in enumerate(sets_of(family)):
+            for j, sy in enumerate(sets_of(family)):
                 px, py = reference_matched_pair(sx, sy)
                 assert np.array_equal(sigma_x[i, j], px.zero_based())
                 assert np.array_equal(sigma_y[i, j], py.zero_based())
@@ -528,7 +538,7 @@ class TestPreimageRelation:
 
     def test_enumerated_and_analytic_stats_agree(self):
         enumerated = build_preimage_relation(N1_X, N1_Y, 2)
-        analytic = build_preimage_relation(N1_X, N1_Y, 2, materialize_cosets=False)
+        analytic = analytic_relation(N1_X, N1_Y)
         assert analytic.analytic
         a = relation_stats(enumerated)
         b = relation_stats(analytic)
@@ -539,8 +549,8 @@ class TestPreimageRelation:
         # even and one odd pair), so use block 2 over [6]
         sx = family_of(6, (2, 4), (2, 6), (4, 6))
         sy = family_of(6, (1, 3), (1, 5), (3, 5))
-        enumerated = build_preimage_relation(sx, sy, 2, materialize_cosets=True)
-        analytic = build_preimage_relation(sx, sy, 2, materialize_cosets=False)
+        enumerated = build_preimage_relation(sx, sy, 2)
+        analytic = analytic_relation(sx, sy)
         a = relation_stats(enumerated)
         b = relation_stats(analytic)
         assert (a.m, a.m_prime, a.l_max) == (b.m, b.m_prime, b.l_max)
@@ -549,7 +559,7 @@ class TestPreimageRelation:
     def test_every_matched_pair_satisfies_bullets(self):
         sx = family_of(6, (2, 4), (2, 6))
         sy = family_of(6, (1, 3), (3, 5))
-        rel = build_preimage_relation(sx, sy, 2, materialize_cosets=True)
+        rel = build_preimage_relation(sx, sy, 2)
         for xi, yi in rel.pairs:
             px, py = as_permutation(rel.x_items[xi]), as_permutation(rel.y_items[yi])
             s_x = set(preimage_set(px, 2).members)
@@ -571,9 +581,9 @@ class TestPreimageRelation:
         monkeypatch.setattr(Subset, "__post_init__", refuse)
         sx, sy = enumerate_family(6, 2, contains_one), enumerate_family(6, 3, contains_one)
         relation_stats(build_subset_relation(sx, sy))
-        for materialize in (True, False):
-            relation_stats(build_preimage_relation(
-                parity_class(1, "YES"), parity_class(1, "NO"), 2, materialize_cosets=materialize))
+        yes, no = parity_class(1, "YES"), parity_class(1, "NO")
+        for rel in (build_preimage_relation(yes, no, 2), analytic_relation(yes, no)):
+            relation_stats(rel)
 
 
 class TestCancellationIdentity:
@@ -661,7 +671,7 @@ class TestProgressTrace:
             alg = random_query_algorithm(4, 1, 3, philox_stream(seed))
             eye = np.eye(4, dtype=complex)
             trivial = QueryAlgorithm(4, 1, tuple(eye for _ in range(4)))
-            trace = progress_trace(rel, trivial, initial_aq=PureState.basis(4, 1))
+            trace = progress_trace(rel, trivial, initial_aq=basis_state(4, 1))
             assert all(abs(w - trace.w_values[0]) < 1e-12 for w in trace.w_values)
 
     def test_aq_unitaries_do_not_change_w(self):
@@ -672,7 +682,7 @@ class TestProgressTrace:
             # oracle flips labels 2 or 3; start on label 1 and keep A there
             u = np.kron(np.eye(4), haar_unitary(2, philox_stream(60 + seed)))
             alg_aq = QueryAlgorithm(4, 2, tuple(u for _ in range(5)))
-            trace = progress_trace(rel, alg_aq, initial_aq=PureState.basis(8, 1))
+            trace = progress_trace(rel, alg_aq, initial_aq=basis_state(8, 1))
             assert all(abs(w - trace.w_values[0]) < 1e-12 for w in trace.w_values)
 
     def test_drop_bound_on_preimage_relation(self):
@@ -693,7 +703,7 @@ class TestProgressTrace:
             assert trace.max_drop <= sqrt_lmax + 1e-9
 
     def test_analytic_relation_rejected(self):
-        rel = build_preimage_relation(N1_X, N1_Y, 2, materialize_cosets=False)
+        rel = analytic_relation(N1_X, N1_Y)
         with pytest.raises(ValueError, match="analytic"):
             progress_trace(rel, identity_algorithm(4, 2, 1))
 
@@ -713,7 +723,7 @@ class TestEndToEnd:
         eye = np.eye(2, dtype=complex)
         alg = QueryAlgorithm(2, 1, (eye, eye))  # one query, trivial unitaries
         accept = np.diag([1.0, 0.0]).astype(complex)  # accept when A stays on label 1
-        report = end_to_end_bound_check(rel, alg, accept, initial_aq=PureState.basis(2, 1))
+        report = end_to_end_bound_check(rel, alg, accept, initial_aq=basis_state(2, 1))
         assert report.worst_success == pytest.approx(1.0)
         assert report.epsilon == pytest.approx(0.0)
         assert report.bound == pytest.approx(1.0)
@@ -776,7 +786,7 @@ class TestRelationValidation:
 
     def test_items_and_pairs_are_read_only(self):
         for rel in (build_preimage_relation(N1_X, N1_Y, 2),
-                    build_preimage_relation(N1_X, N1_Y, 2, materialize_cosets=False),
+                    analytic_relation(N1_X, N1_Y),
                     build_subset_relation(N1_X, N1_Y)):
             for arr in (rel.x_items, rel.y_items, rel.pairs):
                 with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -22,7 +23,6 @@ from permlab.core import (
 from permlab.dilation import (
     QueryAlgorithm,
     check_dilation,
-    chi_state,
     haar_stack,
     random_query_algorithm,
     run_channel_picture,
@@ -32,17 +32,19 @@ from permlab.dilation import (
 from permlab.oracles import (
     block_average_on_first_factor,
     block_permutations,
-    block_twirl,
     random_representative,
     representative_rows,
     representative_sigma,
 )
 from reference import (
     as_permutation,
+    basis_state,
     block_permutation_objects,
+    block_twirl,
     haar_unitary,
     identity_algorithm,
     incidence_rows,
+    pure_density,
     random_density,
 )
 
@@ -78,12 +80,17 @@ def build_control_permutation(taus):
     return out
 
 
+def uniform_control(count):
+    """chi, the uniform superposition over `count` control values."""
+    return np.full(count, 1.0 / math.sqrt(count), dtype=np.complex128)
+
+
 def reference_channel_picture(alg, subset, initial):
     """Reference route: one `DensityMatrix` per query, sigma as a kron'd permutation matrix."""
     block = len(subset)
     sigma = as_permutation(representative_sigma(subset, block))
     p_joint = np.kron(sigma.matrix(), np.eye(alg.dim_b))
-    states = [DensityMatrix.from_pure(initial)]
+    states = [pure_density(initial)]
     rho = states[0].entries
     for u in alg.unitaries[:-1]:
         rho = u @ rho @ u.conj().T
@@ -100,7 +107,7 @@ def reference_dilated_picture(alg, sigma, taus, initial):
     c = len(taus)
     d_ab = alg.dim_a * alg.dim_b
     full = (c**t) * d_ab
-    chi = chi_state(c).amplitudes
+    chi = uniform_control(c)
     psi = initial.amplitudes
     for _ in range(t):
         psi = np.kron(chi, psi)
@@ -126,7 +133,7 @@ def reference_check_dilation(alg, subset, sigma, taus, initial):
     for psi in reference_dilated_picture(alg, sigma, taus, initial):
         mat = psi.amplitudes.reshape(-1, initial.dim)
         reduced.append(DensityMatrix(initial.dim, mat.T @ mat.conj()))
-    distances = [trace_distance(r, rho) for r, rho in zip(reduced, rhos)]
+    distances = [trace_distance(r.entries, rho.entries) for r, rho in zip(reduced, rhos)]
     return rhos, reduced, distances, consistent
 
 
@@ -141,14 +148,14 @@ def dense_dilated_picture(alg, sigma, taus, initial):
     c = len(taus)
     d_ab = alg.dim_a * alg.dim_b
     full = (c**t) * d_ab
-    chi = chi_state(c).amplitudes
+    chi = uniform_control(c)
     psi = initial.amplitudes
     for _ in range(t):
         psi = np.kron(chi, psi)
     inv_sigma = np.argsort(np.asarray(sigma))
     inv_taus = [np.argsort(tau) for tau in taus]
 
-    snapshots = [DensityMatrix.from_pure(PureState(full, psi))]
+    snapshots = [pure_density(PureState(full, psi))]
     for k in range(1, t + 1):
         mat = psi.reshape(c**t, d_ab) @ alg.unitaries[:-1][k - 1].T
         shaped = mat.reshape((c,) * t + (alg.dim_a, alg.dim_b))
@@ -160,7 +167,7 @@ def dense_dilated_picture(alg, sigma, taus, initial):
             sub = shaped[tuple(sel)]
             out[tuple(sel)] = sub[..., inv_taus[i], :]
         psi = out.reshape(full)
-        snapshots.append(DensityMatrix.from_pure(PureState(full, psi)))
+        snapshots.append(pure_density(PureState(full, psi)))
     return snapshots
 
 
@@ -242,11 +249,10 @@ class TestHaarUnitaries:
 
 
 class TestChiAndControl:
-    def test_chi_examples(self):
-        assert np.allclose(chi_state(1).amplitudes, [1.0])
-        np.testing.assert_allclose(chi_state(4).amplitudes, [0.5] * 4, atol=1e-15)
-        for count in (1, 3, 7):
-            assert abs(np.linalg.norm(chi_state(count).amplitudes) - 1) < 1e-12
+    def test_an_empty_control_register_is_refused(self):
+        with pytest.raises(ValueError, match="^control register needs at least one basis state$"):
+            run_dilated_picture(identity_algorithm(4, 2, 1), np.arange(4),
+                                np.zeros((0, 4), dtype=np.intp), basis_state(8, 1))
 
     def test_single_identity_tau(self):
         mat = build_control_permutation([np.arange(3)])
@@ -261,11 +267,11 @@ class TestChiAndControl:
     def test_control_on_chi_traces_to_twirl(self):
         mat = build_control_permutation(TAUS)
         for label in range(1, 5):
-            joint = np.kron(chi_state(4).amplitudes, np.eye(4)[label - 1])
+            joint = np.kron(uniform_control(4), np.eye(4)[label - 1])
             out = mat @ joint
             rho_full = DensityMatrix(16, np.outer(out, out.conj()))
             reduced = partial_trace(rho_full, (4, 4), (1,))
-            expected = block_twirl(DensityMatrix.from_pure(PureState.basis(4, label)), 2)
+            expected = block_twirl(pure_density(basis_state(4, label)), 2)
             np.testing.assert_allclose(reduced.entries, expected.entries, atol=1e-13)
 
     def test_mismatched_sizes_rejected(self):
@@ -306,7 +312,7 @@ class TestDilatedPicture:
         initial = random_product_initial(8, 4)
         sigma = representative_sigma(S_EVEN, 2)
         tildes = run_dilated_picture(alg, sigma, TAUS, initial)
-        first = DensityMatrix.from_pure(PureState(128, tildes[0]))
+        first = pure_density(PureState(128, tildes[0]))
         reduced = partial_trace(first, (4, 4, 4, 2), (2, 3))
         np.testing.assert_allclose(
             reduced.entries, np.outer(initial.amplitudes, initial.amplitudes.conj()),
@@ -385,7 +391,7 @@ class TestDilatedPicture:
         tildes = run_dilated_picture(alg, sigma, TAUS, initial)
         final = alg.unitaries[-1]
         rho_final = final @ rhos[-1] @ final.conj().T
-        last = DensityMatrix.from_pure(PureState(128, tildes[-1]))
+        last = pure_density(PureState(128, tildes[-1]))
         reduced = partial_trace(last, (4, 4, 4, 2), (2, 3)).entries
         tilde_final = final @ reduced @ final.conj().T
         rng = philox_stream(22)
@@ -653,6 +659,7 @@ class TestDistanceHelpers:
         rng = philox_stream(30)
         a = random_density(6, rng)
         b = random_density(6, rng)
+        a, b = a.entries, b.entries
         assert abs(trace_distance(a, b) - trace_distance(b, a)) < 1e-14
 
 

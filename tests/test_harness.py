@@ -301,11 +301,14 @@ class TestCli:
         (["crossover", "--p-coeffs", ""], "field 'p_coeffs' must be comma-separated numbers, got ''"),
         # C(30, 15) = 155,117,520 sets of 15 labels: refused before any is drawn
         (["fix", "--V", "30", "--k", "15", "--p", "0"],
-         "fields V = 30, k = 15 and p = 0.0 ask for families of C(V, k) / 2^p = 155117520 "
-         "sets, above the cap 10000000"),
+         "fields V = 30, k = 15 and p = 0.0 ask for families of C(V, k) / 2^p sets, above the "
+         "cap 10000000"),
         (["crossover", "--p-coeffs", "nan"], "field 'p_coeffs' must be finite numbers, got 'nan'"),
         (["crossover", "--p-coeffs", "0,inf"], "field 'p_coeffs' must be finite numbers, got '0,inf'"),
         (["crossover", "--p-coeffs", "1e400"], "field 'p_coeffs' must be finite numbers, got '1e400'"),
+        (["fix", "--p", "inf"], "field 'p' must be finite, got inf"),
+        (["fix", "--nref", "nan"], "field 'nref' must be finite, got nan"),
+        (["fix", "--nref", "inf"], "field 'nref' must be finite, got inf"),
     ])
     def test_main_rejects_out_of_range_fields_by_name(self, argv, message, capsys):
         assert main(argv) == 2
@@ -334,6 +337,17 @@ class TestCli:
         (["dilate", "--n", "2", "--queries", "0", "--tau-samples", "1000000000"],
          "field 'tau_samples' must be at most 1048576, got 1000000000: one trial would hold "
          "16000000000 entries, above MAX_DIM^2 = 16777216"),
+        # C(3000, 1500) has 901 digits and C(300000, 150000) more than 90,000: no
+        # binomial is finished, none is printed and none is divided as a float
+        (["fix", "--V", "3000", "--k", "1500", "--p", "0.5"], "fields V = 3000, k = 1500 and "
+         "p = 0.5 ask for families of C(V, k) / 2^p sets, above the cap 10000000"),
+        (["fix", "--V", "3000", "--k", "1500"], "fields V = 3000, k = 1500 and p = 2.0 ask for "
+         "families of C(V, k) / 2^p sets, above the cap 10000000"),
+        (["fix", "--V", "300000", "--k", "150000"], "fields V = 300000, k = 150000 and p = 2.0 "
+         "ask for families of C(V, k) / 2^p sets, above the cap 10000000"),
+        # the capped count, 10^7 * 2^2001 + 1, is too large for a float division
+        (["fix", "--V", "3000", "--k", "1500", "--p", "2000.5"], "fields V = 3000, k = 1500 "
+         "and p = 2000.5 ask for families of C(V, k) / 2^p sets, above the cap 10000000"),
     ])
     def test_oversize_runs_are_refused_before_any_draw(self, argv, message, monkeypatch, capsys):
         """Each size is refused by its field or cap before a stream is opened, a
@@ -463,3 +477,20 @@ def test_bench_e2e_script_times_tier1_once_per_side(monkeypatch, capsys):
     assert float(tier1[1]) > 0 and float(tier1[4]) > 0
     assert [argv for _, argv in ran] == [["-m", "permlab", "relation", "--V", "6"]] * 2 + [
         ["-c", "import time; print(time.time())"]] * 2
+
+
+def test_traffic_script_lists_the_functions_a_command_never_enters(monkeypatch, capsys):
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts scripts/ on it
+    spec = importlib.util.spec_from_file_location("traffic", root / "scripts" / "traffic.py")
+    traffic = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traffic)
+    traffic.main(["--command", "relation --V 6"])
+    assert sys.getprofile() is None
+    *names, total = capsys.readouterr().out.splitlines()
+    missed = {line.split()[0] for line in names}
+    # relation runs through execute and run_relation, never through run_verify
+    assert "harness.run_verify" in missed and "harness.load_config" in missed
+    assert not {"harness.execute", "harness.run_relation", "adversary.relation_stats"} & missed
+    assert all(int(line.split()[1]) >= 2 for line in names)
+    assert total.startswith(f"{len(names)} of ") and "never entered" in total

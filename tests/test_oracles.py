@@ -21,7 +21,6 @@ from permlab.oracles import (
     block_average,
     block_average_on_first_factor,
     block_permutations,
-    block_twirl,
     permutation_table,
     phase_signs,
     random_representative,
@@ -31,13 +30,16 @@ from permlab.oracles import (
 from reference import (
     Permutation,
     as_permutation,
+    basis_state,
     block_permutation_objects,
+    block_twirl,
     diagonal,
     identity,
     incidence_rows,
     maximally_mixed,
     permutation_from_text,
     preimage_set,
+    pure_density,
     random_density,
     random_permutation,
     sample_block_permutation_objects,
@@ -51,7 +53,8 @@ def reference_random_representative(subset, block, rng):
     rest's labels, one per non-member."""
     firsts = [int(x) + 1 for x in rng.permutation(block)]
     rests = [int(x) + block + 1 for x in rng.permutation(subset.universe - block)]
-    image = [firsts.pop() if j in subset else rests.pop() for j in range(1, subset.universe + 1)]
+    image = [firsts.pop() if j in subset.members else rests.pop()
+             for j in range(1, subset.universe + 1)]
     return Permutation(subset.universe, tuple(image))
 
 
@@ -198,7 +201,7 @@ class TestInPlace:
         )
 
     def test_basis_swap(self):
-        out = apply_in_place(Permutation(2, (2, 1)), PureState.basis(2, 1))
+        out = apply_in_place(Permutation(2, (2, 1)), basis_state(2, 1))
         np.testing.assert_allclose(out.amplitudes, [0, 1], atol=1e-15)
 
     def test_subset_state_transport(self):
@@ -210,7 +213,7 @@ class TestInPlace:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            apply_in_place(identity(3), PureState.basis(4, 1))
+            apply_in_place(identity(3), basis_state(4, 1))
 
     @given(st.integers(2, 6), st.integers(0, 100))
     def test_norm_preserved(self, v, seed):
@@ -225,26 +228,26 @@ class TestStandard:
     def test_involution_on_every_basis_state(self):
         p = Permutation(4, (2, 4, 1, 3))
         for label in range(1, 17):
-            e = PureState.basis(16, label)
+            e = basis_state(16, label)
             out = apply_standard(p, apply_standard(p, e))
             np.testing.assert_allclose(out.amplitudes, e.amplitudes, atol=1e-15)
 
     def test_single_basis_state(self):
         # i=1, b=0-index: second register index becomes 0 XOR (sigma(1)-1) = 1
-        out = apply_standard(Permutation(2, (2, 1)), PureState.basis(4, 1))
+        out = apply_standard(Permutation(2, (2, 1)), basis_state(4, 1))
         np.testing.assert_allclose(out.amplitudes, np.eye(4)[1], atol=1e-15)
 
     def test_identity_permutation_encodes_index(self):
         p = identity(4)
         for i in range(1, 5):
             joint_label = (i - 1) * 4 + 1  # |i>|b=0-index>
-            out = apply_standard(p, PureState.basis(16, joint_label))
+            out = apply_standard(p, basis_state(16, joint_label))
             expected_index = (i - 1) * 4 + ((i - 1) ^ 0)
             np.testing.assert_allclose(out.amplitudes, np.eye(16)[expected_index], atol=1e-15)
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError, match="power-of-2"):
-            apply_standard(identity(3), PureState.basis(9, 1))
+            apply_standard(identity(3), basis_state(9, 1))
 
     def test_norm_preserved(self):
         rng = philox_stream(1)
@@ -275,7 +278,7 @@ class TestPhase:
 
 class TestBlockTwirl:
     def test_basis_projector(self):
-        rho = DensityMatrix.from_pure(PureState.basis(4, 1))
+        rho = pure_density(basis_state(4, 1))
         out = block_twirl(rho, 2)
         np.testing.assert_allclose(out.entries, np.diag([0.5, 0.5, 0, 0]), atol=1e-15)
 
@@ -515,7 +518,7 @@ class TestRepresentative:
 class TestRandomizedPreimage:
     def test_honest_subset_state_lands_on_target(self):
         s = Subset(4, (2, 4))
-        rho = DensityMatrix.from_pure(subset_state(s, 4))
+        rho = pure_density(subset_state(s, 4))
         out = apply_randomized_preimage(s, rho)
         psi = subset_state(Subset(4, (1, 2)), 4)
         np.testing.assert_allclose(
@@ -524,12 +527,12 @@ class TestRandomizedPreimage:
 
     def test_member_basis_state_lands_in_block(self):
         s = Subset(16, (1, 2, 4, 6))
-        out = apply_randomized_preimage(s, DensityMatrix.from_pure(PureState.basis(16, 2)))
+        out = apply_randomized_preimage(s, pure_density(basis_state(16, 2)))
         assert abs(np.sum(diagonal(out)[:4]) - 1) < 1e-12
 
     def test_non_member_basis_state_misses_block(self):
         s = Subset(16, (1, 2, 4, 6))
-        out = apply_randomized_preimage(s, DensityMatrix.from_pure(PureState.basis(16, 3)))
+        out = apply_randomized_preimage(s, pure_density(basis_state(16, 3)))
         assert np.sum(diagonal(out)[:4]) < 1e-12
 
     def test_matches_exhaustive_coset_average(self):
@@ -596,7 +599,7 @@ class TestOracleChannel:
             OracleChannel("phase", 4, subset=Subset(4, (2, 3))),
         ):
             via_state = ch.apply_to_state(psi)
-            via_density = ch.apply_to_density(DensityMatrix.from_pure(psi))
+            via_density = ch.apply_to_density(pure_density(psi))
             np.testing.assert_allclose(
                 via_density.entries,
                 np.outer(via_state.amplitudes, via_state.amplitudes.conj()),
@@ -606,7 +609,7 @@ class TestOracleChannel:
         psi2 = random_state(4, rng)
         ch = OracleChannel("standard", 4, perm=p)
         via_state = ch.apply_to_state(psi2)
-        via_density = ch.apply_to_density(DensityMatrix.from_pure(psi2))
+        via_density = ch.apply_to_density(pure_density(psi2))
         np.testing.assert_allclose(
             via_density.entries,
             np.outer(via_state.amplitudes, via_state.amplitudes.conj()),

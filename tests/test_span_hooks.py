@@ -9,17 +9,63 @@ and `layer_metrics` turns every count into a float. `dilate` must enter
 `check_dilation` and `run_dilated_picture` once per trial stack, so a run
 path that bypasses the spanned functions fails here too. It is loaded here by path (and
 left unedited), installed around a few runs and removed again, so a signature
-change that would break a traced benchmark run fails here first.
+change that would break a traced benchmark run fails here first. The names the
+other benchmark files import from the package, or read off its modules, are
+parsed out of them and must resolve too.
 """
 
+import ast
+import importlib
 import importlib.util
 import time
+import types
 from pathlib import Path
 
 from permlab import harness, suite, verifier
 from permlab.core import philox_stream
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def benchmark_reads():
+    """The set of (file, dotted name, resolves) for each name `perfbench/*.py` takes from the
+    package: every `from permlab... import` name, and every attribute read off a
+    permlab module it imports (`verifier.random_instance`, say)."""
+    reads = set()
+    for path in sorted(SPANS.parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "permlab":
+                owner = importlib.import_module(node.module)
+                for alias in node.names:
+                    value = getattr(owner, alias.name, None)
+                    reads.add((path.name, f"{node.module}.{alias.name}", value is not None))
+                    if isinstance(value, types.ModuleType):
+                        modules[alias.asname or alias.name] = value
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "permlab":
+                        target = alias.name if alias.asname else "permlab"
+                        modules[alias.asname or "permlab"] = importlib.import_module(target)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and isinstance(node.value, ast.Name) and node.value.id in modules):
+                module = modules[node.value.id]
+                reads.add((path.name, f"{module.__name__}.{node.attr}",
+                           hasattr(module, node.attr)))
+    return reads
+
+
+def test_the_package_binds_every_name_the_benchmark_reads(monkeypatch):
+    reads = benchmark_reads()
+    assert sorted(read for read in reads if not read[2]) == []
+    named = {name for _, name, _ in reads}
+    assert {"permlab.verifier.random_instance", "permlab.verifier.apply_randomized_preimage",
+            "permlab.core.subset_state", "permlab.harness.execute"} <= named
+    # a deleted binding is caught
+    monkeypatch.delattr(verifier, "random_instance")
+    assert ("test_checks.py", "permlab.verifier.random_instance", False) in benchmark_reads()
 
 
 def load_spans():

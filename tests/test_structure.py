@@ -28,70 +28,68 @@ from permlab.structure import (
     witness_pigeonhole,
     _log2_binomial,
 )
-from reference import family_of_sets, incidence_rows, issubset, majority_count
+from reference import family_of_sets, incidence_rows, issubset, majority_count, sets_of
 
 
 def family_of(universe, *member_tuples):
     return family_of_sets(universe, tuple(Subset(universe, m) for m in member_tuples))
 
 
+def feasible(target, *cores):
+    """`feasible_cores` of each core `Subset`, as a list of bools."""
+    return target.feasible_cores(incidence_rows(target.universe, cores)).tolist()
+
+
 class TestTargetClass:
     def test_fixed_size_feasibility(self):
-        target = TargetClass.fixed_size(16, 3)
-        assert target.feasible_extension(Subset(16, ()))
-        assert target.feasible_extension(Subset(16, (1, 2, 3)))
-        assert not target.feasible_extension(Subset(16, (1, 2, 3, 4)))
-
-    def test_parity_target_defaults(self):
-        target = TargetClass.parity(4, "odd")
-        assert (target.universe, target.size, target.even) == (16, 4, False)
-        assert TargetClass.parity(4, "even").even is True
-        assert TargetClass.fixed_size(16, 3).even is None
+        target = TargetClass(16, 3)
+        assert target.even is None
+        cores = (Subset(16, ()), Subset(16, (1, 2, 3)), Subset(16, (1, 2, 3, 4)))
+        assert feasible(target, *cores) == [True, True, False]
 
     @pytest.mark.parametrize("majority,feasible", [("even", [False, False]), ("odd", [True, True])])
     def test_empty_parity_class_has_no_feasible_core(self, majority, feasible):
         # at N = 1 the one member of [1] is odd, so the even-majority class is empty
-        target = TargetClass.parity(1, majority)
+        target = TargetClass(1, 1, majority == "even")
         assert target.feasible_cores(np.array([[False], [True]])).tolist() == feasible
         for s_fixed, want in zip((Subset(1, ()), Subset(1, (1,))), feasible):
-            assert target.feasible_extension(s_fixed) is want
             assert reference_feasible_extension(target, s_fixed) is want
 
     def test_parity_feasibility_limits_minority(self):
-        # a member of the odd class at N=4 has only one even element
-        target = TargetClass.parity(4, "odd")
-        assert target.feasible_extension(Subset(16, (2,)))
-        assert not target.feasible_extension(Subset(16, (2, 4)))
-        # more than ceil(N/3) evens can never extend into the odd class
-        assert not target.feasible_extension(Subset(16, (2, 4, 6)))
+        # a member of the odd class at N=4 has only one even element; more than
+        # ceil(N/3) evens can never extend into the odd class
+        target = TargetClass(16, 4, even=False)
+        cores = (Subset(16, (2,)), Subset(16, (2, 4)), Subset(16, (2, 4, 6)))
+        assert feasible(target, *cores) == [True, False, False]
 
     def test_parity_feasibility_majority_slots(self):
-        target = TargetClass.parity(4, "odd")
-        assert target.feasible_extension(Subset(16, (1, 3, 5)))
-        assert not target.feasible_extension(Subset(16, (1, 3, 5, 7)))
+        target = TargetClass(16, 4, even=False)
+        assert feasible(target, Subset(16, (1, 3, 5)), Subset(16, (1, 3, 5, 7))) == [True, False]
 
     def test_validation(self):
         with pytest.raises(ValueError, match=r"^target size 9 must lie in 0\.\.4$"):
             TargetClass(4, 9)
         with pytest.raises(ValueError, match=r"^target size -1 must lie in 0\.\.4$"):
-            TargetClass.fixed_size(4, -1)
-        with pytest.raises(ValueError, match="majority"):
-            TargetClass.parity(4, "sideways")
+            TargetClass(4, -1)
 
 
 class TestFixingProcedure:
     def test_full_binomial_family_exits_immediately(self):
         # every element of [4] lies in 3 of the 6 two-subsets; 3 < 6*4^(-1/4)
         fam = enumerate_family(4, 2)
-        cert = fixing_procedure(fam, 0.25, 4, target=TargetClass.fixed_size(4, 1))
+        cert = fixing_procedure(fam, 0.25, 4, target=TargetClass(4, 1))
         assert cert.iterations == 0
         assert cert.s_fixed.members == ()
         assert len(cert.family_prime) == 6
         assert abs(cert.max_offfixed_fraction - 0.5) < 1e-12
         ok, diag = check_distributed(
-            cert.family_prime, cert.s_fixed, 0.25, TargetClass.fixed_size(4, 1), 4
+            cert.family_prime, cert.s_fixed, 0.25, TargetClass(4, 1), 4
         )
         assert ok, diag
+
+    def test_target_over_another_universe_is_refused(self):
+        with pytest.raises(ValueError, match=r"^universe mismatch: 5 vs 4$"):
+            fixing_procedure(enumerate_family(4, 2), 0.25, 4, target=TargetClass(5, 1))
 
     def test_common_element_absorbed_without_shrink(self):
         fam = family_of(4, (1, 2), (1, 3), (1, 4))
@@ -112,7 +110,7 @@ class TestFixingProcedure:
         fam = family_of(3, (1, 2), (1, 3), (2, 3))
         cert = fixing_procedure(fam, 0.25, 16)
         assert cert.s_fixed.members == (1, 2)
-        assert [s.members for s in cert.family_prime] == [(1, 2)]
+        assert [s.members for s in sets_of(cert.family_prime)] == [(1, 2)]
         assert cert.iterations == 2
         assert cert.shrink_log[0] == (1, 2, 3)
         for element, nu, before in cert.shrink_log:
@@ -141,13 +139,13 @@ class TestFixingProcedure:
         counts = cert.family_prime.element_counts()
         size = len(cert.family_prime)
         for element, nu in counts.items():
-            if element not in cert.s_fixed:
+            if element not in cert.s_fixed.members:
                 assert nu < size * 8 ** (-0.3)
 
     def test_certificate_core_contained_everywhere(self):
         fam = sample_family(12, 4, 40, philox_stream(77))
         cert = fixing_procedure(fam, 0.25, 4)
-        for s in cert.family_prime:
+        for s in sets_of(cert.family_prime):
             assert issubset(cert.s_fixed, s)
 
 
@@ -155,7 +153,7 @@ class TestCheckDistributed:
     def test_detects_full_frequency_off_core_element(self):
         fam = family_of(4, (1, 2), (1, 3))
         ok, diag = check_distributed(
-            fam, Subset(4, ()), 0.25, TargetClass.fixed_size(4, 1), 4
+            fam, Subset(4, ()), 0.25, TargetClass(4, 1), 4
         )
         assert not ok
         assert not diag["fraction_ok"]
@@ -163,7 +161,7 @@ class TestCheckDistributed:
     def test_detects_infeasible_core(self):
         fam = family_of(16, (2, 4, 6))
         ok, diag = check_distributed(
-            fam, Subset(16, (2, 4, 6)), 0.25, TargetClass.parity(4, "odd"), 4
+            fam, Subset(16, (2, 4, 6)), 0.25, TargetClass(16, 4, even=False), 4
         )
         assert not ok
         assert not diag["target_feasible"]
@@ -171,7 +169,7 @@ class TestCheckDistributed:
     def test_detects_core_not_contained(self):
         fam = family_of(4, (1, 2), (3, 4))
         ok, diag = check_distributed(
-            fam, Subset(4, (1,)), 0.25, TargetClass.fixed_size(4, 1), 4
+            fam, Subset(4, (1,)), 0.25, TargetClass(4, 1), 4
         )
         assert not ok
         assert not diag["core_in_all_members"]
@@ -201,7 +199,7 @@ def reference_element_counts(sets):
 
 
 def reference_restrict_to(sets, label):
-    return tuple(s for s in sets if label in s)
+    return tuple(s for s in sets if label in s.members)
 
 
 def reference_fixing_procedure(universe, sets, alpha, n_ref, target):
@@ -232,15 +230,15 @@ def reference_fixing_procedure(universe, sets, alpha, n_ref, target):
     off = [nu for i, nu in counts.items() if i not in fixed]
     max_fraction = max(off) / len(current) if off else 0.0
     s_fixed = Subset(universe, tuple(sorted(fixed)))
-    feasible = target.feasible_extension(s_fixed)
+    feasible = reference_feasible_extension(target, s_fixed)
     return current, s_fixed, max_fraction, feasible, iterations, tuple(log)
 
 
 def reference_check_distributed(sets, s_fixed, beta, target, n_ref):
     core_in_all = all(issubset(s_fixed, s) for s in sets)
-    feasible = target.feasible_extension(s_fixed)
+    feasible = reference_feasible_extension(target, s_fixed)
     counts = reference_element_counts(sets)
-    off = {i: nu for i, nu in counts.items() if i not in s_fixed}
+    off = {i: nu for i, nu in counts.items() if i not in s_fixed.members}
     max_fraction = max(off.values()) / len(sets) if off else 0.0
     bound = n_ref ** (-beta)
     fraction_ok = max_fraction <= bound + FRACTION_TOL
@@ -274,14 +272,14 @@ class TestIncidenceMatchesReference:
     def test_fixing_and_check_match_reference(self, fam, alpha, n_ref, data):
         v, sets = fam
         family = family_of_sets(v, sets)
-        target = TargetClass.fixed_size(v, data.draw(st.integers(0, v)))
+        target = TargetClass(v, data.draw(st.integers(0, v)))
         assert family.element_counts() == reference_element_counts(sets)
 
         cert = fixing_procedure(family, alpha, n_ref, target=target)
         prime, s_fixed, fraction, feasible, iterations, log = reference_fixing_procedure(
             v, sets, alpha, n_ref, target
         )
-        assert cert.family_prime.sets == prime
+        assert sets_of(cert.family_prime) == prime
         assert cert.s_fixed == s_fixed
         assert cert.max_offfixed_fraction == fraction
         assert type(cert.max_offfixed_fraction) is float
@@ -300,7 +298,7 @@ class TestIncidenceMatchesReference:
 
     def test_three_shrinks_match_reference(self):
         sets = tuple(Subset(5, m) for m in ((1, 2), (1, 2, 3), (1, 4), (2, 5), (3,)))
-        target = TargetClass.fixed_size(5, 2)
+        target = TargetClass(5, 2)
         cert = fixing_procedure(family_of_sets(5, sets), 0.25, 16, target)
         assert cert.shrink_log == ((1, 3, 5), (2, 2, 3), (3, 1, 2))
         assert cert.shrink_log == reference_fixing_procedure(5, sets, 0.25, 16, target)[5]
@@ -319,7 +317,7 @@ class TestIncidenceMatchesReference:
     def test_sample_family_draws_unchanged(self, universe, k, count, seed):
         got = sample_family(universe, k, count, philox_stream(seed))
         want = reference_sample_family(universe, k, count, philox_stream(seed))
-        assert [s.members for s in got] == [s.members for s in want]
+        assert [s.members for s in sets_of(got)] == [s.members for s in want]
 
     @pytest.mark.parametrize("chunk_rows", [1, 4])
     def test_sample_family_batch_size_does_not_change_draws(self, chunk_rows, monkeypatch):
@@ -327,7 +325,7 @@ class TestIncidenceMatchesReference:
         monkeypatch.setattr(core, "ENUMERATION_CHUNK_ROWS", chunk_rows)
         got = sample_family(16, 4, 455, philox_stream(642))
         want = reference_sample_family(16, 4, 455, philox_stream(642))
-        assert [s.members for s in got] == [s.members for s in want]
+        assert [s.members for s in sets_of(got)] == [s.members for s in want]
 
     @given(st.data(), st.integers(0, 2**32))
     @settings(max_examples=60, deadline=None)
@@ -337,11 +335,14 @@ class TestIncidenceMatchesReference:
         count = data.draw(st.integers(0, math.comb(universe, k)))
         got = sample_family(universe, k, count, philox_stream(seed))
         want = reference_sample_family(universe, k, count, philox_stream(seed))
-        assert [s.members for s in got] == [s.members for s in want]
+        assert [s.members for s in sets_of(got)] == [s.members for s in want]
 
 
 def reference_feasible_extension(target, s_fixed):
-    """The per-`Subset` parity-class test that `TargetClass.feasible_cores` replaced."""
+    """The per-`Subset` test that `TargetClass.feasible_cores` replaced: a core of
+    at most `size` labels for a fixed-size class, the parity split for a promise class."""
+    if target.even is None:
+        return len(s_fixed) <= target.size
     majority = "even" if target.even else "odd"
     count, block = majority_count(target.size), target.size
     k_even = sum(1 for m in s_fixed.members if m % 2 == 0)
@@ -411,7 +412,7 @@ class TestFixingStackMatchesReference:
     @settings(max_examples=120, deadline=None)
     def test_each_family_matches_the_reference(self, drawn, alpha, n_ref, data):
         v, stack_sets = drawn
-        target = TargetClass.fixed_size(v, data.draw(st.integers(0, v)))
+        target = TargetClass(v, data.draw(st.integers(0, v)))
         assert_stack_matches_reference(v, stack_sets, alpha, n_ref, target)
         # the check on whole families with arbitrary cores
         stack = np.stack([incidence_rows(v, sets) for sets in stack_sets])
@@ -436,7 +437,7 @@ class TestFixingStackMatchesReference:
                 ((1, 2, 3), (1, 2, 4), (3, 4)),  # shrinks on 1, absorbs 2, shrinks on 3
             )
         ]
-        target = TargetClass.fixed_size(4, 2)
+        target = TargetClass(4, 2)
         outcomes = assert_stack_matches_reference(4, stack_sets, 0.25, 16, target)
         assert outcomes == {"shrinks", "absorbs", "stops"}
         run = fixing_procedure_stack(
@@ -456,19 +457,18 @@ class TestFixingStackMatchesReference:
     def test_fixed_size_feasibility_is_the_size_bound(self, universe):
         cores = philox_stream(universe).random((200, universe)) < 0.3
         for size in range(universe + 1):
-            got = TargetClass.fixed_size(universe, size).feasible_cores(cores)
+            got = TargetClass(universe, size).feasible_cores(cores)
             assert np.array_equal(got, cores.sum(axis=1) <= size)
 
     @pytest.mark.parametrize("majority", ["odd", "even"])
     @pytest.mark.parametrize("block", [2, 3, 4])
     def test_parity_feasibility_matches_the_reference(self, majority, block):
-        target = TargetClass.parity(block, majority)
+        target = TargetClass(block**2, block, majority == "even")
         cores = philox_stream(block).random((400, block**2)) < 0.15
         got = target.feasible_cores(cores)
         for core, feasible in zip(cores, got):
             s_fixed = Subset(block**2, tuple(int(i) + 1 for i in np.flatnonzero(core)))
             assert feasible == reference_feasible_extension(target, s_fixed)
-            assert target.feasible_extension(s_fixed) is bool(feasible)
         assert got.any() and not got.all()
 
 
@@ -487,6 +487,11 @@ class TestWitnessPigeonhole:
             witness_pigeonhole(-1, 2)
 
 
+def reference_log2_binomial(x, y):
+    """`_log2_binomial` with nothing shared: mpmath's log-gamma and ln 2 on each call."""
+    return _log2_binomial(x, y, mpmath.loggamma, mpmath.log(2))
+
+
 def reference_crossover_rows(alpha, p_coeffs, variant, f, n_max):
     """Reference route: every log-binomial recomputed for this one alpha."""
     rows = []
@@ -498,16 +503,18 @@ def reference_crossover_rows(alpha, p_coeffs, variant, f, n_max):
             lg_n = mpmath.mpf(n)
             p_of_n = mpmath.mpf(eval_poly(p_coeffs, n))
             if variant == "uniform":
-                upper = _log2_binomial(big_n**2, f_mp * big_n) + alpha_mp * lg_n
+                upper = reference_log2_binomial(big_n**2, f_mp * big_n) + alpha_mp * lg_n
                 lower = (
-                    _log2_binomial(big_n**2, big_n) - p_of_n - alpha_mp * f_mp * big_n * lg_n
+                    reference_log2_binomial(big_n**2, big_n)
+                    - p_of_n
+                    - alpha_mp * f_mp * big_n * lg_n
                 )
             else:
                 half = big_n**2 / 2
-                upper = 2 * _log2_binomial(half, f_mp * big_n / 2) + alpha_mp * lg_n
+                upper = 2 * reference_log2_binomial(half, f_mp * big_n / 2) + alpha_mp * lg_n
                 lower = (
-                    _log2_binomial(half, 2 * big_n / 3)
-                    + _log2_binomial(half, big_n / 3)
+                    reference_log2_binomial(half, 2 * big_n / 3)
+                    + reference_log2_binomial(half, big_n / 3)
                     - p_of_n
                     - alpha_mp * f_mp * big_n * lg_n
                 )

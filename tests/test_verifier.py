@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -31,9 +32,8 @@ from permlab.verifier import (
     sweep_lambda,
 )
 from permlab.verifier import test_i as probe_i
-from permlab.verifier import test_i_circuit as probe_i_circuit
 from permlab.verifier import test_ii as probe_ii
-from reference import as_permutation, diagonal, majority_count
+from reference import as_permutation, basis_state, diagonal, majority_count, pure_density
 
 
 YES_N2 = PreimageInstance(Subset(16, (1, 2, 4, 6)), n=2)
@@ -115,12 +115,13 @@ class ClassifyReport:
     message: str
 
 
-def classify(inst, threshold_hi=5.0 / 6.0, threshold_lo=THRESHOLD_LO):
+def classify(inst, threshold_hi=5.0 / 6.0):
     """Evaluate one instance against the completeness and soundness thresholds."""
+    threshold_lo = THRESHOLD_LO
     p_honest = run_verifier(inst, honest_witness(inst)).p_accept
     lam, _ = optimal_witness_prob(inst)
-    completeness_ok = meets_threshold("YES", lam, threshold_lo)
-    soundness_ok = meets_threshold("NO", lam, threshold_lo)
+    completeness_ok = meets_threshold("YES", lam)
+    soundness_ok = meets_threshold("NO", lam)
     if inst.label == "YES":
         message = (
             f"completeness holds at {p_honest:.6g} >= {threshold_lo:.6g}"
@@ -139,9 +140,25 @@ def classify(inst, threshold_hi=5.0 / 6.0, threshold_lo=THRESHOLD_LO):
     )
 
 
+def probe_i_circuit(inst, witness):
+    """Gate realization of test (i): Hadamard the low n qubits, accept all zeros.
+
+    Only defined when N is a power of two. Labels 1..N occupy the 0-based
+    indices with all high bits zero, so the Hadamards act on the low block.
+    """
+    if inst.n is None:
+        raise ValueError("the gate realization needs N = 2^n")
+    out = apply_randomized_preimage(inst.subset, pure_density(witness))
+    h1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    h_low = reduce(np.kron, [h1] * inst.n)
+    u = np.kron(np.eye(inst.block), h_low)
+    rotated = u @ out.entries @ u.conj().T
+    return float(verifier._as_probability(rotated[0, 0]))
+
+
 def channel_test_i(inst, witness):
     """Reference for test (i): run the randomized channel, then project."""
-    out = apply_randomized_preimage(inst.subset, DensityMatrix.from_pure(witness))
+    out = apply_randomized_preimage(inst.subset, pure_density(witness))
     psi = target_state(inst).amplitudes
     return float(np.real(psi.conj() @ out.entries @ psi))
 
@@ -244,7 +261,7 @@ class TestTestI:
             assert abs(probe_i(inst, honest_witness(inst)) - 1.0) < 1e-12
 
     def test_basis_witness_outside_subset(self):
-        p = probe_i(YES_N2, PureState.basis(16, 3))
+        p = probe_i(YES_N2, basis_state(16, 3))
         assert 0 <= p < 1 / 4
         assert p < 1e-12
 
@@ -287,13 +304,13 @@ class TestTestII:
         assert abs(probe_ii(YES_N6, honest_witness(YES_N6)) - 4 / 6) < 1e-12
 
     def test_even_member_basis_state(self):
-        assert abs(probe_ii(YES_N2, PureState.basis(16, 2)) - 1.0) < 1e-12
+        assert abs(probe_ii(YES_N2, basis_state(16, 2)) - 1.0) < 1e-12
 
     def test_odd_basis_state_rejected(self):
-        assert probe_ii(YES_N2, PureState.basis(16, 1)) == 0.0
+        assert probe_ii(YES_N2, basis_state(16, 1)) == 0.0
 
     def test_even_non_member_rejected(self):
-        assert probe_ii(YES_N2, PureState.basis(16, 8)) < 1e-12
+        assert probe_ii(YES_N2, basis_state(16, 8)) < 1e-12
 
     def test_matches_direct_formula(self):
         evens_in_s = [m for m in YES_N2.subset.members if m % 2 == 0]
@@ -398,8 +415,8 @@ class TestClassify:
         assert "FAILS" in rep.message
 
     def test_thresholds_echoed(self):
-        rep = classify(NO_N1, threshold_hi=0.9, threshold_lo=0.7)
-        assert rep.threshold_hi == 0.9 and rep.threshold_lo == 0.7
+        rep = classify(NO_N1, threshold_hi=0.9)
+        assert rep.threshold_hi == 0.9 and rep.threshold_lo == THRESHOLD_LO
 
 
 class TestTargetState:
